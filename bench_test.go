@@ -360,8 +360,9 @@ func BenchmarkServeEndToEnd(b *testing.B) {
 	b.StopTimer()
 }
 
-// BenchmarkFusedSweep pits the fused column kernel against the
-// sequential per-cell oracle on a Table-2-shaped grid — one benchmark,
+// BenchmarkFusedSweep pits the fused column kernel against the per-cell
+// reference (engine.Config.PerCell: each predictor alone, K=1, no shared
+// history) on a Table-2-shaped grid — one benchmark,
 // a path-length sweep at each table size plus a gshare baseline — so
 // the reported ratio is the speedup an experiment sweep actually sees.
 // The grid is sharing-friendly the way Table 2 is: all fixed-length
@@ -395,6 +396,7 @@ func BenchmarkFusedSweep(b *testing.B) {
 		name    string
 		perCell bool
 	}{{"percell", true}, {"fused", false}} {
+		eng := engine.New(engine.Config{PerCell: mode.perCell})
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -403,8 +405,7 @@ func BenchmarkFusedSweep(b *testing.B) {
 				b.StopTimer()
 				preds := build(b)
 				b.StartTimer()
-				res, err := experiments.RunCondColumn(
-					context.Background(), preds, trace.NewBuffer(buf.Records), mode.perCell)
+				res, err := eng.ReplayCond(context.Background(), preds, trace.NewBuffer(buf.Records))
 				if err != nil {
 					b.Fatal(err)
 				}

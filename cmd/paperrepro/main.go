@@ -61,7 +61,6 @@ type options struct {
 	out      string
 	jsonDir  string
 	traceDir string
-	perCell  bool
 	timeout  time.Duration
 	resume   bool
 	log      *obs.Logger
@@ -76,7 +75,6 @@ func main() {
 	flag.StringVar(&opts.out, "out", "", "also write each report to <out>/<id>.txt")
 	flag.StringVar(&opts.jsonDir, "json", "results", "write bench_<id>.json reports to this directory (\"\" to disable)")
 	flag.StringVar(&opts.traceDir, "tracedir", "", "ingest recorded test traces (<dir>/<bench>.vlpt) instead of generating them")
-	flag.BoolVar(&opts.perCell, "percell", false, "replay experiment columns per cell (sequential oracle) instead of fused")
 	flag.DurationVar(&opts.timeout, "timeout", 0, "per-experiment deadline (0 = none)")
 	flag.BoolVar(&opts.resume, "resume", false, "skip experiments whose bench reports are already present and valid (needs -json)")
 	flag.BoolVar(&list, "list", false, "list experiment ids and exit")
@@ -176,7 +174,6 @@ func run(ctx context.Context, opts options) error {
 
 	suite := experiments.NewSuite(experiments.Config{
 		BaseRecords: opts.base, ProfileRecords: opts.profBase, TraceDir: opts.traceDir,
-		PerCell: opts.perCell,
 	})
 	summary := obs.NewReport("suite", "paperrepro suite run")
 	summary.SetParam("base_records", opts.base)

@@ -63,7 +63,6 @@ func main() {
 		limits   = flag.String("limits", "", "degradation policy overrides, e.g. max-sessions=128,idle-ttl=30s,max-body=4MB,workers=16,drain=5s")
 		jobs     = flag.Bool("jobs", true, "serve POST /v1/jobs sweep cells (cmd/vlpsweep workers)")
 		traceDir = flag.String("tracedir", "", "recorded benchmark traces for sweep cells (<dir>/<bench>.vlpt)")
-		perCell  = flag.Bool("percell", false, "run sweep cells on the sequential per-cell path instead of the fused column kernel (oracle mode)")
 		spillDir = flag.String("spill-dir", "", "hibernate sessions to this directory (write-through snapshots; a restart with the same dir resumes every session bit-identically)")
 		snapDir  = flag.String("snapdir", "", "checkpoint sweep-cell column replays to this directory so a requeued cell resumes instead of replaying from record zero")
 		chaosStr = flag.String("chaos", "", "server-side fault injection spec, e.g. chaos:seed=7,burst5xx=0.05,reset=0.02,truncate=0.02,stall=0.01,snap=0.1")
@@ -93,7 +92,7 @@ func main() {
 		inj = chaos.New(spec)
 	}
 	ctx, cancelSignals := runx.WithSignals(context.Background())
-	err = run(ctx, *addr, *addrFile, *limits, *jobs, *traceDir, *perCell, *spillDir, *snapDir, inj, log)
+	err = run(ctx, *addr, *addrFile, *limits, *jobs, *traceDir, *spillDir, *snapDir, inj, log)
 	cancelSignals()
 	if perr := stop(); err == nil {
 		err = perr
@@ -104,7 +103,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, addr, addrFile, limitsStr string, jobs bool, traceDir string, perCell bool, spillDir, snapDir string, inj *chaos.Injector, log *obs.Logger) error {
+func run(ctx context.Context, addr, addrFile, limitsStr string, jobs bool, traceDir, spillDir, snapDir string, inj *chaos.Injector, log *obs.Logger) error {
 	limits, err := serve.ParseLimits(serve.DefaultLimits(), limitsStr)
 	if err != nil {
 		return err
@@ -118,7 +117,6 @@ func run(ctx context.Context, addr, addrFile, limitsStr string, jobs bool, trace
 	}
 	if jobs {
 		runner := dist.NewRunner(traceDir, log)
-		runner.SetPerCell(perCell)
 		runner.SetSnapDir(snapDir)
 		srv.SetJobRunner(runner)
 	}

@@ -21,7 +21,7 @@ func TestRunServesAndDrains(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, "127.0.0.1:0", addrFile, "workers=2,drain=2s", true, "", false, "", "", nil, nil)
+		done <- run(ctx, "127.0.0.1:0", addrFile, "workers=2,drain=2s", true, "", "", "", nil, nil)
 	}()
 
 	var addr string
@@ -67,13 +67,13 @@ func TestRunServesAndDrains(t *testing.T) {
 
 func TestRunRejectsBadInputs(t *testing.T) {
 	ctx := context.Background()
-	if err := run(ctx, "127.0.0.1:0", "", "max-sessions=0", false, "", false, "", "", nil, nil); err == nil {
+	if err := run(ctx, "127.0.0.1:0", "", "max-sessions=0", false, "", "", "", nil, nil); err == nil {
 		t.Error("invalid limits accepted")
 	}
-	if err := run(ctx, "127.0.0.1:0", "", "nope=1", false, "", false, "", "", nil, nil); err == nil {
+	if err := run(ctx, "127.0.0.1:0", "", "nope=1", false, "", "", "", nil, nil); err == nil {
 		t.Error("unknown limits key accepted")
 	}
-	if err := run(ctx, "256.0.0.1:99999", "", "", false, "", false, "", "", nil, nil); err == nil {
+	if err := run(ctx, "256.0.0.1:99999", "", "", false, "", "", "", nil, nil); err == nil {
 		t.Error("unlistenable address accepted")
 	}
 }

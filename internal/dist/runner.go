@@ -43,7 +43,6 @@ import (
 // as an in-process suite run does.
 type Runner struct {
 	traceDir string
-	perCell  bool
 	snapDir  string
 	log      *obs.Logger
 
@@ -78,13 +77,6 @@ func NewRunner(traceDir string, log *obs.Logger) *Runner {
 	}
 }
 
-// SetPerCell routes every suite this runner builds through the
-// sequential per-cell replay path instead of the fused column kernel
-// (experiments.Config.PerCell) — the oracle mode for bisecting a
-// suspect fused result. Call before the first job; suites already
-// built keep their mode.
-func (r *Runner) SetPerCell(v bool) { r.perCell = v }
-
 // SetSnapDir points every suite this runner builds at a column
 // checkpoint directory (experiments.Config.SnapDir): column replays
 // persist predictor snapshots as they go, so when a worker dies and the
@@ -109,7 +101,6 @@ func (r *Runner) suite(ctx context.Context, key suiteKey) (*experiments.Suite, e
 			BaseRecords:    key.base,
 			ProfileRecords: key.profBase,
 			TraceDir:       r.traceDir,
-			PerCell:        r.perCell,
 			SnapDir:        r.snapDir,
 		})
 		skipped, err := s.IngestTraces(ctx)

@@ -25,7 +25,7 @@ import (
 // checkpoint and replays only the remaining records; the results are
 // bit-identical to an uninterrupted pass because predictors are
 // deterministic sequential state machines and segment counts add
-// (sim.RunManySegmented pins that property).
+// (sim's segmented-replay tests pin that property).
 //
 // The checkpoint is one snap container: Class "column", Spec the
 // column's identity (class, benchmark, column id, every job predictor's
@@ -43,31 +43,18 @@ const checkpointClass = "column"
 // invisible next to replay cost.
 var checkpointStride = 1 << 20
 
-// jobPred returns the participant of a column job, whichever field is
-// set (sim keeps the equivalent accessor unexported).
-func jobPred(j sim.Job) bpred.Predictor {
-	switch {
-	case j.Cond != nil:
-		return j.Cond
-	case j.Indirect != nil:
-		return j.Indirect
-	default:
-		return j.Observer
-	}
-}
-
 // columnCheckpointKey names the column's content: anything that could
 // change the replay invalidates the key, so a stale checkpoint can
 // never be restored into a different column. Predictor names encode
-// their configuration (budget, selector, lengths), the class
-// distinguishes cond from indirect columns, and bench/id scope the
-// trace and cell set exactly as the engine's memoization does.
-func columnCheckpointKey(class, bench, id string, jobs []sim.Job) string {
+// their configuration (budget, selector, lengths), and the cell key
+// ("class|trace|column-id") scopes the class, trace and cell set
+// exactly as the engine's memoization does.
+func columnCheckpointKey(cell Key, jobs []sim.Job) string {
 	names := make([]string, len(jobs))
 	for i, j := range jobs {
-		names[i] = jobPred(j).Name()
+		names[i] = j.Pred().Name()
 	}
-	return class + "|" + bench + "|" + id + "|" + strings.Join(names, ";")
+	return cell.String() + "|" + strings.Join(names, ";")
 }
 
 // checkpointPath maps a column key to its file in SnapDir.
@@ -93,7 +80,7 @@ func encodeCheckpoint(key string, jobs []sim.Job, consumed int, results []sim.Re
 	var blob bytes.Buffer
 	be := state.NewEncoder(&blob)
 	for _, j := range jobs {
-		p := jobPred(j)
+		p := j.Pred()
 		var st bytes.Buffer
 		if err := p.(bpred.StateCodec).SaveState(&st); err != nil {
 			return nil, fmt.Errorf("engine: checkpointing %s: %w", p.Name(), err)
@@ -144,7 +131,7 @@ func restoreCheckpoint(path, key string, jobs []sim.Job, maxRecords int) (consum
 		if bd.Err() != nil {
 			return 0, nil, false
 		}
-		sc, isCodec := jobPred(j).(bpred.StateCodec)
+		sc, isCodec := j.Pred().(bpred.StateCodec)
 		if !isCodec {
 			return 0, nil, false
 		}
@@ -160,7 +147,7 @@ func restoreCheckpoint(path, key string, jobs []sim.Job, maxRecords int) (consum
 // back to plain uncheckpointed replay.
 func checkpointable(jobs []sim.Job) bool {
 	for _, j := range jobs {
-		if _, ok := jobPred(j).(bpred.StateCodec); !ok {
+		if _, ok := j.Pred().(bpred.StateCodec); !ok {
 			return false
 		}
 	}
@@ -171,20 +158,22 @@ func checkpointable(jobs []sim.Job) bool {
 // SnapDir. Checkpoint writes are best-effort (a failed write never
 // fails the run); restore is trust-but-verify (a bad checkpoint is
 // ignored). On a clean finish the checkpoint file is removed.
-func (e *Engine) runColumnCheckpointed(ctx context.Context, class, bench, id string,
-	jobs []sim.Job, buf *trace.Buffer) []sim.Result {
-	key := columnCheckpointKey(class, bench, id, jobs)
+func (e *Engine) runColumnCheckpointed(ctx context.Context, cell Key, jobs []sim.Job, buf *trace.Buffer) []sim.Result {
+	key := columnCheckpointKey(cell, jobs)
 	path := checkpointPath(e.cfg.SnapDir, key)
 	consumed, base, resumed := restoreCheckpoint(path, key, jobs, buf.Len())
 	if resumed {
 		e.resumedRecords.Add(int64(consumed))
+	} else {
+		base = make([]sim.Result, len(jobs))
 	}
-	results := sim.RunManySegmented(ctx, jobs, buf.Records[consumed:], sim.Options{}, checkpointStride,
-		func(n int, partial []sim.Result) error {
+	results := sim.RunMany(ctx, jobs, trace.NewBuffer(buf.Records[consumed:]), sim.Options{
+		Stride: checkpointStride,
+		Checkpoint: func(n int, partial []sim.Result) error {
 			totals := make([]sim.Result, len(partial))
 			for i := range partial {
-				totals[i].Branches = partial[i].Branches + baseBranches(base, i)
-				totals[i].Mispredicts = partial[i].Mispredicts + baseMispredicts(base, i)
+				totals[i].Branches = partial[i].Branches + base[i].Branches
+				totals[i].Mispredicts = partial[i].Mispredicts + base[i].Mispredicts
 			}
 			cp, err := encodeCheckpoint(key, jobs, consumed+n, totals)
 			if err != nil {
@@ -194,34 +183,16 @@ func (e *Engine) runColumnCheckpointed(ctx context.Context, class, bench, id str
 			// the measurement, it only loses resumability.
 			_ = cp.SaveFile(path)
 			return nil
-		})
-	for i := range results {
-		results[i].Branches += baseBranches(base, i)
-		results[i].Mispredicts += baseMispredicts(base, i)
-	}
+		},
+	})
 	clean := true
 	for i := range results {
-		if results[i].Err != nil {
-			clean = false
-			break
-		}
+		results[i].Branches += base[i].Branches
+		results[i].Mispredicts += base[i].Mispredicts
+		clean = clean && results[i].Err == nil
 	}
 	if clean {
 		os.Remove(path)
 	}
 	return results
-}
-
-func baseBranches(base []sim.Result, i int) int64 {
-	if base == nil {
-		return 0
-	}
-	return base[i].Branches
-}
-
-func baseMispredicts(base []sim.Result, i int) int64 {
-	if base == nil {
-		return 0
-	}
-	return base[i].Mispredicts
 }

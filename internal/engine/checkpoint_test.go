@@ -55,7 +55,7 @@ func indCellPattern(k uint) IndirectCell {
 // first k records of the "go" trace through a fresh copy of the column
 // and writes the checkpoint a dying worker would have left behind in
 // the engine's SnapDir.
-func plantCheckpoint(t *testing.T, dir, class, bench, id string, jobs []sim.Job, k int) string {
+func plantCheckpoint(t *testing.T, dir string, cell Key, jobs []sim.Job, k int) string {
 	t.Helper()
 	recs := goRecords(t)
 	res := sim.RunMany(context.Background(), jobs, trace.NewBuffer(recs[:k]), sim.Options{})
@@ -64,7 +64,7 @@ func plantCheckpoint(t *testing.T, dir, class, bench, id string, jobs []sim.Job,
 			t.Fatalf("prefix replay failed: %v", res[i].Err)
 		}
 	}
-	key := columnCheckpointKey(class, bench, id, jobs)
+	key := columnCheckpointKey(cell, jobs)
 	cp, err := encodeCheckpoint(key, jobs, k, res)
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +102,8 @@ func TestCondColumnResumesFromCheckpoint(t *testing.T) {
 		}
 		preds[i] = p
 	}
-	jobs, _ := condColumnJobs(preds)
-	path := plantCheckpoint(t, dir, "cond", "go", "ckpt", jobs, k)
+	jobs, _ := e.condJobs(preds)
+	path := plantCheckpoint(t, dir, Key{Class: ClassCond, Trace: "go", ColumnID: "ckpt"}, jobs, k)
 
 	got, err := e.Column(ctx, Cell{Trace: "go", ColumnID: "ckpt", Cond: cells})
 	if err != nil {
@@ -145,7 +145,7 @@ func TestIndirectColumnResumesFromCheckpoint(t *testing.T) {
 		}
 		jobs[i] = sim.IndirectJob(p)
 	}
-	plantCheckpoint(t, dir, "indirect", "go", "ckpt-ind", jobs, k)
+	plantCheckpoint(t, dir, Key{Class: ClassIndirect, Trace: "go", ColumnID: "ckpt-ind"}, jobs, k)
 
 	got, err := e.Column(ctx, Cell{Trace: "go", ColumnID: "ckpt-ind", Indirect: cells})
 	if err != nil {
@@ -194,8 +194,8 @@ func TestColumnIgnoresBadCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			jobs, _ := condColumnJobs([]bpred.CondPredictor{p})
-			key := columnCheckpointKey("cond", "go", "ckpt-other", jobs)
+			jobs, _ := New(Config{}).condJobs([]bpred.CondPredictor{p})
+			key := columnCheckpointKey(Key{Class: ClassCond, Trace: "go", ColumnID: "ckpt-other"}, jobs)
 			res := []sim.Result{{Branches: 1, Mispredicts: 1}}
 			cp, err := encodeCheckpoint(key, jobs, 100, res)
 			if err != nil {
@@ -217,8 +217,8 @@ func TestColumnIgnoresBadCheckpoint(t *testing.T) {
 				}
 				preds[i] = p
 			}
-			jobs, _ := condColumnJobs(preds)
-			path := plantCheckpoint(t, dir, "cond", "go", "ckpt-bad", jobs, 20000)
+			jobs, _ := e.condJobs(preds)
+			path := plantCheckpoint(t, dir, Key{Class: ClassCond, Trace: "go", ColumnID: "ckpt-bad"}, jobs, 20000)
 			damage(path)
 
 			got, err := e.Column(ctx, Cell{Trace: "go", ColumnID: "ckpt-bad", Cond: cells})

@@ -5,7 +5,7 @@
 // sweep service's /v1/jobs worker, the distributed coordinator, the
 // CLIs — describes them as engine.Cell values and submits them here,
 // so planning (what cells exist), scheduling (dedup, worker pool) and
-// execution (strategy choice, checkpointing, panic isolation) live in
+// execution (replay, checkpointing, panic isolation) live in
 // one place instead of once per layer.
 //
 // The pipeline is Plan → Schedule → Execute:
@@ -16,10 +16,11 @@
 //     plans (singleflight per key), so two experiments sharing a
 //     (trace, column) cell replay it once, and fans unique cells out
 //     over the engine's worker pool (engine/pool);
-//   - execution picks a strategy per cell — the sequential per-cell
-//     oracle, the fused kernel (sim.RunMany), or segmented replay with
-//     snapshot checkpoints (checkpoint.go) — and the measured rates are
-//     bit-identical across all three, which the differential tests pin.
+//   - execution replays each cell through the one kernel, sim.RunMany:
+//     fused, segmented with snapshot checkpoints when Config.SnapDir is
+//     set (checkpoint.go), or one predictor at a time under
+//     Config.PerCell — and the measured rates are bit-identical across
+//     all three, which the differential tests pin.
 package engine
 
 import (
@@ -59,45 +60,11 @@ func (c Class) String() string {
 // CondCell builds one conditional predictor of a column. Cells must
 // return fresh predictors on every call: the column builder may rebind
 // their path history for sharing, and a cell may run more than once
-// (the per-cell oracle, a NoDedup benchmark loop).
+// (the per-cell reference, a NoDedup benchmark loop).
 type CondCell func() (bpred.CondPredictor, error)
 
 // IndirectCell builds one indirect predictor of a column.
 type IndirectCell func() (bpred.IndirectPredictor, error)
-
-// Strategy selects how a cell replays.
-type Strategy int
-
-const (
-	// StrategyAuto lets the engine choose: the fused kernel, upgraded
-	// to segmented checkpointing when a snapshot directory is
-	// configured and every participant supports it, or the per-cell
-	// oracle when the engine runs in PerCell mode.
-	StrategyAuto Strategy = iota
-	// StrategyPerCell forces the sequential one-pass-per-predictor
-	// oracle, the differential baseline for the fused path.
-	StrategyPerCell
-	// StrategyFused forces the fused single-pass kernel (sim.RunMany).
-	StrategyFused
-	// StrategySegmented asks for checkpointed segmented replay; cells
-	// that do not qualify (no snapshot dir, non-codec participants,
-	// non-buffer trace) fall back to the fused kernel.
-	StrategySegmented
-)
-
-// String names the strategy for logs and counters.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyPerCell:
-		return "percell"
-	case StrategyFused:
-		return "fused"
-	case StrategySegmented:
-		return "segmented"
-	default:
-		return "auto"
-	}
-}
 
 // Key is a cell's canonical identity: the predictor class, the
 // benchmark trace it replays, and the column's content id. Two cells
@@ -150,9 +117,6 @@ type Cell struct {
 	Cond []CondCell
 	// Indirect holds the column's indirect cells (ClassIndirect).
 	Indirect []IndirectCell
-	// Strategy optionally forces an execution strategy; the zero value
-	// (StrategyAuto) lets the engine choose.
-	Strategy Strategy
 }
 
 // Class returns the cell's predictor class.
@@ -175,15 +139,17 @@ type Config struct {
 	// be independent views (separate read positions), since cells run
 	// concurrently.
 	Source func(trace string) (trace.Source, error)
-	// PerCell routes StrategyAuto cells through the sequential
-	// per-predictor oracle instead of the fused kernel. The measured
-	// rates are byte-identical either way; the oracle is kept as the
-	// differential baseline and as a bisection tool.
+	// PerCell replays every predictor alone — a K=1 kernel pass per
+	// predictor, no shared path history — instead of one fused pass
+	// per column. The rates are byte-identical either way; it is the
+	// reference the fused columns are checked against.
 	PerCell bool
 	// SnapDir, when set, names a directory for column replay
-	// checkpoints: qualifying cells replay segmented, persisting every
-	// predictor's state (internal/snap format) so a killed or requeued
-	// run resumes from the last checkpoint instead of record zero.
+	// checkpoints: a fused cell over an in-memory trace whose every
+	// participant is a bpred.StateCodec replays segmented, persisting
+	// every predictor's state (internal/snap format) so a killed or
+	// requeued run resumes from the last checkpoint instead of record
+	// zero.
 	SnapDir string
 	// NoDedup disables the per-key singleflight so every submission
 	// replays, even for a key already computed. Only the dedup
@@ -224,8 +190,8 @@ type Counters struct {
 }
 
 // Engine schedules and executes cells: one singleflight per cell key,
-// one bounded worker pool (engine/pool) for plan fan-out, one strategy
-// decision per replay.
+// one bounded worker pool (engine/pool) for plan fan-out, one replay
+// path per cell.
 type Engine struct {
 	cfg Config
 
@@ -290,179 +256,103 @@ func (e *Engine) Column(ctx context.Context, c Cell) ([]float64, error) {
 }
 
 // runCell executes one cell: build fresh predictors, resolve the
-// trace, pick the strategy, replay, and reduce to percentages.
+// trace, replay, and reduce to percentages.
 func (e *Engine) runCell(ctx context.Context, c Cell) ([]float64, error) {
 	src, err := e.cfg.Source(c.Trace)
 	if err != nil {
 		return nil, err
 	}
+	var jobs []sim.Job
+	var order []int
 	if c.Class() == ClassIndirect {
-		return e.runIndirectCell(ctx, c, src)
-	}
-	return e.runCondCell(ctx, c, src)
-}
-
-func (e *Engine) runCondCell(ctx context.Context, c Cell, src trace.Source) ([]float64, error) {
-	preds := make([]bpred.CondPredictor, len(c.Cond))
-	for i, cell := range c.Cond {
-		p, err := cell()
-		if err != nil {
-			return nil, err
-		}
-		preds[i] = p
-	}
-	e.executed.Add(1)
-	strat := e.resolveStrategy(c.Strategy)
-	if strat == StrategySegmented {
-		if buf, jobs, order := e.segmentable(src, preds); jobs != nil {
-			res := e.runColumnCheckpointed(ctx, "cond", c.Trace, c.ColumnID, jobs, buf)
-			out := make([]sim.Result, len(preds))
-			for pi, ji := range order {
-				if err := res[ji].Err; err != nil {
-					return nil, err
-				}
-				out[pi] = res[ji]
-			}
-			return percents(out), nil
-		}
-		strat = StrategyFused
-	}
-	results, err := RunCondColumn(ctx, preds, src, strat == StrategyPerCell)
-	if err != nil {
-		return nil, err
-	}
-	return percents(results), nil
-}
-
-func (e *Engine) runIndirectCell(ctx context.Context, c Cell, src trace.Source) ([]float64, error) {
-	preds := make([]bpred.IndirectPredictor, len(c.Indirect))
-	for i, cell := range c.Indirect {
-		p, err := cell()
-		if err != nil {
-			return nil, err
-		}
-		preds[i] = p
-	}
-	e.executed.Add(1)
-	strat := e.resolveStrategy(c.Strategy)
-	if strat == StrategySegmented {
-		if buf, ok := src.(*trace.Buffer); ok {
-			jobs := make([]sim.Job, len(preds))
-			for i, p := range preds {
-				jobs[i] = sim.IndirectJob(p)
-			}
-			if checkpointable(jobs) {
-				res := e.runColumnCheckpointed(ctx, "indirect", c.Trace, c.ColumnID, jobs, buf)
-				for i := range res {
-					if err := res[i].Err; err != nil {
-						return nil, err
-					}
-				}
-				return percents(res), nil
-			}
-		}
-		strat = StrategyFused
-	}
-	results, err := RunIndirectColumn(ctx, preds, src, strat == StrategyPerCell)
-	if err != nil {
-		return nil, err
-	}
-	return percents(results), nil
-}
-
-// resolveStrategy maps a cell's requested strategy onto the engine's
-// configuration: Auto prefers segmented when a snapshot directory is
-// configured (qualification is checked per cell), the per-cell oracle
-// when PerCell is set, and the fused kernel otherwise. An explicit
-// request wins over the configuration.
-func (e *Engine) resolveStrategy(s Strategy) Strategy {
-	if s != StrategyAuto {
-		return s
-	}
-	if e.cfg.PerCell {
-		return StrategyPerCell
-	}
-	if e.cfg.SnapDir != "" {
-		return StrategySegmented
-	}
-	return StrategyFused
-}
-
-// segmentable decides whether a conditional column qualifies for
-// checkpointed segmented replay: the trace must be an in-memory buffer
-// and every participant must support StateCodec. It returns nil jobs
-// when any condition fails, which routes the cell to the fused kernel.
-func (e *Engine) segmentable(src trace.Source, preds []bpred.CondPredictor) (*trace.Buffer, []sim.Job, []int) {
-	buf, ok := src.(*trace.Buffer)
-	if !ok {
-		return nil, nil, nil
-	}
-	jobs, order := condColumnJobs(preds)
-	if !checkpointable(jobs) {
-		return nil, nil, nil
-	}
-	return buf, jobs, order
-}
-
-// RunCondColumn measures every predictor over one pass of src (or one
-// pass per predictor when perCell is set) and returns the per-predictor
-// results in predictor order. A partial replay — canceled context or
-// failed source — is refused as a measurement. Callers that need
-// post-run predictor state (instrumentation counters) use this
-// directly; rate-only callers go through Engine.Column, which memoizes.
-func RunCondColumn(ctx context.Context, preds []bpred.CondPredictor, src trace.Source, perCell bool) ([]sim.Result, error) {
-	if perCell {
-		results := make([]sim.Result, len(preds))
-		for i, p := range preds {
-			results[i] = sim.RunCond(ctx, p, src, sim.Options{})
-			if err := results[i].Err; err != nil {
+		jobs = make([]sim.Job, len(c.Indirect))
+		for i, cell := range c.Indirect {
+			p, err := cell()
+			if err != nil {
 				return nil, err
 			}
+			jobs[i] = sim.IndirectJob(p)
 		}
-		return results, nil
+	} else {
+		preds := make([]bpred.CondPredictor, len(c.Cond))
+		for i, cell := range c.Cond {
+			p, err := cell()
+			if err != nil {
+				return nil, err
+			}
+			preds[i] = p
+		}
+		jobs, order = e.condJobs(preds)
 	}
-	jobs, order := condColumnJobs(preds)
-	res := sim.RunMany(ctx, jobs, src, sim.Options{})
-	out := make([]sim.Result, len(preds))
-	for pi, ji := range order {
-		if err := res[ji].Err; err != nil {
+	e.executed.Add(1)
+	results, err := e.replay(ctx, c.Key(), jobs, order, src)
+	if err != nil {
+		return nil, err
+	}
+	return percents(results), nil
+}
+
+// ReplayCond measures a conditional column over src without
+// memoization or checkpointing and returns the per-predictor results in
+// predictor order, honouring Config.PerCell. Callers that need
+// post-run predictor state (instrumentation counters) or replay a trace
+// outside the Source hook use it; rate-only callers go through Column.
+// A partial replay — canceled context or failed source — is refused as
+// a measurement.
+func (e *Engine) ReplayCond(ctx context.Context, preds []bpred.CondPredictor, src trace.Source) ([]sim.Result, error) {
+	jobs, order := e.condJobs(preds)
+	return e.replay(ctx, Key{}, jobs, order, src)
+}
+
+// replay runs a column's jobs over src: each job alone under PerCell;
+// segmented with checkpoints when key names a cell (is not zero),
+// SnapDir is set, the trace is an in-memory buffer and every
+// participant is a StateCodec; and in one fused pass otherwise. order maps each predictor to its job
+// (nil: the identity); results come back in predictor order.
+func (e *Engine) replay(ctx context.Context, key Key, jobs []sim.Job, order []int, src trace.Source) ([]sim.Result, error) {
+	var results []sim.Result
+	buf, inMemory := src.(*trace.Buffer)
+	switch {
+	case e.cfg.PerCell:
+		results = make([]sim.Result, len(jobs))
+		for i := range jobs {
+			results[i] = sim.RunMany(ctx, jobs[i:i+1], src, sim.Options{})[0]
+		}
+	case key != (Key{}) && e.cfg.SnapDir != "" && inMemory && checkpointable(jobs):
+		results = e.runColumnCheckpointed(ctx, key, jobs, buf)
+	default:
+		results = sim.RunMany(ctx, jobs, src, sim.Options{})
+	}
+	for i := range results {
+		if err := results[i].Err; err != nil {
 			return nil, err
 		}
-		out[pi] = res[ji]
+	}
+	if order == nil {
+		return results, nil
+	}
+	out := make([]sim.Result, len(order))
+	for pi, ji := range order {
+		out[pi] = results[ji]
 	}
 	return out, nil
 }
 
-// RunIndirectColumn is RunCondColumn for indirect predictors. Indirect
-// columns have no history sharing (every indirect predictor owns its
-// target history), so the fused path is a plain RunManyIndirect.
-func RunIndirectColumn(ctx context.Context, preds []bpred.IndirectPredictor, src trace.Source, perCell bool) ([]sim.Result, error) {
-	if perCell {
-		results := make([]sim.Result, len(preds))
-		for i, p := range preds {
-			results[i] = sim.RunIndirect(ctx, p, src, sim.Options{})
-			if err := results[i].Err; err != nil {
-				return nil, err
-			}
-		}
-		return results, nil
-	}
-	res := sim.RunManyIndirect(ctx, preds, src, sim.Options{})
-	for i := range res {
-		if err := res[i].Err; err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-// condColumnJobs lays a conditional column out as fused-kernel jobs:
+// condJobs lays a conditional column out as kernel jobs. Under PerCell
+// every predictor is its own job with its own history. Otherwise
 // predictors that share a path-history configuration become a tie-run —
 // members first, then the observer that advances their shared history
-// once per record — and everything else runs as an independent job. It
-// returns the job slice plus the job index of each predictor, since
-// grouping permutes the order.
-func condColumnJobs(preds []bpred.CondPredictor) ([]sim.Job, []int) {
+// once per record — and everything else runs as an independent job;
+// grouping permutes the order, so the job index of each predictor is
+// returned alongside.
+func (e *Engine) condJobs(preds []bpred.CondPredictor) ([]sim.Job, []int) {
+	if e.cfg.PerCell {
+		jobs := make([]sim.Job, len(preds))
+		for i, p := range preds {
+			jobs[i] = sim.CondJob(p)
+		}
+		return jobs, nil
+	}
 	groups := vlp.ShareCondHistories(preds)
 	jobs := make([]sim.Job, 0, len(preds)+len(groups))
 	order := make([]int, len(preds))

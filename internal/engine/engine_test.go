@@ -11,6 +11,7 @@ import (
 	"repro/internal/bpred/gshare"
 	"repro/internal/runx"
 	"repro/internal/trace"
+	"repro/internal/vlp"
 )
 
 // syntheticRecords is a small deterministic trace with both branch
@@ -161,34 +162,63 @@ func TestNoDedupReplaysEverySubmission(t *testing.T) {
 	}
 }
 
-// TestStrategiesAgree: the per-cell oracle, the fused kernel, and an
-// explicit per-cell strategy request all produce identical rates.
+// TestStrategiesAgree: the three replay paths — per-cell (each
+// predictor alone, no shared history), fused, and segmented with
+// checkpoints under SnapDir — produce identical rates for a column
+// with shared path histories, and ReplayCond honours PerCell with the
+// same rates in predictor order.
 func TestStrategiesAgree(t *testing.T) {
-	cells := []CondCell{condCellGshare(1024), condCellGshare(4096)}
-	fused := syntheticEngine(Config{})
-	oracle := syntheticEngine(Config{PerCell: true})
+	old := checkpointStride
+	checkpointStride = 999
+	defer func() { checkpointStride = old }()
+	cells := []CondCell{condCellGshare(1024)}
+	for _, l := range []int{3, 5, 9} {
+		l := l
+		cells = append(cells, func() (bpred.CondPredictor, error) {
+			return vlp.NewCond(2048, vlp.Fixed{L: l}, vlp.Options{})
+		})
+	}
+	cells = append(cells, condCellGshare(4096))
 	ctx := context.Background()
-	want, err := fused.Column(ctx, Cell{Trace: "gcc", ColumnID: "agree", Cond: cells})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := oracle.Column(ctx, Cell{Trace: "gcc", ColumnID: "agree", Cond: cells})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Errorf("cell %d: fused %v, oracle %v", i, want[i], got[i])
+	column := func(cfg Config) []float64 {
+		t.Helper()
+		rates, err := syntheticEngine(cfg).Column(ctx, Cell{Trace: "gcc", ColumnID: "agree", Cond: cells})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return rates
 	}
-	forced, err := fused.Column(ctx, Cell{Trace: "gcc", ColumnID: "agree-forced", Cond: cells,
-		Strategy: StrategyPerCell})
-	if err != nil {
-		t.Fatal(err)
+	replay := func(cfg Config) []float64 {
+		t.Helper()
+		preds := make([]bpred.CondPredictor, len(cells))
+		for i, c := range cells {
+			p, err := c()
+			if err != nil {
+				t.Fatal(err)
+			}
+			preds[i] = p
+		}
+		res, err := syntheticEngine(cfg).ReplayCond(ctx, preds, trace.NewBuffer(syntheticRecords(5000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return percents(res)
 	}
-	for i := range want {
-		if want[i] != forced[i] {
-			t.Errorf("cell %d: fused %v, forced oracle %v", i, want[i], forced[i])
+	want := column(Config{PerCell: true})
+	for name, got := range map[string][]float64{
+		"fused":             column(Config{}),
+		"segmented":         column(Config{SnapDir: t.TempDir()}),
+		"replay-fused":      replay(Config{}),
+		"replay-percell":    replay(Config{PerCell: true}),
+		"percell-with-snap": column(Config{PerCell: true, SnapDir: t.TempDir()}),
+	} {
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rates, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Errorf("%s: cell %d rate %v, per-cell %v", name, i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -205,16 +235,5 @@ func TestColumnRefusesAmbiguousCell(t *testing.T) {
 		Indirect: []IndirectCell{nil}}
 	if _, err := e.Column(context.Background(), both); err == nil {
 		t.Error("two-class cell accepted")
-	}
-}
-
-func TestStrategyStrings(t *testing.T) {
-	for s, want := range map[Strategy]string{
-		StrategyAuto: "auto", StrategyPerCell: "percell",
-		StrategyFused: "fused", StrategySegmented: "segmented",
-	} {
-		if s.String() != want {
-			t.Errorf("Strategy(%d).String() = %q", s, s.String())
-		}
 	}
 }

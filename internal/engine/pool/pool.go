@@ -4,12 +4,11 @@
 // here — the engine's cell scheduler, the fused kernel's shard runner
 // (sim.RunMany), profile's step-1 candidate sharding, the experiment
 // sweeps, and the serve admission semaphore's default — so a single
-// knob (SetCap, the CLIs' -workers flag) bounds the whole process and
-// obs.WorkerStats sees every pool through one accounting path.
+// knob (SetCap, the CLIs' -workers flag) bounds the whole process.
 //
-// The package is a leaf on purpose: it imports only the runtime
-// utilities (runx for panic isolation, obs for accounting), so both
-// internal/sim and internal/engine can use it without a cycle.
+// The package is a leaf on purpose: it imports only runx (for panic
+// isolation), so both internal/sim and internal/engine can use it
+// without a cycle.
 package pool
 
 import (
@@ -18,7 +17,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/obs"
 	"repro/internal/runx"
 )
 
@@ -75,7 +73,6 @@ func ForEach(ctx context.Context, n int, fn func(i int) error) error {
 		errs[i] = runx.Safe(func() error { return fn(i) })
 	}
 	workers := Size(n)
-	obs.RecordWorkers(workers)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {

@@ -39,8 +39,8 @@ func (r *AblationResult) table() string {
 // condVariantCells builds the per-benchmark column of a variants grid:
 // one cell per variant, each deferring to the shared constructor.
 func condVariantCells(bench string, n int,
-	mk func(variant int, bench string) (bpred.CondPredictor, error)) []CondCell {
-	cells := make([]CondCell, n)
+	mk func(variant int, bench string) (bpred.CondPredictor, error)) []engine.CondCell {
+	cells := make([]engine.CondCell, n)
 	for v := range cells {
 		v := v
 		cells[v] = func() (bpred.CondPredictor, error) { return mk(v, bench) }
@@ -178,7 +178,7 @@ func (s *Suite) AblationHFNT(ctx context.Context) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		if _, err := RunCondColumn(ctx, preds, test, s.Cfg.PerCell); err != nil {
+		if _, err := s.eng.ReplayCond(ctx, preds, test); err != nil {
 			return err
 		}
 		for j, h := range hfnts {

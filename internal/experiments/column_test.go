@@ -7,27 +7,38 @@ import (
 
 	"repro/internal/bpred"
 	"repro/internal/bpred/gshare"
+	"repro/internal/engine"
 )
 
-func condCellGshare(budget int) CondCell {
+func condCellGshare(budget int) engine.CondCell {
 	return func() (bpred.CondPredictor, error) { return gshare.New(budget) }
 }
 
+// newPerCellSuite returns a suite whose engine replays every predictor
+// alone (engine.Config.PerCell: K=1, no shared path history) — the
+// reference the fused columns are checked against.
+func newPerCellSuite(cfg Config) *Suite {
+	s := NewSuite(cfg)
+	s.eng = engine.New(engine.Config{Source: s.TestSource, PerCell: true})
+	return s
+}
+
 // TestFusedMatchesPerCellOracle is the experiment-level differential
-// gate across every engine strategy: a fused suite, a per-cell oracle
+// gate across every replay path: a fused suite, a per-cell reference
 // suite, and a segmented (checkpointing, SnapDir) suite at the same
 // scale must render byte-identical artifact text for every
 // column-driven experiment shape — the per-benchmark comparisons, the
 // size-sweep grids (where history sharing kicks in), the variant
 // ablations, the indirect field, and the experiments that keep their
-// predictors for post-run state (HFNT, interference).
+// predictors for post-run state (HFNT, interference, stability), which
+// replay through Engine.ReplayCond.
 func TestFusedMatchesPerCellOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full small-scale suites")
 	}
 	const scale = 60000
 	fused := NewSuite(Config{BaseRecords: scale})
-	oracle := NewSuite(Config{BaseRecords: scale, PerCell: true})
+	oracle := newPerCellSuite(Config{BaseRecords: scale})
 	segmented := NewSuite(Config{BaseRecords: scale, SnapDir: t.TempDir()})
 	ctx := context.Background()
 	for _, id := range []string{
@@ -74,12 +85,12 @@ func TestColumnMemoized(t *testing.T) {
 	s := testSuite()
 	ctx := context.Background()
 	base := s.ComputedColumns()
-	cells := []CondCell{condCellGshare(1024), condCellGshare(4096)}
-	a, err := s.CondColumn(ctx, "memo-test", "go", cells)
+	cells := []engine.CondCell{condCellGshare(1024), condCellGshare(4096)}
+	a, err := s.Engine().Column(ctx, engine.Cell{Trace: "go", ColumnID: "memo-test", Cond: cells})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.CondColumn(ctx, "memo-test", "go", cells)
+	b, err := s.Engine().Column(ctx, engine.Cell{Trace: "go", ColumnID: "memo-test", Cond: cells})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +102,7 @@ func TestColumnMemoized(t *testing.T) {
 			t.Errorf("memoized column returned different rates: %v vs %v", a, b)
 		}
 	}
-	if _, err := s.CondColumn(ctx, "memo-test-2", "go", cells); err != nil {
+	if _, err := s.Engine().Column(ctx, engine.Cell{Trace: "go", ColumnID: "memo-test-2", Cond: cells}); err != nil {
 		t.Fatal(err)
 	}
 	if s.ComputedColumns() != base+2 {

@@ -79,8 +79,8 @@ func (r *BenchSeries) MeanReduction(from, to string) (float64, error) {
 // hardware budget. The profile fetch lives inside the VLP cell (it is
 // memoized per benchmark) so it runs inside the engine's pooled
 // execution rather than serializing plan construction.
-func (s *Suite) condCompareCells(bench string, budgetBytes, fixedLen int, k uint) []CondCell {
-	return []CondCell{
+func (s *Suite) condCompareCells(bench string, budgetBytes, fixedLen int, k uint) []engine.CondCell {
+	return []engine.CondCell{
 		func() (bpred.CondPredictor, error) { return gshare.New(budgetBytes) },
 		func() (bpred.CondPredictor, error) {
 			return vlp.NewCond(budgetBytes, vlp.Fixed{L: fixedLen}, vlp.Options{})
@@ -98,8 +98,8 @@ func (s *Suite) condCompareCells(bench string, budgetBytes, fixedLen int, k uint
 // indCompareCells builds the Figures 7-8 comparison column for one
 // benchmark: Chang-Hao-Patt path and pattern target caches plus the
 // fixed and variable length path predictors.
-func (s *Suite) indCompareCells(bench string, budgetBytes, fixedLen int, k uint) []IndirectCell {
-	return []IndirectCell{
+func (s *Suite) indCompareCells(bench string, budgetBytes, fixedLen int, k uint) []engine.IndirectCell {
+	return []engine.IndirectCell{
 		func() (bpred.IndirectPredictor, error) { return targetcache.NewPathBudget(budgetBytes) },
 		func() (bpred.IndirectPredictor, error) { return targetcache.NewPatternBudget(budgetBytes) },
 		func() (bpred.IndirectPredictor, error) {

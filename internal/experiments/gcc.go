@@ -80,7 +80,7 @@ func kbLabels(sizes []int) []string {
 // trace. The per-size profiling artifacts warm in parallel first; the
 // many fixed-length cells at each size then share one path history
 // inside the kernel, which is where the sweep's speedup comes from.
-func (s *Suite) figure9Cells(ctx context.Context) ([]CondCell, error) {
+func (s *Suite) figure9Cells(ctx context.Context) ([]engine.CondCell, error) {
 	const bench = "gcc"
 	all, err := s.benches(workload.All())
 	if err != nil {
@@ -114,7 +114,7 @@ func (s *Suite) figure9Cells(ctx context.Context) ([]CondCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cells []CondCell
+	var cells []engine.CondCell
 	for i := range sizes {
 		budget, sz := sizes[i], sizings[i]
 		cells = append(cells,
@@ -151,7 +151,7 @@ func (s *Suite) Figure9(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	pct, err := s.CondColumn(ctx, "fig9", bench, cells)
+	pct, err := s.eng.Column(ctx, engine.Cell{Trace: bench, ColumnID: "fig9", Cond: cells})
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +175,7 @@ func (s *Suite) Figure9(ctx context.Context) (*Report, error) {
 // figure10Cells builds Figure 10's fused indirect column, same shape as
 // figure9Cells: warm the per-size artifacts in parallel, then lay the
 // whole (size, predictor) grid out as one column.
-func (s *Suite) figure10Cells(ctx context.Context) ([]IndirectCell, error) {
+func (s *Suite) figure10Cells(ctx context.Context) ([]engine.IndirectCell, error) {
 	const bench = "gcc"
 	all, err := s.benches(workload.All())
 	if err != nil {
@@ -206,7 +206,7 @@ func (s *Suite) figure10Cells(ctx context.Context) ([]IndirectCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cells []IndirectCell
+	var cells []engine.IndirectCell
 	for i := range sizes {
 		budget, sz := sizes[i], sizings[i]
 		cells = append(cells,
@@ -240,7 +240,7 @@ func (s *Suite) Figure10(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	pct, err := s.IndirectColumn(ctx, "fig10", bench, cells)
+	pct, err := s.eng.Column(ctx, engine.Cell{Trace: bench, ColumnID: "fig10", Indirect: cells})
 	if err != nil {
 		return nil, err
 	}
@@ -259,8 +259,8 @@ func (s *Suite) Figure10(ctx context.Context) (*Report, error) {
 
 // headlineCondCells is the abstract's conditional column: gshare vs the
 // profiled VLP at a 4 KB budget on gcc.
-func (s *Suite) headlineCondCells() []CondCell {
-	return []CondCell{
+func (s *Suite) headlineCondCells() []engine.CondCell {
+	return []engine.CondCell{
 		func() (bpred.CondPredictor, error) { return gshare.New(4 * 1024) },
 		func() (bpred.CondPredictor, error) {
 			prof, err := s.Profile("gcc", false, condK(4*1024))
@@ -274,8 +274,8 @@ func (s *Suite) headlineCondCells() []CondCell {
 
 // headlineIndCells is the abstract's indirect column: the Chang-Hao-Patt
 // caches vs the profiled VLP at 512 bytes on gcc.
-func (s *Suite) headlineIndCells() []IndirectCell {
-	return []IndirectCell{
+func (s *Suite) headlineIndCells() []engine.IndirectCell {
+	return []engine.IndirectCell{
 		func() (bpred.IndirectPredictor, error) { return targetcache.NewPathBudget(512) },
 		func() (bpred.IndirectPredictor, error) { return targetcache.NewPatternBudget(512) },
 		func() (bpred.IndirectPredictor, error) {

@@ -268,37 +268,37 @@ var indGrids = map[string]indGrid{
 			const budget = 2048
 			names := []string{"btb", "pattern", "path", "path-peraddr", "cascaded", "FLP", "VLP"}
 			k := indK(budget)
-			spec := factory.IndirectSpec{Name: names[v], BudgetBytes: budget}
+			spec := factory.Spec{Name: names[v], BudgetBytes: budget}
 			switch names[v] {
 			case "FLP":
 				fixedLen, err := s.suiteFixedLength(true, k)
 				if err != nil {
 					return nil, err
 				}
-				spec = factory.IndirectSpec{Name: "flp", BudgetBytes: budget, FixedLength: fixedLen}
+				spec = factory.Spec{Name: "flp", BudgetBytes: budget, FixedLength: fixedLen}
 			case "VLP":
 				prof, err := s.Profile(bench, true, k)
 				if err != nil {
 					return nil, err
 				}
-				spec = factory.IndirectSpec{Name: "vlp", BudgetBytes: budget, Profile: prof}
+				spec = factory.Spec{Name: "vlp", BudgetBytes: budget, Profile: prof}
 			}
-			return factory.NewIndirect(spec)
+			return spec.Indirect()
 		},
 	},
 }
 
 // condGridCells builds the column for one (grid, benchmark) pair.
-func condGridCells(s *Suite, id, bench string) []CondCell {
+func condGridCells(s *Suite, id, bench string) []engine.CondCell {
 	g := condGrids[id]
 	return condVariantCells(bench, len(g.variants),
 		func(v int, bench string) (bpred.CondPredictor, error) { return g.mk(s, v, bench) })
 }
 
 // indGridCells is condGridCells for indirect grids.
-func indGridCells(s *Suite, id, bench string) []IndirectCell {
+func indGridCells(s *Suite, id, bench string) []engine.IndirectCell {
 	g := indGrids[id]
-	cells := make([]IndirectCell, len(g.variants))
+	cells := make([]engine.IndirectCell, len(g.variants))
 	for v := range cells {
 		v := v
 		cells[v] = func() (bpred.IndirectPredictor, error) { return g.mk(s, v, bench) }

@@ -66,7 +66,7 @@ func (s *Suite) AblationInterference(ctx context.Context) (*Report, error) {
 		// directly (non-memoized) and read Stats afterwards. Both
 		// instrumented predictors share one path history inside the
 		// kernel; the classification only reads the predictor table.
-		if _, err := RunCondColumn(ctx, []bpred.CondPredictor{flp, vp}, test, s.Cfg.PerCell); err != nil {
+		if _, err := s.eng.ReplayCond(ctx, []bpred.CondPredictor{flp, vp}, test); err != nil {
 			return err
 		}
 		res.Rows[i] = []vlp.MissBreakdown{flp.Stats, vp.Stats}
@@ -134,7 +134,7 @@ func (s *Suite) AblationStability(ctx context.Context) (*Report, error) {
 		}
 		// These traces are per-input, not the suite's cached test trace,
 		// so the column runs non-memoized over the collected buffer.
-		results, err := RunCondColumn(ctx, []bpred.CondPredictor{g, vp}, src, s.Cfg.PerCell)
+		results, err := s.eng.ReplayCond(ctx, []bpred.CondPredictor{g, vp}, src)
 		if err != nil {
 			return err
 		}

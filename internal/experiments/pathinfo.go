@@ -29,7 +29,9 @@ type PathInfoResult struct {
 // deep paths — is exactly the distribution that makes per-branch length
 // selection profitable.
 func (s *Suite) AblationPathInfo(ctx context.Context) (*Report, error) {
-	res := &PathInfoResult{Benchmarks: ablationBenches}
+	// The depth axis is the same for every benchmark, so it is fixed
+	// here, before the workers start, rather than written by each.
+	res := &PathInfoResult{Benchmarks: ablationBenches, Depths: []int{0, 1, 2, 4, 8, 16, 32}}
 	res.Weight = make([][]float64, len(res.Benchmarks))
 	res.MeanAcc = make([][]float64, len(res.Benchmarks))
 	err := pool.ForEach(ctx, len(res.Benchmarks), func(i int) error {
@@ -37,13 +39,11 @@ func (s *Suite) AblationPathInfo(ctx context.Context) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		rep, err := analysis.Analyze(src, analysis.Config{})
+		rep, err := analysis.Analyze(src, analysis.Config{Depths: res.Depths})
 		if err != nil {
 			return err
 		}
-		depths, weight := rep.SufficientDepthHistogram()
-		res.Depths = depths
-		res.Weight[i] = weight
+		_, res.Weight[i] = rep.SufficientDepthHistogram()
 		res.MeanAcc[i] = rep.MeanAccuracyAt()
 		return nil
 	})

@@ -13,7 +13,7 @@ import (
 // execution surface shares — cmd/paperrepro's suite loop, the root
 // benchmarks, and the /v1/jobs sweep worker all run registry entries —
 // and since the experiments lay their predictor grids out as fused
-// columns (column.go), any two surfaces running the same entry at the
+// engine cells (grid.go), any two surfaces running the same entry at the
 // same scale replay the same kernel and render identical bytes.
 type Entry struct {
 	ID    string

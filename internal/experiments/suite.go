@@ -46,18 +46,12 @@ type Config struct {
 	// loads them up front; benchmarks whose trace is missing or corrupt
 	// are skipped with a recorded reason rather than failing the suite.
 	TraceDir string
-	// PerCell routes experiment columns through the sequential
-	// per-predictor driver (one trace pass per cell) instead of the
-	// fused kernel. The rendered artifacts are byte-identical either
-	// way; the per-cell path is kept as the differential-test oracle
-	// and as a bisection tool when a fused result looks wrong.
-	PerCell bool
 	// SnapDir, when set, names a directory for column replay
-	// checkpoints: fused columns periodically persist every
-	// predictor's state (internal/snap format) so a killed or requeued
-	// run resumes from the last checkpoint instead of record zero.
-	// Results are bit-identical with or without it. Ignored by the
-	// PerCell oracle path.
+	// checkpoints: memoized columns over in-memory traces whose every
+	// predictor supports snapshots periodically persist that state
+	// (internal/snap format), so a killed or requeued run resumes from
+	// the last checkpoint instead of record zero. Results are
+	// bit-identical with or without it.
 	SnapDir string
 }
 
@@ -123,8 +117,8 @@ type Suite struct {
 
 	// eng is the suite's execution engine: every column replay — the
 	// unit of grid work — is scheduled through it, which owns per-cell
-	// memoization, strategy choice (fused / per-cell oracle /
-	// checkpointed segmented), and the worker pool for plan fan-out.
+	// memoization, checkpointed replay, and the worker pool for plan
+	// fan-out.
 	eng *engine.Engine
 
 	mu        sync.Mutex
@@ -166,7 +160,6 @@ func NewSuite(cfg Config) *Suite {
 	}
 	s.eng = engine.New(engine.Config{
 		Source:  s.TestSource,
-		PerCell: cfg.PerCell,
 		SnapDir: cfg.SnapDir,
 	})
 	return s

@@ -5,43 +5,9 @@
 // The native form is the Spec string grammar (see Spec and ParseSpec):
 // one parseable string like "vlp:budget=64KB,profile=gcc.prof" names the
 // scheme and every parameter, so command lines and config files share a
-// single syntax. The CondSpec/IndirectSpec structs predate the grammar
-// and remain as thin wrappers for existing callers.
+// single syntax; code that already holds a profile builds a Spec
+// directly and calls Spec.Cond or Spec.Indirect.
 package factory
-
-import (
-	"repro/internal/bpred"
-	"repro/internal/profile"
-	"repro/internal/vlp"
-)
-
-// CondSpec configures a conditional predictor.
-//
-// Deprecated-style compatibility shim: new code should build a Spec
-// (or parse one with ParseSpec) and call Spec.Cond.
-type CondSpec struct {
-	// Name selects the scheme; see CondNames.
-	Name string
-	// BudgetBytes is the predictor-table hardware budget.
-	BudgetBytes int
-	// FixedLength is the path length for "flp" (default 4).
-	FixedLength int
-	// Profile supplies per-branch hash numbers for "vlp".
-	Profile *profile.Profile
-	// Options tunes the path predictors' THB policy.
-	Options vlp.Options
-}
-
-// Spec converts the legacy struct to the unified form.
-func (c CondSpec) Spec() Spec {
-	return Spec{
-		Name:        c.Name,
-		BudgetBytes: c.BudgetBytes,
-		FixedLength: c.FixedLength,
-		Profile:     c.Profile,
-		Options:     c.Options,
-	}
-}
 
 // CondNames lists the conditional schemes the factory can build.
 func CondNames() []string {
@@ -49,46 +15,8 @@ func CondNames() []string {
 		"hybrid", "agree", "bimode", "flp", "vlp", "dynamic"})
 }
 
-// NewCond builds the conditional predictor described by spec.
-func NewCond(spec CondSpec) (bpred.CondPredictor, error) {
-	return spec.Spec().Cond()
-}
-
-// IndirectSpec configures an indirect predictor.
-//
-// Deprecated-style compatibility shim: new code should build a Spec
-// (or parse one with ParseSpec) and call Spec.Indirect.
-type IndirectSpec struct {
-	// Name selects the scheme; see IndirectNames.
-	Name string
-	// BudgetBytes is the target-table hardware budget.
-	BudgetBytes int
-	// FixedLength is the path length for "flp" (default 8).
-	FixedLength int
-	// Profile supplies per-branch hash numbers for "vlp".
-	Profile *profile.Profile
-	// Options tunes the path predictors' THB policy.
-	Options vlp.Options
-}
-
-// Spec converts the legacy struct to the unified form.
-func (c IndirectSpec) Spec() Spec {
-	return Spec{
-		Name:        c.Name,
-		BudgetBytes: c.BudgetBytes,
-		FixedLength: c.FixedLength,
-		Profile:     c.Profile,
-		Options:     c.Options,
-	}
-}
-
 // IndirectNames lists the indirect schemes the factory can build.
 func IndirectNames() []string {
 	return sortedNames([]string{"btb", "pattern", "path", "path-peraddr",
 		"cascaded", "flp", "vlp"})
-}
-
-// NewIndirect builds the indirect predictor described by spec.
-func NewIndirect(spec IndirectSpec) (bpred.IndirectPredictor, error) {
-	return spec.Spec().Indirect()
 }

@@ -13,10 +13,9 @@ func TestNewCondAllNames(t *testing.T) {
 	prof := &profile.Profile{Kind: "cond", TableBits: 14,
 		Lengths: map[arch.Addr]int{0x1004: 3}, Default: 2}
 	for _, name := range CondNames() {
-		spec := CondSpec{Name: name, BudgetBytes: 4096, Profile: prof}
-		p, err := NewCond(spec)
+		p, err := Spec{Name: name, BudgetBytes: 4096, Profile: prof}.Cond()
 		if err != nil {
-			t.Errorf("NewCond(%s): %v", name, err)
+			t.Errorf("Spec{%s}.Cond(): %v", name, err)
 			continue
 		}
 		if p.Name() == "" {
@@ -32,10 +31,9 @@ func TestNewIndirectAllNames(t *testing.T) {
 	prof := &profile.Profile{Kind: "indirect", TableBits: 9,
 		Lengths: map[arch.Addr]int{0x1004: 5}, Default: 8}
 	for _, name := range IndirectNames() {
-		spec := IndirectSpec{Name: name, BudgetBytes: 2048, Profile: prof}
-		p, err := NewIndirect(spec)
+		p, err := Spec{Name: name, BudgetBytes: 2048, Profile: prof}.Indirect()
 		if err != nil {
-			t.Errorf("NewIndirect(%s): %v", name, err)
+			t.Errorf("Spec{%s}.Indirect(): %v", name, err)
 			continue
 		}
 		// Tagless schemes use the budget exactly; the tagged cascaded
@@ -47,30 +45,30 @@ func TestNewIndirectAllNames(t *testing.T) {
 }
 
 func TestVLPRequiresProfile(t *testing.T) {
-	if _, err := NewCond(CondSpec{Name: "vlp", BudgetBytes: 4096}); err == nil {
+	if _, err := (Spec{Name: "vlp", BudgetBytes: 4096}).Cond(); err == nil {
 		t.Error("cond vlp without profile accepted")
 	}
-	if _, err := NewIndirect(IndirectSpec{Name: "vlp", BudgetBytes: 2048}); err == nil {
+	if _, err := (Spec{Name: "vlp", BudgetBytes: 2048}).Indirect(); err == nil {
 		t.Error("indirect vlp without profile accepted")
 	}
 	wrong := &profile.Profile{Kind: "indirect", TableBits: 9, Default: 1}
-	if _, err := NewCond(CondSpec{Name: "vlp", BudgetBytes: 4096, Profile: wrong}); err == nil {
+	if _, err := (Spec{Name: "vlp", BudgetBytes: 4096, Profile: wrong}).Cond(); err == nil {
 		t.Error("cond vlp with indirect profile accepted")
 	}
 }
 
 func TestUnknownNames(t *testing.T) {
-	if _, err := NewCond(CondSpec{Name: "tage", BudgetBytes: 4096}); err == nil {
+	if _, err := (Spec{Name: "tage", BudgetBytes: 4096}).Cond(); err == nil {
 		t.Error("unknown cond name accepted")
 	}
-	if _, err := NewIndirect(IndirectSpec{Name: "ittage", BudgetBytes: 2048}); err == nil {
+	if _, err := (Spec{Name: "ittage", BudgetBytes: 2048}).Indirect(); err == nil {
 		t.Error("unknown indirect name accepted")
 	}
 }
 
 func TestBadBudgetPropagates(t *testing.T) {
 	for _, name := range []string{"bimodal", "gshare", "gas", "flp"} {
-		if _, err := NewCond(CondSpec{Name: name, BudgetBytes: 3000}); err == nil {
+		if _, err := (Spec{Name: name, BudgetBytes: 3000}).Cond(); err == nil {
 			t.Errorf("%s accepted non-power-of-two budget", name)
 		}
 	}
@@ -103,7 +101,7 @@ func TestPredictorsRobustToArbitraryStreams(t *testing.T) {
 	}
 	recs := stream(1, 4000)
 	for _, name := range CondNames() {
-		p, err := NewCond(CondSpec{Name: name, BudgetBytes: 1024, Profile: prof})
+		p, err := Spec{Name: name, BudgetBytes: 1024, Profile: prof}.Cond()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -119,7 +117,7 @@ func TestPredictorsRobustToArbitraryStreams(t *testing.T) {
 		}
 	}
 	for _, name := range IndirectNames() {
-		p, err := NewIndirect(IndirectSpec{Name: name, BudgetBytes: 1024, Profile: iprof})
+		p, err := Spec{Name: name, BudgetBytes: 1024, Profile: iprof}.Indirect()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

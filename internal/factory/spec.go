@@ -65,8 +65,7 @@ const MaxPathLength = 32
 //	no-rotation      disable per-depth hash rotation (§3.3 ablation)
 //
 // Examples: "gshare:budget=16KB", "vlp:budget=64KB,profile=gcc.prof",
-// "flp:budget=2048,fixed=8". The legacy CondSpec/IndirectSpec structs
-// are thin wrappers over this type.
+// "flp:budget=2048,fixed=8".
 type Spec struct {
 	// Name selects the scheme; see CondNames/IndirectNames.
 	Name string

@@ -194,14 +194,3 @@ func TestSpecBuildNonPowerOfTwoBudget(t *testing.T) {
 		t.Error("non-power-of-two budget accepted at build time")
 	}
 }
-
-func TestLegacySpecConversion(t *testing.T) {
-	c := CondSpec{Name: "flp", BudgetBytes: 4096, FixedLength: 6}
-	if got := c.Spec(); got.Name != "flp" || got.BudgetBytes != 4096 || got.FixedLength != 6 {
-		t.Errorf("CondSpec.Spec() = %+v", got)
-	}
-	i := IndirectSpec{Name: "path", BudgetBytes: 2048}
-	if got := i.Spec(); got.Name != "path" || got.BudgetBytes != 2048 {
-		t.Errorf("IndirectSpec.Spec() = %+v", got)
-	}
-}

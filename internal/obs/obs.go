@@ -33,38 +33,6 @@ func CountBranches(n int64) { branchTotal.Add(n) }
 // process so far.
 func BranchTotal() int64 { return branchTotal.Load() }
 
-// Parallel-region accounting: every worker pool the process sizes (the
-// experiment sweeps through sim.ForEach, the profiling pipeline's step-1
-// shards) reports its fan-out here, so a report consumer can tell how
-// much of a run was parallel and how wide it got without instrumenting
-// each region separately.
-var (
-	poolRegions atomic.Int64
-	poolMax     atomic.Int64
-)
-
-// RecordWorkers notes that a parallel region with an n-wide worker pool
-// is about to run. Single-worker regions count as regions but do not
-// raise the high-water mark above 1.
-func RecordWorkers(n int) {
-	if n < 1 {
-		return
-	}
-	poolRegions.Add(1)
-	for {
-		cur := poolMax.Load()
-		if int64(n) <= cur || poolMax.CompareAndSwap(cur, int64(n)) {
-			return
-		}
-	}
-}
-
-// WorkerStats returns how many parallel regions the process has entered
-// and the widest pool any of them used.
-func WorkerStats() (regions int64, maxWorkers int) {
-	return poolRegions.Load(), int(poolMax.Load())
-}
-
 // RunMetrics records what one measured region — a single predictor run
 // or a whole experiment — cost to execute. It is the metrics half of
 // the bench report schema (see Report).
@@ -164,12 +132,6 @@ func (s *Span) End() RunMetrics {
 	}
 	return m
 }
-
-// AddBranches credits branches that were scored outside an
-// instrumented simulation loop (for example by a hand-rolled benchmark
-// kernel) so a surrounding span still sees them. It is CountBranches
-// under a name that reads better at such call sites.
-func AddBranches(n int64) { CountBranches(n) }
 
 // Env identifies the machine and toolchain a report was produced on,
 // so trajectory entries from different hosts are comparable.

@@ -3,7 +3,7 @@
 // Clients create named sessions — each owning one predictor built from
 // the factory spec grammar — and stream trace chunks (the internal/trace
 // VLPT wire format, gzip accepted) at them; every chunk is replayed
-// through the same batched sim.Run fast path the batch tools use, so a
+// through the same sim kernel call the batch tools use, so a
 // session's accumulated misprediction rate is bit-identical to a vlpsim
 // run over the concatenated records (the serve-smoke CI stage pins
 // this).

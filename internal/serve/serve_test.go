@@ -194,7 +194,7 @@ func TestSessionLifecycle(t *testing.T) {
 
 // TestServedRatesMatchBatch is the core invariant (DESIGN.md §10): a
 // session fed the trace in order, chunk by chunk, must end with exactly
-// the counts a single batch sim.Run produces — same integers, and
+// the counts a single batch sim.RunCond produces — same integers, and
 // therefore the same rate float bit for bit.
 func TestServedRatesMatchBatch(t *testing.T) {
 	_, ts := newTestServer(t, testLimits())

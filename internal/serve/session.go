@@ -21,8 +21,8 @@ import (
 // order accumulate exactly the state a single batch run over the
 // concatenated records would build, which is what keeps served rates
 // bit-identical to vlpsim (DESIGN.md §10): the predictor is constructed
-// once, and every chunk goes through the same sim.Run fast path the
-// batch tools use.
+// once, and every chunk goes through the same sim.RunCond/RunIndirect
+// kernel call the batch tools use.
 type session struct {
 	ID    string
 	Class factory.Class

@@ -3,151 +3,161 @@ package sim
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 
-	"repro/internal/arch"
-	"repro/internal/bpred/bimodal"
-	"repro/internal/bpred/targetcache"
 	"repro/internal/trace"
-	"repro/internal/xrand"
 )
 
-// opaqueSource hides a Source's concrete type so Run cannot take the
-// *trace.Buffer fast path — it is the reference generic loop on demand.
-type opaqueSource struct{ src trace.Source }
+// The kernel reads a *trace.Buffer as one window and any other source
+// into a reused window of at most cancelStride records. These tests pin
+// the two source shapes together on traces longer than one streaming
+// window: identical counts, an identical stop record under
+// cancellation, an identical Err on truncation, and an identical read
+// position afterwards.
 
-func (o opaqueSource) Next(r *trace.Record) bool { return o.src.Next(r) }
-func (o opaqueSource) Reset()                    { o.src.Reset() }
-
-// mixedRecords builds a deterministic pseudo-random trace mixing every
-// branch kind, long enough to cross at least one cancellation stride.
-func mixedRecords(n int) []trace.Record {
-	rng := xrand.New(42)
-	recs := make([]trace.Record, 0, n)
-	pcs := []arch.Addr{0x1004, 0x2008, 0x300c, 0x4010, 0x5014, 0x6018}
-	for i := 0; i < n; i++ {
-		pc := pcs[rng.Uint64()%uint64(len(pcs))]
-		switch rng.Uint64() % 4 {
-		case 0:
-			taken := rng.Bool(0.6)
-			next := pc.FallThrough()
-			if taken {
-				next = arch.Addr(0x9000 + (rng.Uint64()&0x3)*16)
-			}
-			recs = append(recs, trace.Record{PC: pc, Kind: arch.Cond, Taken: taken, Next: next})
-		case 1:
-			recs = append(recs, trace.Record{PC: pc, Kind: arch.Indirect, Taken: true,
-				Next: arch.Addr(0xa000 + (rng.Uint64()&0x7)*16)})
-		case 2:
-			recs = append(recs, trace.Record{PC: pc, Kind: arch.Call, Taken: true, Next: 0xb000})
-		default:
-			recs = append(recs, trace.Record{PC: pc, Kind: arch.Return, Taken: true, Next: 0xc000})
-		}
-	}
-	return recs
+// bufferAndStream returns the same records as a Buffer and as a
+// streaming source over a second Buffer, so the stream's read position
+// can be inspected after a run.
+func bufferAndStream(recs []trace.Record) (buf, under *trace.Buffer, stream trace.Source) {
+	under = trace.NewBuffer(recs)
+	return trace.NewBuffer(recs), under, opaqueSource{under}
 }
 
-func sameResult(t *testing.T, name string, batched, generic Result) {
-	t.Helper()
-	if batched.Branches != generic.Branches {
-		t.Errorf("%s: Branches %d (batched) != %d (generic)", name, batched.Branches, generic.Branches)
+// position returns how many records of buf have been read.
+func position(buf *trace.Buffer) int {
+	n := 0
+	var r trace.Record
+	for buf.Next(&r) {
+		n++
 	}
-	if batched.Mispredicts != generic.Mispredicts {
-		t.Errorf("%s: Mispredicts %d (batched) != %d (generic)", name, batched.Mispredicts, generic.Mispredicts)
-	}
-	if !reflect.DeepEqual(batched.PerPC, generic.PerPC) {
-		t.Errorf("%s: PerPC maps differ", name)
-	}
+	return buf.Len() - n
 }
 
-// TestBatchedRunMatchesGeneric pins the *trace.Buffer fast path to the
-// generic Source loop: identical traces and predictors must produce
-// identical Result counts, per-PC breakdowns included.
+// TestBatchedRunMatchesGeneric: a Buffer and a streaming source over
+// the same records give identical Result counts, per-PC breakdowns
+// included, for K=1 and K>1 columns.
 func TestBatchedRunMatchesGeneric(t *testing.T) {
-	recs := mixedRecords(int(cancelStride) + 5000)
+	recs := mixedRecords(2*cancelStride + 5000)
 	for _, perPC := range []bool{false, true} {
 		opts := Options{PerPC: perPC}
-		batched := RunCond(context.Background(), bimodal.NewBits(10), trace.NewBuffer(recs), opts)
-		generic := RunCond(context.Background(), bimodal.NewBits(10), opaqueSource{trace.NewBuffer(recs)}, opts)
-		if batched.Err != nil || generic.Err != nil {
-			t.Fatalf("clean runs errored: %v / %v", batched.Err, generic.Err)
+		buf, _, stream := bufferAndStream(recs)
+		for _, col := range columns(t) {
+			batched := RunMany(context.Background(), jobsFor(col.build(t)), buf, opts)
+			generic := RunMany(context.Background(), jobsFor(col.build(t)), stream, opts)
+			for i := range batched {
+				if batched[i].Err != nil {
+					t.Fatalf("clean run errored: %v", batched[i].Err)
+				}
+				sameResult(t, col.name+"/"+batched[i].Predictor, generic[i], batched[i])
+			}
 		}
-		sameResult(t, "cond", batched, generic)
-
-		bi := RunIndirect(context.Background(), targetcache.NewBTB(8), trace.NewBuffer(recs), opts)
-		gi := RunIndirect(context.Background(), targetcache.NewBTB(8), opaqueSource{trace.NewBuffer(recs)}, opts)
-		sameResult(t, "indirect", bi, gi)
+		p := manyCondColumn(t)[2]
+		q := manyCondColumn(t)[2]
+		sameResult(t, "k1", RunCond(context.Background(), p, stream, opts), RunCond(context.Background(), q, buf, opts))
 	}
 }
 
 // TestBatchedRunMatchesGenericOnCancellation: with an already-canceled
-// context both paths must stop at the same stride boundary, having scored
-// exactly the same records.
+// context both sources stop before record cancelStride, having scored
+// exactly the records before it and read exactly up to it; a context
+// canceled mid-run (here from a checkpoint hook) stops at the next
+// cancelStride boundary, not at the hook.
 func TestBatchedRunMatchesGenericOnCancellation(t *testing.T) {
-	recs := mixedRecords(int(cancelStride)*2 + 500)
+	recs := mixedRecords(2*cancelStride + 500)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	batched := RunCond(ctx, bimodal.NewBits(10), trace.NewBuffer(recs), Options{PerPC: true})
-	generic := RunCond(ctx, bimodal.NewBits(10), opaqueSource{trace.NewBuffer(recs)}, Options{PerPC: true})
-	if !errors.Is(batched.Err, context.Canceled) || !errors.Is(generic.Err, context.Canceled) {
-		t.Fatalf("Err = %v (batched) / %v (generic), want context.Canceled", batched.Err, generic.Err)
+	buf, under, stream := bufferAndStream(recs)
+	batched := RunManyCond(ctx, manyCondColumn(t), buf, Options{PerPC: true})
+	generic := RunManyCond(ctx, manyCondColumn(t), stream, Options{PerPC: true})
+	prefix := RunManyCond(context.Background(), manyCondColumn(t), trace.NewBuffer(recs[:cancelStride]), Options{PerPC: true})
+	for i := range batched {
+		if !errors.Is(batched[i].Err, context.Canceled) || !errors.Is(generic[i].Err, context.Canceled) {
+			t.Fatalf("Err = %v (buffer) / %v (stream), want context.Canceled", batched[i].Err, generic[i].Err)
+		}
+		sameResult(t, "canceled", generic[i], batched[i])
+		prefix[i].Err = batched[i].Err
+		sameResult(t, "canceled-vs-prefix", batched[i], prefix[i])
 	}
-	sameResult(t, "canceled", batched, generic)
-	if batched.Branches == 0 {
-		t.Error("canceled run scored nothing; stride boundary should land after one stride of records")
+	if b, s := position(buf), position(under); b != cancelStride || s != cancelStride {
+		t.Errorf("canceled runs stopped at record %d (buffer) / %d (stream), want %d", b, s, cancelStride)
+	}
+
+	for _, stream := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var src trace.Source = trace.NewBuffer(recs)
+		if stream {
+			src = opaqueSource{src}
+		}
+		last := 0
+		res := RunManyCond(ctx, manyCondColumn(t), src, Options{PerPC: true, Stride: 1000,
+			Checkpoint: func(consumed int, _ []Result) error {
+				if consumed == 3000 {
+					cancel()
+				}
+				last = consumed
+				return nil
+			}})
+		cancel()
+		if want := cancelStride / 1000 * 1000; last != want {
+			t.Errorf("stream=%v: last checkpoint at %d, want %d (none after the stop)", stream, last, want)
+		}
+		for i := range res {
+			if !errors.Is(res[i].Err, context.Canceled) {
+				t.Fatalf("stream=%v: Err = %v, want context.Canceled", stream, res[i].Err)
+			}
+			sameResult(t, "canceled-mid-run", res[i], prefix[i])
+		}
 	}
 }
 
 // TestBatchedRunMatchesTruncatedGeneric: a source that fails mid-stream
-// replays exactly the records before the failure, so its counts must
-// equal a batched run over that prefix — plus the surfaced error.
+// replays exactly the records before the failure, so its counts equal a
+// Buffer run over that prefix, and its Result carries the source error;
+// the end-of-run checkpoint is skipped, because the run did not finish.
 func TestBatchedRunMatchesTruncatedGeneric(t *testing.T) {
-	recs := mixedRecords(3000)
-	const cut = 1700
-	want := errors.New("record 1700: unexpected EOF")
-	failing := &recFailingSource{recs: recs[:cut], err: want}
-	generic := RunCond(context.Background(), bimodal.NewBits(10), failing, Options{PerPC: true})
-	if !errors.Is(generic.Err, want) {
-		t.Fatalf("generic.Err = %v, want the source error", generic.Err)
+	recs := mixedRecords(cancelStride + 3000)
+	cut := cancelStride + 1700
+	want := errors.New("record 67236: unexpected EOF")
+	var hooked []int
+	generic := RunManyCond(context.Background(), manyCondColumn(t), &recFailingSource{recs: recs[:cut], err: want},
+		Options{PerPC: true, Stride: 1 << 20, Checkpoint: func(consumed int, _ []Result) error {
+			hooked = append(hooked, consumed)
+			return nil
+		}})
+	batched := RunManyCond(context.Background(), manyCondColumn(t), trace.NewBuffer(recs[:cut]), Options{PerPC: true})
+	for i := range generic {
+		if !errors.Is(generic[i].Err, want) {
+			t.Fatalf("stream Err = %v, want the source error", generic[i].Err)
+		}
+		if batched[i].Err != nil {
+			t.Fatalf("buffer prefix run errored: %v", batched[i].Err)
+		}
+		batched[i].Err = want
+		sameResult(t, "truncated", generic[i], batched[i])
 	}
-	batched := RunCond(context.Background(), bimodal.NewBits(10), trace.NewBuffer(recs[:cut]), Options{PerPC: true})
-	if batched.Err != nil {
-		t.Fatalf("batched prefix run errored: %v", batched.Err)
+	if len(hooked) != 0 {
+		t.Errorf("truncated run called the checkpoint hook at %v", hooked)
 	}
-	sameResult(t, "truncated", batched, generic)
+	p := manyCondColumn(t)[0]
+	if got := reference(context.Background(), p, &recFailingSource{recs: recs[:cut], err: want}, true); !errors.Is(got.Err, want) {
+		t.Errorf("reference Err = %v, want the source error", got.Err)
+	}
 }
 
-// recFailingSource replays a fixed prefix then reports a decode error,
-// the shape trace.Reader produces for a truncated file.
-type recFailingSource struct {
-	recs []trace.Record
-	pos  int
-	err  error
-}
-
-func (f *recFailingSource) Next(r *trace.Record) bool {
-	if f.pos >= len(f.recs) {
-		return false
-	}
-	*r = f.recs[f.pos]
-	f.pos++
-	return true
-}
-func (f *recFailingSource) Reset()     { f.pos = 0 }
-func (f *recFailingSource) Err() error { return f.err }
-
-// TestBatchedRunConsumesBuffer: the fast path must leave the buffer in
-// the same exhausted state the generic Next loop would.
+// TestBatchedRunConsumesBuffer: a finished run leaves a Buffer and a
+// streaming source equally exhausted, and both rewind on Reset.
 func TestBatchedRunConsumesBuffer(t *testing.T) {
-	buf := trace.NewBuffer(mixedRecords(100))
-	RunCond(context.Background(), bimodal.NewBits(4), buf, Options{})
-	var r trace.Record
-	if buf.Next(&r) {
-		t.Error("buffer still yields records after a batched run; Consume not applied")
+	recs := mixedRecords(cancelStride + 100)
+	buf, under, stream := bufferAndStream(recs)
+	RunManyCond(context.Background(), manyCondColumn(t), buf, Options{})
+	RunManyCond(context.Background(), manyCondColumn(t), stream, Options{})
+	if b, s := position(buf), position(under); b != len(recs) || s != len(recs) {
+		t.Errorf("finished runs left the read position at %d (buffer) / %d (stream), want %d", b, s, len(recs))
 	}
+	var r trace.Record
 	buf.Reset()
-	if !buf.Next(&r) {
-		t.Error("Reset after a batched run did not rewind the buffer")
+	stream.Reset()
+	if !buf.Next(&r) || !under.Next(&r) {
+		t.Error("Reset after a run did not rewind the source")
 	}
 }

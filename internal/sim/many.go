@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/bpred"
@@ -23,8 +24,9 @@ import (
 // deterministic state machine over the record stream, and the kernel
 // steps every predictor on every record in program order, so each
 // predictor sees exactly the stream it would see in its own sequential
-// run and its counts are bit-identical to the per-cell path. The
-// differential tests in many_test.go pin the two paths together.
+// run and its counts are bit-identical to a K=1 run. The tests in
+// many_test.go pin the kernel to an independent per-record reference
+// loop.
 
 // Job is one column entry for RunMany: exactly one of Cond, Indirect,
 // or Observer must be set.
@@ -59,8 +61,8 @@ func IndirectJob(p bpred.IndirectPredictor) Job { return Job{Indirect: p} }
 // column, so they never start a new shard).
 func ObserverJob(p bpred.Predictor) Job { return Job{Observer: p, Tie: true} }
 
-// pred returns the job's participant, whichever field is set.
-func (j *Job) pred() bpred.Predictor {
+// Pred returns the job's participant, whichever field is set.
+func (j Job) Pred() bpred.Predictor {
 	switch {
 	case j.Cond != nil:
 		return j.Cond
@@ -83,61 +85,87 @@ type manyJob struct {
 }
 
 // RunMany replays src (after resetting it) once through every job in
-// the column, returning one Result per job in job order. Per record it
-// performs one kind-dispatch and then steps each job: conditional jobs
-// are scored on conditional records, indirect jobs on indirect-target
-// records, observers never; every job's participant sees every record
-// through Update (or the fused bpred.CondStepper step when the
-// predictor provides it). Jobs are stepped in slice order for each
-// record, so an observer placed after the jobs it serves advances
-// shared state only after they have all trained.
+// the column, returning one Result per job in job order. It is the one
+// replay loop in the repository: RunCond and RunIndirect are its K=1
+// case. Per record it performs one kind-dispatch and then steps each
+// job: conditional jobs are scored on conditional records, indirect
+// jobs on indirect-target records, observers never; every job's
+// participant sees every record through Update (or the fused
+// bpred.CondStepper step when the predictor provides it). Jobs are
+// stepped in slice order for each record, so an observer placed after
+// the jobs it serves advances shared state only after they have all
+// trained.
 //
-// Semantics match the per-predictor driver Run exactly: cancellation is
-// checked at the same stride boundaries and stops every job with
-// Result.Err set to the context's error; a source that fails mid-stream
+// The source is replayed in windows. A *trace.Buffer is one window (or
+// one per Options.Stride records when a Checkpoint hook is set); any
+// other source is read into one reused window of at most cancelStride
+// records, so a streaming trace is never held in memory whole.
+// Contiguous tie-runs of jobs are sharded across the engine pool
+// (pool.Size): each worker owns disjoint jobs and replays the shared
+// window independently, so there are no locks and the counts are
+// bit-identical to a single-worker pass.
+//
+// The context is checked before every record whose index is a positive
+// multiple of cancelStride; a canceled run stops there, on every source
+// alike, with Result.Err set to the context's error, and a Buffer is
+// left consumed up to the stop record. A source that fails mid-stream
 // (trace.Reader.Err) marks every Result with the failure, because each
-// predictor's run covered only the truncated prefix; and each Result's
-// Metrics carries the fused pass's wall time with the job's own branch
+// predictor's run covered only the truncated prefix. Each Result's
+// Metrics carries the whole pass's wall time with the job's own branch
 // count pinned.
-//
-// When src is a *trace.Buffer and the column is large, contiguous
-// tie-runs of jobs are sharded across the engine pool (pool.Size). Each worker
-// owns disjoint jobs and replays the shared record slice independently,
-// so there are no locks and the rates are bit-identical to a
-// single-worker pass. Other sources are replayed in a single pass
-// reading each record once.
 func RunMany(ctx context.Context, jobs []Job, src trace.Source, opts Options) []Result {
 	results := make([]Result, len(jobs))
 	if len(jobs) == 0 {
 		return results
 	}
 	span := obs.StartSpan()
-	run := make([]manyJob, len(jobs))
-	for i := range jobs {
-		j := &jobs[i]
-		set := 0
-		for _, p := range []bool{j.Cond != nil, j.Indirect != nil, j.Observer != nil} {
-			if p {
-				set++
+	run := newRun(jobs, results, opts)
+	shards := shardJobs(run, jobs)
+	workers := pool.Size(len(shards))
+	src.Reset()
+	buf, _ := src.(*trace.Buffer)
+	var win []trace.Record // a streaming source's reused window
+	segmented := opts.Checkpoint != nil && opts.Stride > 0
+	pos, hooked := 0, -1
+	for {
+		if pos > 0 && pos%cancelStride == 0 && ctx.Err() != nil {
+			setErr(results, ctx.Err())
+			break
+		}
+		n := cancelStride - pos%cancelStride
+		if buf != nil {
+			n = len(buf.Records) - pos
+		}
+		if segmented {
+			n = min(n, opts.Stride-pos%opts.Stride)
+		}
+		recs := win[:0]
+		if buf != nil {
+			recs = buf.Records[pos : pos+n]
+		} else {
+			var r trace.Record
+			for len(recs) < n && src.Next(&r) {
+				recs = append(recs, r)
 			}
+			win = recs
 		}
-		if set != 1 {
-			panic(fmt.Sprintf("sim: RunMany job %d must set exactly one of Cond/Indirect/Observer, has %d", i, set))
+		if len(recs) == 0 {
+			break
 		}
-		results[i] = Result{Predictor: j.pred().Name()}
-		if opts.PerPC && j.Observer == nil {
-			results[i].PerPC = make(map[arch.Addr]*PCStat)
+		stepped := runShards(ctx, run, shards, recs, pos, workers)
+		pos += stepped
+		if stepped < len(recs) || failed(results) {
+			break // canceled inside the window
 		}
-		run[i] = manyJob{cond: j.Cond, ind: j.Indirect, obs: j.Observer, res: &results[i]}
-		if j.Cond != nil {
-			run[i].stepper, _ = j.Cond.(bpred.CondStepper)
+		if segmented && pos%opts.Stride == 0 {
+			if !checkpoint(opts.Checkpoint, pos, results) {
+				break
+			}
+			hooked = pos
 		}
 	}
-	src.Reset()
-	if buf, ok := src.(*trace.Buffer); ok {
-		runManyBuffered(ctx, run, jobs, buf)
-	} else {
-		runManyGeneric(ctx, run, src)
+	if buf != nil {
+		buf.Consume(pos)
 	}
 	if ec, ok := src.(interface{ Err() error }); ok {
 		if err := ec.Err(); err != nil {
@@ -147,6 +175,9 @@ func RunMany(ctx context.Context, jobs []Job, src trace.Source, opts Options) []
 				}
 			}
 		}
+	}
+	if opts.Checkpoint != nil && pos != hooked && !failed(results) {
+		checkpoint(opts.Checkpoint, pos, results)
 	}
 	var scored int64
 	for i := range results {
@@ -165,45 +196,69 @@ func RunMany(ctx context.Context, jobs []Job, src trace.Source, opts Options) []
 	return results
 }
 
-// runManyGeneric is the single-pass fallback over the Source interface:
-// each record is read once and stepped through the whole column, with
-// the same cancellation stride as runGeneric.
-func runManyGeneric(ctx context.Context, run []manyJob, src trace.Source) {
-	var replayed int64
-	var r trace.Record
-	for src.Next(&r) {
-		replayed++
-		if replayed%cancelStride == 0 && ctx.Err() != nil {
-			err := ctx.Err()
-			for i := range run {
-				run[i].res.Err = err
+// newRun validates the column and resolves each job into its stepping
+// state, accumulating into results.
+func newRun(jobs []Job, results []Result, opts Options) []manyJob {
+	run := make([]manyJob, len(jobs))
+	for i := range jobs {
+		j := &jobs[i]
+		set := 0
+		for _, p := range []bool{j.Cond != nil, j.Indirect != nil, j.Observer != nil} {
+			if p {
+				set++
 			}
-			break
 		}
-		stepRecord(run, &r)
+		if set != 1 {
+			panic(fmt.Sprintf("sim: RunMany job %d must set exactly one of Cond/Indirect/Observer, has %d", i, set))
+		}
+		results[i] = Result{Predictor: j.Pred().Name()}
+		if opts.PerPC && j.Observer == nil {
+			results[i].PerPC = make(map[arch.Addr]*PCStat)
+		}
+		run[i] = manyJob{cond: j.Cond, ind: j.Indirect, obs: j.Observer, res: &results[i]}
+		if j.Cond != nil {
+			run[i].stepper, _ = j.Cond.(bpred.CondStepper)
+		}
+	}
+	return run
+}
+
+// checkpoint runs the between-window hook and reports whether the run
+// may go on; a hook error aborts the run with the error on every
+// result.
+func checkpoint(hook func(int, []Result) error, consumed int, results []Result) bool {
+	if err := hook(consumed, results); err != nil {
+		setErr(results, err)
+		return false
+	}
+	return true
+}
+
+// failed reports whether any job's run has ended early.
+func failed(results []Result) bool {
+	for i := range results {
+		if results[i].Err != nil {
+			return true
+		}
+	}
+	return false
+}
+
+func setErr(results []Result, err error) {
+	for i := range results {
+		results[i].Err = err
 	}
 }
 
-// runManyBuffered is the fast path over an in-memory trace: tie-runs of
-// jobs are sharded across workers, each replaying the shared record
-// slice over its own disjoint jobs. Chunk boundaries fall exactly where
-// runBatched checks the context, so a canceled fused run stops each job
-// after the same number of records as a canceled per-cell run.
-func runManyBuffered(ctx context.Context, run []manyJob, jobs []Job, buf *trace.Buffer) {
-	shards := shardJobs(run, jobs)
-	workers := pool.Size(len(shards))
-	obs.RecordWorkers(workers)
-	buf.Consume(runShards(ctx, run, shards, buf.Records, workers))
-}
-
-// runShards replays the record slice through every shard, on the
-// calling goroutine when workers <= 1 and across a worker pool
-// otherwise, returning the furthest replay position. It is the unit the
+// runShards replays one window through every shard, on the calling
+// goroutine when workers <= 1 and across a worker pool otherwise,
+// returning the furthest replay position within the window. base is the
+// window's first record index in the whole run. It is the unit the
 // sharding tests drive directly with a forced worker count, since the
 // assignment of shards to workers must not be observable in the counts.
-func runShards(ctx context.Context, run []manyJob, shards [][]manyJob, recs []trace.Record, workers int) int {
+func runShards(ctx context.Context, run []manyJob, shards [][]manyJob, recs []trace.Record, base, workers int) int {
 	if workers <= 1 {
-		return stepBuffered(ctx, run, recs)
+		return stepWindow(ctx, run, recs, base)
 	}
 	consumed := make([]int, len(shards))
 	// Every shard is dispatched unconditionally — a shard skipped on
@@ -214,18 +269,12 @@ func runShards(ctx context.Context, run []manyJob, shards [][]manyJob, recs []tr
 	// (runx.Safe in pool.ForEach or the experiment driver) can classify
 	// it.
 	pool.Fan(workers, len(shards), func(i int) {
-		consumed[i] = stepBuffered(ctx, shards[i], recs)
+		consumed[i] = stepWindow(ctx, shards[i], recs, base)
 	})
-	// Workers that were canceled consumed less; mirror the generic
-	// loop's view of the stream by consuming what the furthest worker
-	// replayed (an uncanceled run consumes everything on every worker).
-	max := 0
-	for _, n := range consumed {
-		if n > max {
-			max = n
-		}
-	}
-	return max
+	// Workers that were canceled consumed less; the run as a whole
+	// consumed what the furthest worker replayed (an uncanceled window
+	// is consumed in full by every worker).
+	return slices.Max(consumed)
 }
 
 // shardJobs splits the column into contiguous tie-runs: maximal spans
@@ -251,31 +300,28 @@ func shardJobs(run []manyJob, jobs []Job) [][]manyJob {
 	return shards
 }
 
-// stepBuffered replays the record slice through one worker's jobs with
-// runBatched's exact cancellation-stride boundaries, returning how many
-// records were replayed.
-func stepBuffered(ctx context.Context, run []manyJob, recs []trace.Record) int {
-	next := int(cancelStride) - 1
+// stepWindow replays one window through one worker's jobs, checking
+// the context before every record inside the window whose run-wide
+// index (base + i) is a multiple of cancelStride, and returns how many
+// records it replayed. The window's first record is checked by RunMany
+// before the window is read.
+func stepWindow(ctx context.Context, run []manyJob, recs []trace.Record, base int) int {
 	i := 0
-	for i < len(recs) {
-		end := len(recs)
-		if next < end {
-			end = next
-		}
+	for {
+		end := min(len(recs), i+cancelStride-(base+i)%cancelStride)
 		for ; i < end; i++ {
 			stepRecord(run, &recs[i])
 		}
-		if i == next {
-			if err := ctx.Err(); err != nil {
-				for j := range run {
-					run[j].res.Err = err
-				}
-				break
+		if i == len(recs) {
+			return i
+		}
+		if err := ctx.Err(); err != nil {
+			for j := range run {
+				run[j].res.Err = err
 			}
-			next += int(cancelStride)
+			return i
 		}
 	}
-	return i
 }
 
 // stepRecord steps one record through a column: the record's class is

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bpred/bimodal"
 	"repro/internal/bpred/gshare"
 	"repro/internal/bpred/targetcache"
+	"repro/internal/engine/pool"
 	"repro/internal/trace"
 	"repro/internal/vlp"
 )
@@ -51,43 +52,140 @@ func manyIndColumn(t testing.TB) []bpred.IndirectPredictor {
 	return append(preds, p)
 }
 
-// TestRunManyCondMatchesSequential pins the fused kernel to the
-// per-predictor driver: every column entry must produce exactly the
-// Result counts its own sequential RunCond pass produces, on both the
-// buffered fast path and the generic Source fallback, with and without
-// the per-PC breakdown.
+// testColumn is one predictor column the kernel tests replay; build
+// returns fresh, identically configured predictors on every call.
+type testColumn struct {
+	name  string
+	build func(t testing.TB) []bpred.Predictor
+}
+
+func columns(t testing.TB) []testColumn {
+	cond := func(t testing.TB) []bpred.Predictor {
+		var out []bpred.Predictor
+		for _, p := range manyCondColumn(t) {
+			out = append(out, p)
+		}
+		return out
+	}
+	ind := func(t testing.TB) []bpred.Predictor {
+		var out []bpred.Predictor
+		for _, p := range manyIndColumn(t) {
+			out = append(out, p)
+		}
+		return out
+	}
+	return []testColumn{
+		{"cond", cond},
+		{"indirect", ind},
+		{"mixed", func(t testing.TB) []bpred.Predictor { return append(cond(t), ind(t)...) }},
+	}
+}
+
+// jobsFor wraps each predictor as the column entry of its class.
+func jobsFor(preds []bpred.Predictor) []Job {
+	jobs := make([]Job, len(preds))
+	for i, p := range preds {
+		if c, ok := p.(bpred.CondPredictor); ok {
+			jobs[i] = CondJob(c)
+		} else {
+			jobs[i] = IndirectJob(p.(bpred.IndirectPredictor))
+		}
+	}
+	return jobs
+}
+
+// withWorkers caps the engine pool for the rest of the test.
+func withWorkers(t *testing.T, n int) {
+	pool.SetCap(n)
+	t.Cleanup(func() { pool.SetCap(0) })
+}
+
+// kernelModes are the ways a column can be run through RunMany: each
+// predictor alone (K=1), fused on one worker, fused and sharded across
+// workers, and segmented with a checkpoint hook between windows.
+var kernelModes = []struct {
+	name    string
+	workers int
+	k1      bool
+	stride  int
+}{
+	{"k1", 1, true, 0},
+	{"fused", 1, false, 0},
+	{"sharded", 3, false, 0},
+	{"segmented", 3, false, 999},
+}
+
+// TestRunManyCondMatchesSequential is the kernel's differential gate:
+// for every predictor kind in the test columns, every kernel mode, a
+// Buffer and a streaming source, and with and without the per-PC
+// breakdown, each job's Result must equal the independent reference
+// loop's Result for that predictor alone.
 func TestRunManyCondMatchesSequential(t *testing.T) {
 	recs := mixedRecords(20000)
-	for _, tc := range []struct {
+	sources := []struct {
 		name   string
 		source func() trace.Source
 	}{
 		{"buffer", func() trace.Source { return trace.NewBuffer(recs) }},
-		{"generic", func() trace.Source { return opaqueSource{trace.NewBuffer(recs)} }},
-	} {
-		for _, perPC := range []bool{false, true} {
-			opts := Options{PerPC: perPC}
-			fusedRes := RunManyCond(context.Background(), manyCondColumn(t), tc.source(), opts)
-			seq := manyCondColumn(t)
-			for i, p := range seq {
-				want := RunCond(context.Background(), p, tc.source(), opts)
-				if fusedRes[i].Err != nil || want.Err != nil {
-					t.Fatalf("%s: clean runs errored: %v / %v", tc.name, fusedRes[i].Err, want.Err)
+		{"stream", func() trace.Source { return opaqueSource{trace.NewBuffer(recs)} }},
+	}
+	for _, col := range columns(t) {
+		for _, m := range kernelModes {
+			for _, src := range sources {
+				for _, perPC := range []bool{false, true} {
+					withWorkers(t, m.workers)
+					opts := Options{PerPC: perPC, Stride: m.stride}
+					hooks := 0
+					if m.stride > 0 {
+						opts.Checkpoint = func(int, []Result) error { hooks++; return nil }
+					}
+					jobs := jobsFor(col.build(t))
+					var got []Result
+					if m.k1 {
+						for i := range jobs {
+							got = append(got, RunMany(context.Background(), jobs[i:i+1], src.source(), opts)...)
+						}
+					} else {
+						got = RunMany(context.Background(), jobs, src.source(), opts)
+					}
+					if m.stride > 0 && hooks != (len(recs)+m.stride-1)/m.stride {
+						t.Errorf("%s/%s/%s: %d checkpoints, want one per %d records", col.name, m.name, src.name, hooks, m.stride)
+					}
+					for i, p := range col.build(t) {
+						want := reference(context.Background(), p, src.source(), perPC)
+						sameResult(t, col.name+"/"+m.name+"/"+src.name+"/"+p.Name(), got[i], want)
+					}
 				}
-				sameResult(t, tc.name+"/"+p.Name(), fusedRes[i], want)
 			}
 		}
 	}
 }
 
-// TestRunManyIndirectMatchesSequential is the indirect-class version.
+// TestRunManyIndirectMatchesSequential pins the class wrappers: RunCond
+// and RunIndirect are K=1 kernel calls, and RunManyCond/RunManyIndirect
+// return, per entry, what the reference returns for it alone.
 func TestRunManyIndirectMatchesSequential(t *testing.T) {
 	recs := mixedRecords(20000)
-	fusedRes := RunManyIndirect(context.Background(), manyIndColumn(t), trace.NewBuffer(recs), Options{PerPC: true})
-	seq := manyIndColumn(t)
-	for i, p := range seq {
-		want := RunIndirect(context.Background(), p, trace.NewBuffer(recs), Options{PerPC: true})
-		sameResult(t, p.Name(), fusedRes[i], want)
+	ref := func(p bpred.Predictor, perPC bool) Result {
+		return reference(context.Background(), p, trace.NewBuffer(recs), perPC)
+	}
+	fused := RunManyIndirect(context.Background(), manyIndColumn(t), trace.NewBuffer(recs), Options{PerPC: true})
+	for i, p := range manyIndColumn(t) {
+		sameResult(t, "RunManyIndirect/"+p.Name(), fused[i], ref(p, true))
+	}
+	fresh := manyIndColumn(t)
+	for i, p := range manyIndColumn(t) {
+		sameResult(t, "RunIndirect/"+p.Name(), RunIndirect(context.Background(), p, trace.NewBuffer(recs), Options{}), ref(fresh[i], false))
+	}
+	condFused := RunManyCond(context.Background(), manyCondColumn(t), trace.NewBuffer(recs), Options{})
+	freshCond := manyCondColumn(t)
+	for i, p := range manyCondColumn(t) {
+		got := RunCond(context.Background(), p, trace.NewBuffer(recs), Options{})
+		sameResult(t, "RunCond/"+p.Name(), got, ref(freshCond[i], false))
+		sameResult(t, "RunManyCond/"+p.Name(), condFused[i], got)
+		if got.Predictor != p.Name() {
+			t.Errorf("RunCond predictor name %q, want %q", got.Predictor, p.Name())
+		}
 	}
 }
 
@@ -96,25 +194,10 @@ func TestRunManyIndirectMatchesSequential(t *testing.T) {
 // predictor observes the full stream.
 func TestRunManyMixedClasses(t *testing.T) {
 	recs := mixedRecords(20000)
-	cond := manyCondColumn(t)
-	ind := manyIndColumn(t)
-	var jobs []Job
-	for _, p := range cond {
-		jobs = append(jobs, CondJob(p))
-	}
-	for _, p := range ind {
-		jobs = append(jobs, IndirectJob(p))
-	}
-	res := RunMany(context.Background(), jobs, trace.NewBuffer(recs), Options{})
-	seqCond := manyCondColumn(t)
-	for i := range seqCond {
-		sameResult(t, "cond/"+seqCond[i].Name(),
-			res[i], RunCond(context.Background(), seqCond[i], trace.NewBuffer(recs), Options{}))
-	}
-	seqInd := manyIndColumn(t)
-	for i := range seqInd {
-		sameResult(t, "ind/"+seqInd[i].Name(),
-			res[len(cond)+i], RunIndirect(context.Background(), seqInd[i], trace.NewBuffer(recs), Options{}))
+	mixed := columns(t)[2]
+	res := RunMany(context.Background(), jobsFor(mixed.build(t)), trace.NewBuffer(recs), Options{})
+	for i, p := range mixed.build(t) {
+		sameResult(t, "mixed/"+p.Name(), res[i], reference(context.Background(), p, trace.NewBuffer(recs), false))
 	}
 }
 
@@ -152,88 +235,69 @@ func sharedColumn(t testing.TB) ([]Job, []bpred.CondPredictor) {
 // TestRunManySharedHistoryMatchesSequential is the bit-identity gate
 // for history sharing: members of a shared HashSet group, trained
 // before the group's single per-record insert, must produce exactly the
-// counts of their solo runs with private HashSets.
+// counts of their solo reference runs with private HashSets — fused on
+// one worker, sharded, and segmented.
 func TestRunManySharedHistoryMatchesSequential(t *testing.T) {
 	recs := mixedRecords(20000)
-	jobs, preds := sharedColumn(t)
-	res := RunMany(context.Background(), jobs, trace.NewBuffer(recs), Options{})
-	// Job order is a permutation of cell order; match results by
-	// predictor identity instead of position.
-	resByPred := map[bpred.CondPredictor]Result{}
-	for i, j := range jobs {
-		if j.Cond != nil {
-			resByPred[j.Cond] = res[i]
+	for _, m := range kernelModes[1:] {
+		withWorkers(t, m.workers)
+		jobs, preds := sharedColumn(t)
+		opts := Options{Stride: m.stride}
+		if m.stride > 0 {
+			opts.Checkpoint = func(int, []Result) error { return nil }
 		}
-	}
-	solo := func(kb, l int) Result {
-		p, err := vlp.NewCond(kb*1024, vlp.Fixed{L: l}, vlp.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return RunCond(context.Background(), p, trace.NewBuffer(recs), Options{})
-	}
-	i := 0
-	for _, kb := range []int{1, 4} {
-		for _, l := range []int{3, 6, 9} {
-			got, ok := resByPred[preds[i]]
-			if !ok {
-				t.Fatalf("no fused result for cell %d", i)
+		res := RunMany(context.Background(), jobs, trace.NewBuffer(recs), opts)
+		// Job order is a permutation of cell order; match results by
+		// predictor identity instead of position.
+		resByPred := map[bpred.CondPredictor]Result{}
+		for i, j := range jobs {
+			if j.Cond != nil {
+				resByPred[j.Cond] = res[i]
 			}
-			sameResult(t, got.Predictor, got, solo(kb, l))
-			i++
+		}
+		i := 0
+		for _, kb := range []int{1, 4} {
+			for _, l := range []int{3, 6, 9} {
+				got, ok := resByPred[preds[i]]
+				if !ok {
+					t.Fatalf("%s: no fused result for cell %d", m.name, i)
+				}
+				solo, err := vlp.NewCond(kb*1024, vlp.Fixed{L: l}, vlp.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, m.name+"/"+got.Predictor, got, reference(context.Background(), solo, trace.NewBuffer(recs), false))
+				i++
+			}
 		}
 	}
 }
 
-// TestRunManyShardedMatchesSingleWorker forces the multi-worker path
-// (this only runs sharded in production on multi-CPU machines) and
-// checks that shard-to-worker assignment is unobservable: tie-runs stay
-// intact, shared groups keep their member-before-observer order, and
-// the counts equal the single-worker pass. Under -race this also
-// verifies the workers share nothing but the read-only record slice.
+// TestRunManyShardedMatchesSingleWorker drives the shard runner with
+// forced worker counts and checks that shard-to-worker assignment is
+// unobservable: tie-runs stay intact, shared groups keep their
+// member-before-observer order, and the counts equal the single-worker
+// pass. Under -race this also verifies the workers share nothing but
+// the read-only record window.
 func TestRunManyShardedMatchesSingleWorker(t *testing.T) {
 	recs := mixedRecords(20000)
+	withWorkers(t, 1)
 	jobs, _ := sharedColumn(t)
 	want := RunMany(context.Background(), jobs, trace.NewBuffer(recs), Options{})
-
-	jobs2, _ := sharedColumn(t)
-	results := make([]Result, len(jobs2))
-	run := make([]manyJob, len(jobs2))
-	for i := range jobs2 {
-		j := &jobs2[i]
-		results[i] = Result{Predictor: j.pred().Name()}
-		run[i] = manyJob{cond: j.Cond, ind: j.Indirect, obs: j.Observer, res: &results[i]}
-		if j.Cond != nil {
-			run[i].stepper, _ = j.Cond.(bpred.CondStepper)
-		}
-	}
-	shards := shardJobs(run, jobs2)
-	if len(shards) != 2 {
-		t.Fatalf("shardJobs made %d shards, want 2 tie-runs", len(shards))
-	}
 	for w := 2; w <= 4; w++ {
-		if n := runShards(context.Background(), run, shards, recs, w); n != len(recs) {
+		jobs, _ := sharedColumn(t)
+		results := make([]Result, len(jobs))
+		run := newRun(jobs, results, Options{})
+		shards := shardJobs(run, jobs)
+		if len(shards) != 2 {
+			t.Fatalf("shardJobs made %d shards, want 2 tie-runs", len(shards))
+		}
+		if n := runShards(context.Background(), run, shards, recs, 0, w); n != len(recs) {
 			t.Fatalf("workers=%d replayed %d records, want %d", w, n, len(recs))
 		}
-	}
-	// runShards was applied twice beyond the first, so rebuild cleanly
-	// for the count comparison.
-	jobs3, _ := sharedColumn(t)
-	results3 := make([]Result, len(jobs3))
-	run3 := make([]manyJob, len(jobs3))
-	for i := range jobs3 {
-		j := &jobs3[i]
-		results3[i] = Result{Predictor: j.pred().Name()}
-		run3[i] = manyJob{cond: j.Cond, ind: j.Indirect, obs: j.Observer, res: &results3[i]}
-		if j.Cond != nil {
-			run3[i].stepper, _ = j.Cond.(bpred.CondStepper)
+		for i := range results {
+			sameResult(t, "sharded/"+results[i].Predictor, results[i], want[i])
 		}
-	}
-	if n := runShards(context.Background(), run3, shardJobs(run3, jobs3), recs, 3); n != len(recs) {
-		t.Fatalf("sharded replay consumed %d records, want %d", n, len(recs))
-	}
-	for i := range results3 {
-		sameResult(t, "sharded/"+results3[i].Predictor, results3[i], want[i])
 	}
 }
 
@@ -264,29 +328,44 @@ func TestShardJobs(t *testing.T) {
 }
 
 // TestRunManyCancellation: an already-canceled context stops every
-// column entry at the same stride boundary the per-predictor driver
-// stops at, with the context error on every Result.
+// column entry at the first cancelStride boundary — K=1, fused, sharded
+// and segmented alike, on a Buffer and a streaming source — with the
+// context error on every Result and the counts the reference scores
+// before that boundary.
 func TestRunManyCancellation(t *testing.T) {
-	recs := mixedRecords(int(cancelStride)*2 + 500)
+	recs := mixedRecords(cancelStride*2 + 500)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, tc := range []struct {
-		name   string
-		source func() trace.Source
-	}{
-		{"buffer", func() trace.Source { return trace.NewBuffer(recs) }},
-		{"generic", func() trace.Source { return opaqueSource{trace.NewBuffer(recs)} }},
-	} {
-		res := RunManyCond(ctx, manyCondColumn(t), tc.source(), Options{})
-		seq := manyCondColumn(t)
-		for i, p := range seq {
-			if !errors.Is(res[i].Err, context.Canceled) {
-				t.Fatalf("%s: job %d Err = %v, want context.Canceled", tc.name, i, res[i].Err)
+	for _, m := range kernelModes {
+		for _, stream := range []bool{false, true} {
+			withWorkers(t, m.workers)
+			src := func() trace.Source {
+				if stream {
+					return opaqueSource{trace.NewBuffer(recs)}
+				}
+				return trace.NewBuffer(recs)
 			}
-			want := RunCond(ctx, p, tc.source(), Options{})
-			sameResult(t, tc.name+"/canceled/"+p.Name(), res[i], want)
-			if res[i].Branches == 0 {
-				t.Errorf("%s: canceled fused run scored nothing before the boundary", tc.name)
+			opts := Options{Stride: m.stride}
+			if m.stride > 0 {
+				opts.Checkpoint = func(int, []Result) error { return nil }
+			}
+			jobs := jobsFor(columns(t)[2].build(t))
+			var res []Result
+			if m.k1 {
+				for i := range jobs {
+					res = append(res, RunMany(ctx, jobs[i:i+1], src(), opts)...)
+				}
+			} else {
+				res = RunMany(ctx, jobs, src(), opts)
+			}
+			for i, p := range columns(t)[2].build(t) {
+				if !errors.Is(res[i].Err, context.Canceled) {
+					t.Fatalf("%s: job %d Err = %v, want context.Canceled", m.name, i, res[i].Err)
+				}
+				sameResult(t, m.name+"/canceled/"+p.Name(), res[i], reference(ctx, p, src(), false))
+				if res[i].Branches == 0 {
+					t.Errorf("%s: canceled run scored nothing before the boundary", m.name)
+				}
 			}
 		}
 	}
@@ -310,12 +389,13 @@ func TestRunManyTruncatedSource(t *testing.T) {
 		if prefix[i].Err != nil {
 			t.Fatalf("prefix run errored: %v", prefix[i].Err)
 		}
+		prefix[i].Err = want
 		sameResult(t, "truncated/"+res[i].Predictor, res[i], prefix[i])
 	}
 }
 
 // TestRunManyEdgeCases: the K=0 column returns no results without
-// touching the source, and a K=1 column is exactly RunCond.
+// touching the source, and an empty source gives clean zero counts.
 func TestRunManyEdgeCases(t *testing.T) {
 	buf := trace.NewBuffer(mixedRecords(100))
 	res := RunMany(context.Background(), nil, buf, Options{})
@@ -326,18 +406,17 @@ func TestRunManyEdgeCases(t *testing.T) {
 	if !buf.Next(&r) {
 		t.Error("K=0 run consumed the source")
 	}
-
-	recs := mixedRecords(5000)
-	one := RunManyCond(context.Background(), manyCondColumn(t)[:1], trace.NewBuffer(recs), Options{PerPC: true})
-	seq := RunCond(context.Background(), manyCondColumn(t)[0], trace.NewBuffer(recs), Options{PerPC: true})
-	sameResult(t, "k1", one[0], seq)
-	if one[0].Predictor != seq.Predictor {
-		t.Errorf("K=1 predictor name %q, want %q", one[0].Predictor, seq.Predictor)
+	for _, src := range []trace.Source{trace.NewBuffer(nil), opaqueSource{trace.NewBuffer(nil)}} {
+		for _, got := range RunManyCond(context.Background(), manyCondColumn(t), src, Options{PerPC: true}) {
+			if got.Err != nil || got.Branches != 0 || len(got.PerPC) != 0 {
+				t.Errorf("empty source: %+v", got)
+			}
+		}
 	}
 }
 
-// TestRunManyConsumesBuffer: like the batched single-predictor path,
-// the fused pass must leave the buffer exhausted and rewindable.
+// TestRunManyConsumesBuffer: the fused pass must leave the buffer
+// exhausted and rewindable.
 func TestRunManyConsumesBuffer(t *testing.T) {
 	buf := trace.NewBuffer(mixedRecords(100))
 	RunManyCond(context.Background(), manyCondColumn(t), buf, Options{})
@@ -356,18 +435,108 @@ func TestRunManyConsumesBuffer(t *testing.T) {
 func TestRunManyObserverResult(t *testing.T) {
 	recs := mixedRecords(5000)
 	jobs, _ := sharedColumn(t)
-	res := RunMany(context.Background(), jobs, trace.NewBuffer(recs), Options{})
+	res := RunMany(context.Background(), jobs, trace.NewBuffer(recs), Options{PerPC: true})
 	seenObserver := false
 	for i, j := range jobs {
 		if j.Observer == nil {
 			continue
 		}
 		seenObserver = true
-		if res[i].Branches != 0 || res[i].Mispredicts != 0 {
-			t.Errorf("observer row %d has counts %d/%d, want 0/0", i, res[i].Mispredicts, res[i].Branches)
+		if res[i].Branches != 0 || res[i].Mispredicts != 0 || res[i].PerPC != nil {
+			t.Errorf("observer row %d has counts %d/%d, want 0/0 and no breakdown", i, res[i].Mispredicts, res[i].Branches)
 		}
 	}
 	if !seenObserver {
 		t.Fatal("shared column has no observer jobs")
+	}
+}
+
+// TestRunManySegmentedMatchesSinglePass pins segmented replay to the
+// uninterrupted kernel: for a mixed column, a Buffer and a streaming
+// source, and several strides — including strides that don't divide
+// the trace, strides longer than a streaming window, and no stride (one
+// call at the end) — the counts and per-PC breakdowns must be
+// bit-identical to one unsegmented pass, and the hook must see
+// strictly increasing consumed positions, each with the counts of the
+// prefix replayed so far, ending at the trace length.
+func TestRunManySegmentedMatchesSinglePass(t *testing.T) {
+	recs := mixedRecords(cancelStride + 20000)
+	want := RunMany(context.Background(), jobsFor(columns(t)[2].build(t)), trace.NewBuffer(recs), Options{PerPC: true})
+	for _, stride := range []int{0, 17, 999, 40000, cancelStride + 20000, 1 << 20} {
+		for _, stream := range []bool{false, true} {
+			var src trace.Source = trace.NewBuffer(recs)
+			if stream {
+				src = opaqueSource{src}
+			}
+			last, calls := -1, 0
+			got := RunMany(context.Background(), jobsFor(columns(t)[2].build(t)), src, Options{PerPC: true, Stride: stride,
+				Checkpoint: func(consumed int, partial []Result) error {
+					calls++
+					if consumed <= last {
+						t.Fatalf("stride %d: consumed went %d -> %d", stride, last, consumed)
+					}
+					if stride > 0 && consumed%stride != 0 && consumed != len(recs) {
+						t.Fatalf("stride %d: checkpoint at %d, off the stride", stride, consumed)
+					}
+					if consumed == 40000 {
+						prefix := RunMany(context.Background(), jobsFor(columns(t)[2].build(t)), trace.NewBuffer(recs[:consumed]), Options{})
+						for i := range prefix {
+							if partial[i].Branches != prefix[i].Branches || partial[i].Mispredicts != prefix[i].Mispredicts {
+								t.Fatalf("stride %d: partial counts at %d differ from the prefix run", stride, consumed)
+							}
+						}
+					}
+					last = consumed
+					return nil
+				}})
+			if last != len(recs) {
+				t.Errorf("stride %d: final checkpoint at %d, want %d", stride, last, len(recs))
+			}
+			wantCalls := 1 // no stride: one call, at the end
+			if stride > 0 {
+				wantCalls = (len(recs) + stride - 1) / stride
+			}
+			if calls != wantCalls {
+				t.Errorf("stride %d: %d checkpoints, want %d", stride, calls, wantCalls)
+			}
+			for i := range want {
+				sameResult(t, want[i].Predictor, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestRunManySegmentedCheckpointError pins the abort contract: a
+// checkpoint hook error stops the replay at that window, is not
+// followed by another hook call, and surfaces on every result; the
+// counts are those of the replayed prefix.
+func TestRunManySegmentedCheckpointError(t *testing.T) {
+	recs := mixedRecords(5000)
+	boom := errors.New("spill failed")
+	for _, stream := range []bool{false, true} {
+		var src trace.Source = trace.NewBuffer(recs)
+		if stream {
+			src = opaqueSource{src}
+		}
+		calls := 0
+		got := RunManyCond(context.Background(), manyCondColumn(t), src, Options{Stride: 1000,
+			Checkpoint: func(consumed int, _ []Result) error {
+				calls++
+				if consumed >= 2000 {
+					return boom
+				}
+				return nil
+			}})
+		if calls != 2 {
+			t.Errorf("checkpoint called %d times, want 2", calls)
+		}
+		prefix := RunManyCond(context.Background(), manyCondColumn(t), trace.NewBuffer(recs[:2000]), Options{})
+		for i := range got {
+			if !errors.Is(got[i].Err, boom) {
+				t.Errorf("job %d: Err = %v, want checkpoint error", i, got[i].Err)
+			}
+			prefix[i].Err = boom
+			sameResult(t, "aborted/"+got[i].Predictor, got[i], prefix[i])
+		}
 	}
 }

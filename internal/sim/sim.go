@@ -68,126 +68,27 @@ type Options struct {
 	// PerPC enables the per-static-branch breakdown (costs a map lookup
 	// per branch).
 	PerPC bool
+	// Checkpoint, when set, runs between replay windows: after every
+	// Stride records (Stride <= 0: only once, at the end of the
+	// source) with the number of records consumed so far and the
+	// results accumulated up to that point. No replay is in flight
+	// while it runs, so it may read and persist every job predictor's
+	// state. A non-nil error aborts the run with every Result's Err set
+	// to it; a canceled, truncated, or aborted run does not call it
+	// again.
+	Checkpoint func(consumed int, results []Result) error
+	// Stride is the record distance between Checkpoint calls.
+	Stride int
 }
 
-// Score judges one record for one predictor class. It reports whether
-// the record is scored at all (belongs to the predicted class) and, if
-// so, whether the prediction made at fetch time was correct. Run calls
-// it before Update, so the predictor state the score observes is
-// exactly the pre-retirement state a hardware front end would have.
-type Score func(r *trace.Record) (scored, correct bool)
-
-// cancelStride is how many records Run replays between context
+// cancelStride is how many records the kernel replays between context
 // checks: frequent enough that cancellation lands within microseconds,
-// rare enough that the atomic load cost vanishes in the loop.
+// rare enough that the atomic load cost vanishes in the loop. It also
+// sizes the window a streaming source is read into.
 const cancelStride = 1 << 16
 
-// Run is the single accounting loop behind both branch classes: it
-// replays src (after resetting it) through the predictor, scoring each
-// record with score and feeding every record to Update in program
-// order. The run is bracketed by an obs span, so the returned Result
-// carries wall-time, throughput, and allocation metrics alongside the
-// misprediction counts.
-//
-// Run honours ctx: a canceled context stops the replay at the next
-// stride boundary with Result.Err set to the context's error. It also
-// refuses to mistake a broken source for a short trace — when the
-// source reports a decoding error (see trace.Reader.Err), Result.Err
-// carries it, so a corrupt trace cannot masquerade as a clean
-// low-branch run.
-func Run(ctx context.Context, p bpred.Predictor, src trace.Source, opts Options, score Score) Result {
-	span := obs.StartSpan()
-	src.Reset()
-	res := Result{Predictor: p.Name()}
-	if opts.PerPC {
-		res.PerPC = make(map[arch.Addr]*PCStat)
-	}
-	if buf, ok := src.(*trace.Buffer); ok {
-		runBatched(ctx, p, buf, &res, score)
-	} else {
-		runGeneric(ctx, p, src, &res, score)
-	}
-	// Next returns false both at a clean end of stream and on a decode
-	// failure; sources that can fail expose the distinction via an
-	// Err method (trace.Reader does). Surface it so truncation is an
-	// error, not a suspiciously easy workload.
-	if res.Err == nil {
-		if ec, ok := src.(interface{ Err() error }); ok {
-			res.Err = ec.Err()
-		}
-	}
-	obs.CountBranches(res.Branches)
-	res.Metrics = span.End()
-	// The span counted the process-wide branch delta, which under a
-	// parallel sweep includes other workers' runs; this run knows its
-	// own count exactly, so pin it and recompute the throughput.
-	res.Metrics.Branches = res.Branches
-	res.Metrics.BranchesPerSec = 0
-	if wall := res.Metrics.Wall(); wall > 0 {
-		res.Metrics.BranchesPerSec = float64(res.Branches) / wall.Seconds()
-	}
-	return res
-}
-
-// runGeneric is the reference replay loop over the Source interface: one
-// devirtualised Next call per record, with a cancellation check every
-// cancelStride records (taken before the stride-boundary record is
-// scored). runBatched must stay observably equivalent to this loop; the
-// differential tests in batch_test.go pin the two together.
-func runGeneric(ctx context.Context, p bpred.Predictor, src trace.Source, res *Result, score Score) {
-	var replayed int64
-	var r trace.Record
-	for src.Next(&r) {
-		replayed++
-		if replayed%cancelStride == 0 && ctx.Err() != nil {
-			res.Err = ctx.Err()
-			break
-		}
-		scoreRecord(p, &r, res, score)
-	}
-}
-
-// runBatched is the fast path for in-memory traces: it iterates the
-// record slice directly in chunks, paying the Source.Next interface call
-// and the cancellation check once per chunk instead of once per record.
-// Chunk boundaries fall exactly where runGeneric checks the context (one
-// record before each cancelStride multiple), so a canceled run stops
-// after the same number of records on either path.
-func runBatched(ctx context.Context, p bpred.Predictor, buf *trace.Buffer, res *Result, score Score) {
-	recs := buf.Records
-	next := int(cancelStride) - 1 // index of the first unscored record on cancellation
-	i := 0
-	for i < len(recs) {
-		end := len(recs)
-		if next < end {
-			end = next
-		}
-		for ; i < end; i++ {
-			scoreRecord(p, &recs[i], res, score)
-		}
-		if i == next {
-			if ctx.Err() != nil {
-				res.Err = ctx.Err()
-				break
-			}
-			next += int(cancelStride)
-		}
-	}
-	buf.Consume(i)
-}
-
-// scoreRecord scores and replays one record — the shared per-record body
-// of the generic and batched loops.
-func scoreRecord(p bpred.Predictor, r *trace.Record, res *Result, score Score) {
-	if scored, correct := score(r); scored {
-		res.account(r, correct)
-	}
-	p.Update(*r)
-}
-
 // account books one scored branch into the result, including the per-PC
-// breakdown when enabled — the accumulation step shared by the
-// per-predictor loops and the fused column kernel (many.go).
+// breakdown when enabled.
 func (res *Result) account(r *trace.Record, correct bool) {
 	res.Branches++
 	if !correct {
@@ -207,26 +108,16 @@ func (res *Result) account(r *trace.Record, correct bool) {
 }
 
 // RunCond replays src (after resetting it) through a conditional
-// predictor.
+// predictor: the K=1 case of RunMany.
 func RunCond(ctx context.Context, p bpred.CondPredictor, src trace.Source, opts Options) Result {
-	return Run(ctx, p, src, opts, func(r *trace.Record) (bool, bool) {
-		if r.Kind != arch.Cond {
-			return false, false
-		}
-		return true, p.Predict(r.PC) == r.Taken
-	})
+	return RunMany(ctx, []Job{CondJob(p)}, src, opts)[0]
 }
 
 // RunIndirect replays src (after resetting it) through an indirect
 // predictor. Only indirect branches and indirect calls are scored; returns
 // are excluded per §5.1.
 func RunIndirect(ctx context.Context, p bpred.IndirectPredictor, src trace.Source, opts Options) Result {
-	return Run(ctx, p, src, opts, func(r *trace.Record) (bool, bool) {
-		if !r.Kind.IndirectTarget() {
-			return false, false
-		}
-		return true, p.Predict(r.PC) == r.Next
-	})
+	return RunMany(ctx, []Job{IndirectJob(p)}, src, opts)[0]
 }
 
 // WorstPCs returns the static branches with the most mispredictions,

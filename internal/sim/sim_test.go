@@ -120,31 +120,6 @@ func TestRunCapturesMetrics(t *testing.T) {
 	}
 }
 
-// TestRunGenericDriver exercises Run directly with a custom score func:
-// the class-specific wrappers are one-liners over it, so a bespoke
-// scorer (here: score every record as correct) must work too.
-func TestRunGenericDriver(t *testing.T) {
-	recs := []trace.Record{
-		{PC: 0x1004, Kind: arch.Cond, Taken: true, Next: 0x2000},
-		{PC: 0x2008, Kind: arch.Return, Taken: true, Next: 0x3000},
-	}
-	var updates int
-	p := bimodal.NewBits(4)
-	res := Run(context.Background(), p, trace.NewBuffer(recs), Options{}, func(r *trace.Record) (bool, bool) {
-		updates++
-		return true, true
-	})
-	if res.Branches != 2 || res.Mispredicts != 0 {
-		t.Errorf("generic run scored %d/%d", res.Mispredicts, res.Branches)
-	}
-	if updates != 2 {
-		t.Errorf("score called %d times, want 2", updates)
-	}
-	if res.Predictor != p.Name() {
-		t.Errorf("Predictor = %q", res.Predictor)
-	}
-}
-
 // failingSource yields n records then fails like a truncated trace file:
 // Next returns false with Err set, the shape trace.Reader produces.
 type failingSource struct {

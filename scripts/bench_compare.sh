@@ -32,82 +32,57 @@ mkdir -p "$RESULTS"
 echo "== bench-compare: go test -bench (count=$COUNT, benchtime=$BENCHTIME)"
 go test -run '^$' -bench "$BENCHES" -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$current"
 
-# Record the fused-vs-per-cell sweep comparison as a committed artifact:
-# BENCH_fused.json at the repo root maps each BenchmarkFusedSweep
-# sub-benchmark to its mean ns/op and allocs/op for this run, so the
-# fused kernel's speedup is tracked in-repo alongside the code.
-if grep -q '^BenchmarkFusedSweep/' "$current"; then
-	awk '
-		$1 ~ /^BenchmarkFusedSweep\// && $4 == "ns/op" {
+# emit PREFIX OUT UNITS [SAVINGS] records one benchmark family of the
+# run as a committed JSON artifact: every benchmark whose name starts
+# with PREFIX maps to the mean of each go-test unit in UNITS over its
+# runs (ns/op -> ns_per_op, MB/s -> mb_per_sec, allocs/op ->
+# allocs_per_op). SAVINGS, a "base,new" pair of benchmark names, adds
+# the new one's ns/op saving over the base in percent.
+emit() {
+	grep -q "^$1" "$current" || return 0
+	awk -v prefix="^$1" -v units="$3" -v savings="${4:-}" '
+		BEGIN {
+			nu = split(units, unit, " ")
+			key["ns/op"] = "ns_per_op"; fmt["ns/op"] = "%.0f"
+			key["MB/s"] = "mb_per_sec"; fmt["MB/s"] = "%.1f"
+			key["allocs/op"] = "allocs_per_op"; fmt["allocs/op"] = "%.0f"
+		}
+		$1 ~ prefix && $4 == "ns/op" {
 			name = $1; sub(/-[0-9]+$/, "", name)
-			if (!(name in ns)) order[++k] = name
-			ns[name] += $3; cnt[name]++
-			al[name] += $7
+			if (!(name in cnt)) order[++k] = name
+			cnt[name]++
+			for (f = 3; f < NF; f += 2) sum[name, $(f + 1)] += $f
 		}
 		END {
 			printf "{\n"
 			for (i = 1; i <= k; i++) {
 				name = order[i]
-				printf "  \"%s\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %.0f}%s\n", \
-					name, ns[name] / cnt[name], al[name] / cnt[name], (i < k ? "," : "")
+				printf "  \"%s\": {", name
+				for (u = 1; u <= nu; u++)
+					printf "%s\"%s\": " fmt[unit[u]], (u > 1 ? ", " : ""), key[unit[u]], sum[name, unit[u]] / cnt[name]
+				printf "}%s\n", (i < k || savings != "" ? "," : "")
+			}
+			if (savings != "") {
+				split(savings, pair, ",")
+				b = sum[pair[1], "ns/op"] / cnt[pair[1]]
+				n = sum[pair[2], "ns/op"] / cnt[pair[2]]
+				printf "  \"dedup_savings_pct\": %.1f\n", (b - n) / b * 100
 			}
 			printf "}\n"
 		}
-	' "$current" >BENCH_fused.json
-	echo "== bench-compare: wrote BENCH_fused.json"
-fi
+	' "$current" >"$2"
+	echo "== bench-compare: wrote $2"
+}
 
-# Likewise for the state codec: BENCH_snap.json records the snapshot
-# encode+decode round trip (warmed 64KB vlp predictor) — mean ns/op,
-# MB/s, and allocs/op — so codec regressions show up in review.
-if grep -q '^BenchmarkSnapshotRoundtrip' "$current"; then
-	awk '
-		$1 ~ /^BenchmarkSnapshotRoundtrip/ && $4 == "ns/op" {
-			name = $1; sub(/-[0-9]+$/, "", name)
-			if (!(name in ns)) order[++k] = name
-			ns[name] += $3; cnt[name]++
-			mb[name] += $5
-			al[name] += $9
-		}
-		END {
-			printf "{\n"
-			for (i = 1; i <= k; i++) {
-				name = order[i]
-				printf "  \"%s\": {\"ns_per_op\": %.0f, \"mb_per_sec\": %.1f, \"allocs_per_op\": %.0f}%s\n", \
-					name, ns[name] / cnt[name], mb[name] / cnt[name], al[name] / cnt[name], (i < k ? "," : "")
-			}
-			printf "}\n"
-		}
-	' "$current" >BENCH_snap.json
-	echo "== bench-compare: wrote BENCH_snap.json"
-fi
-
-# And for the execution engine's scheduler: BENCH_engine.json records
-# the overlapping-plans wall clock with and without cell dedup (the
-# before/after of the unified engine's cross-experiment memoization),
-# plus the measured saving in percent.
-if grep -q '^BenchmarkEngineDedup/' "$current"; then
-	awk '
-		$1 ~ /^BenchmarkEngineDedup\// && $4 == "ns/op" {
-			name = $1; sub(/-[0-9]+$/, "", name)
-			if (!(name in ns)) order[++k] = name
-			ns[name] += $3; cnt[name]++
-			al[name] += $7
-		}
-		END {
-			printf "{\n"
-			for (i = 1; i <= k; i++) {
-				name = order[i]
-				printf "  \"%s\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %.0f},\n", \
-					name, ns[name] / cnt[name], al[name] / cnt[name]
-			}
-			nd = ns["BenchmarkEngineDedup/nodedup"] / cnt["BenchmarkEngineDedup/nodedup"]
-			dd = ns["BenchmarkEngineDedup/dedup"] / cnt["BenchmarkEngineDedup/dedup"]
-			printf "  \"dedup_savings_pct\": %.1f\n}\n", (nd - dd) / nd * 100
-		}
-	' "$current" >BENCH_engine.json
-	echo "== bench-compare: wrote BENCH_engine.json"
-fi
+# The committed perf trajectory: BENCH_fused.json (the fused kernel
+# against the per-cell reference on a Table-2 grid), BENCH_snap.json
+# (the snapshot encode+decode round trip of a warmed 64KB vlp
+# predictor) and BENCH_engine.json (overlapping plans with and without
+# the engine's cell dedup, plus the saving).
+emit BenchmarkFusedSweep/ BENCH_fused.json "ns/op allocs/op"
+emit BenchmarkSnapshotRoundtrip BENCH_snap.json "ns/op MB/s allocs/op"
+emit BenchmarkEngineDedup/ BENCH_engine.json "ns/op allocs/op" \
+	"BenchmarkEngineDedup/nodedup,BenchmarkEngineDedup/dedup"
 
 if [ ! -f "$baseline" ]; then
 	cp "$current" "$baseline"
