@@ -34,13 +34,25 @@ func NewArray(n int, bits int, init uint8) *Array {
 		mid:   uint8(1 << uint(bits-1)),
 		bits:  bits,
 	}
+	a.Reset(init)
+	return a
+}
+
+// Reset sets every counter to init, so a caller replaying many runs can
+// reuse one table instead of allocating a fresh one per run. It fills by
+// doubling copies (clear for zero), not byte by byte.
+func (a *Array) Reset(init uint8) {
 	if init > a.max {
 		panic(fmt.Sprintf("counter: init %d exceeds max %d", init, a.max))
 	}
-	for i := range a.table {
-		a.table[i] = init
+	if init == 0 {
+		clear(a.table)
+		return
 	}
-	return a
+	a.table[0] = init
+	for n := 1; n < len(a.table); n *= 2 {
+		copy(a.table[n:], a.table[:n])
+	}
 }
 
 // Len returns the number of counters.

@@ -63,6 +63,38 @@ func TestArrayInitAndSize(t *testing.T) {
 	}
 }
 
+// TestArrayResetMatchesNaiveFill pins the doubling-copy Reset (and so
+// NewArray) to a byte-by-byte fill at lengths around the doubling steps,
+// starting from a dirtied table so stale values would show.
+func TestArrayResetMatchesNaiveFill(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 4096, 4097} {
+		for init := uint8(0); init <= 3; init++ {
+			a := NewArray(n, 2, 3-init)
+			for i := 0; i < n; i += 3 {
+				a.Set(i, uint8(i)%4)
+			}
+			a.Reset(init)
+			for i := 0; i < n; i++ {
+				if a.Value(i) != init {
+					t.Fatalf("n=%d init=%d: counter %d = %d after Reset", n, init, i, a.Value(i))
+				}
+			}
+			fresh := NewArray(n, 2, init)
+			for i := 0; i < n; i++ {
+				if fresh.Value(i) != init {
+					t.Fatalf("n=%d init=%d: NewArray counter %d = %d", n, init, i, fresh.Value(i))
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Reset above the counter maximum did not panic")
+		}
+	}()
+	NewArray(4, 2, 0).Reset(4)
+}
+
 func TestArraySetSaturates(t *testing.T) {
 	a := NewArray(1, 3, 0)
 	a.Set(0, 200)

@@ -86,11 +86,7 @@ var condGrids = map[string]condGrid{
 				}
 				return vlp.NewCond(abBudget, prof.Selector(), vlp.Options{})
 			}
-			src, err := s.ProfileSource(bench)
-			if err != nil {
-				return nil, err
-			}
-			prof, _, err := profile.Cond(src, profile.Config{TableBits: k, Lengths: []int{1, 2, 4, 8, 16, 32}})
+			prof, err := s.profileFor(bench, false, profile.Config{TableBits: k, Lengths: []int{1, 2, 4, 8, 16, 32}})
 			if err != nil {
 				return nil, err
 			}
@@ -101,11 +97,7 @@ var condGrids = map[string]condGrid{
 		variants: []string{"1 cand / 1 iter", "3 cand / 3 iter", "3 cand / 7 iter", "5 cand / 7 iter"},
 		mk: func(s *Suite, v int, bench string) (bpred.CondPredictor, error) {
 			settings := [...]struct{ cands, iters int }{{1, 1}, {3, 3}, {3, 7}, {5, 7}}
-			src, err := s.ProfileSource(bench)
-			if err != nil {
-				return nil, err
-			}
-			prof, _, err := profile.Cond(src, profile.Config{
+			prof, err := s.profileFor(bench, false, profile.Config{
 				TableBits: condK(abBudget), Candidates: settings[v].cands, Iterations: settings[v].iters,
 			})
 			if err != nil {
@@ -204,11 +196,7 @@ var condGrids = map[string]condGrid{
 			case 1:
 				return dhlf.New(abBudget, 0)
 			case 2:
-				src, err := s.ProfileSource(bench)
-				if err != nil {
-					return nil, err
-				}
-				prof, _, err := profile.PatternCond(src, profile.Config{TableBits: k})
+				prof, err := s.patternProfile(bench, k)
 				if err != nil {
 					return nil, err
 				}

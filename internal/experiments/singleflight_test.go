@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -129,5 +132,94 @@ func TestSingleflightPrimedRecordsSkipGeneration(t *testing.T) {
 	wg.Wait()
 	if records, _, _ := s.ComputeCounts(); records != 0 {
 		t.Errorf("trace generations = %d, want 0 for a primed benchmark", records)
+	}
+}
+
+// TestSingleflightStep1SharedByProfiles: every two-step profile of one
+// profile input at one k starts from the suite's memoized step 1, so
+// 16 goroutines racing for the step 1, the default profile and all four
+// ablation-heuristic variants run step 1 once and each distinct profile
+// once (the 3-candidate/7-iteration variant is the default profile).
+func TestSingleflightStep1SharedByProfiles(t *testing.T) {
+	s := NewSuite(Config{BaseRecords: 4000})
+	const name = "gcc"
+	k := condK(abBudget)
+	heuristic := condGrids["ablation-heuristic"]
+	const hammer = 16
+
+	var wg sync.WaitGroup
+	errs := make(chan error, hammer*(2+len(heuristic.variants)))
+	for i := 0; i < hammer; i++ {
+		wg.Add(2 + len(heuristic.variants))
+		go func() {
+			defer wg.Done()
+			_, err := s.Step1(name, false, k)
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			_, err := s.Profile(name, false, k)
+			errs <- err
+		}()
+		for v := range heuristic.variants {
+			go func() {
+				defer wg.Done()
+				_, err := heuristic.mk(s, v, name)
+				errs <- err
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	records, step1, profiles := s.ComputeCounts()
+	if records != 1 {
+		t.Errorf("trace generations = %d, want 1", records)
+	}
+	if step1 != 1 {
+		t.Errorf("step-1 sweeps = %d, want 1 shared by every profile", step1)
+	}
+	if profiles != 4 {
+		t.Errorf("two-step profiles = %d, want 4 (default, 1/1, 3/3, 5/7)", profiles)
+	}
+}
+
+// TestColumnCellsDoNotReprofile: the grid cells whose constructors
+// profile (ablation-subset, ablation-heuristic, ablation-adaptivity)
+// take every profile from the suite's caches, so rebuilding the cells
+// and running every constructor again profiles nothing: no branch is
+// simulated and no artifact is computed.
+func TestColumnCellsDoNotReprofile(t *testing.T) {
+	s := NewSuite(Config{BaseRecords: 2000})
+	ids := []string{"ablation-subset", "ablation-heuristic", "ablation-adaptivity"}
+	round := func() {
+		for _, id := range ids {
+			cell, err := s.ColumnCell(context.Background(),
+				engine.Key{Class: engine.ClassCond, Trace: "gcc", ColumnID: id})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v, mk := range cell.Cond {
+				if _, err := mk(); err != nil {
+					t.Fatalf("%s variant %d: %v", id, v, err)
+				}
+			}
+		}
+	}
+	round()
+	branches := obs.BranchTotal()
+	records, step1, profiles := s.ComputeCounts()
+	round()
+	if d := obs.BranchTotal() - branches; d != 0 {
+		t.Errorf("second round simulated %d branches, want 0", d)
+	}
+	r2, s2, p2 := s.ComputeCounts()
+	if r2 != records || s2 != step1 || p2 != profiles {
+		t.Errorf("second round computed %d traces, %d step-1 sweeps, %d profiles; want none",
+			r2-records, s2-step1, p2-profiles)
 	}
 }

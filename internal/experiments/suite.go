@@ -124,8 +124,9 @@ type Suite struct {
 	mu        sync.Mutex
 	profBufs  map[string]*flight[[]trace.Record]
 	testBufs  map[string]*flight[[]trace.Record]
-	step1     map[cacheKey]*flight[profile.Step1Result]
-	profiles  map[cacheKey]*flight[*profile.Profile]
+	step1     map[cacheKey]*flight[*profile.Step1]
+	profiles  map[profileKey]*flight[*profile.Profile]
+	patterns  map[cacheKey]*flight[*profile.PatternProfile]
 	benchmark map[string]*workload.Benchmark
 	// skipped maps benchmark name → why its trace could not be
 	// ingested. Sweep experiments drop skipped benchmarks (benches);
@@ -141,10 +142,26 @@ type Suite struct {
 	computedProfiles atomic.Int64
 }
 
+// cacheKey names one step-1 sweep: the benchmark's profile input, the
+// branch class, the index width and the candidate lengths (in
+// fmt.Sprint form, defaults resolved).
 type cacheKey struct {
 	bench    string
 	indirect bool
 	k        uint
+	lengths  string
+}
+
+// profileKey names one two-step profile: its step 1 plus the step-2
+// settings, defaults resolved, so equal configurations spelled
+// differently share one flight.
+type profileKey struct {
+	cacheKey
+	candidates, iterations int
+}
+
+func step1Key(name string, indirect bool, cfg profile.Config) cacheKey {
+	return cacheKey{name, indirect, cfg.TableBits, fmt.Sprint(cfg.Lengths)}
 }
 
 // NewSuite returns an empty-cached suite.
@@ -153,8 +170,9 @@ func NewSuite(cfg Config) *Suite {
 		Cfg:       cfg,
 		profBufs:  map[string]*flight[[]trace.Record]{},
 		testBufs:  map[string]*flight[[]trace.Record]{},
-		step1:     map[cacheKey]*flight[profile.Step1Result]{},
-		profiles:  map[cacheKey]*flight[*profile.Profile]{},
+		step1:     map[cacheKey]*flight[*profile.Step1]{},
+		profiles:  map[profileKey]*flight[*profile.Profile]{},
+		patterns:  map[cacheKey]*flight[*profile.PatternProfile]{},
 		benchmark: map[string]*workload.Benchmark{},
 		skipped:   map[string]string{},
 	}
@@ -171,9 +189,9 @@ func NewSuite(cfg Config) *Suite {
 func (s *Suite) Engine() *engine.Engine { return s.eng }
 
 // ComputeCounts reports how many trace generations, step-1 sweeps, and
-// two-step profiles the suite has actually executed (cache misses, not
-// lookups). Under the singleflight caches each key computes exactly once
-// however many goroutines ask for it.
+// profiles (two-step and pattern-history) the suite has actually
+// executed (cache misses, not lookups). Under the singleflight caches
+// each key computes exactly once however many goroutines ask for it.
 func (s *Suite) ComputeCounts() (records, step1, profiles int64) {
 	return s.computedRecords.Load(), s.computedStep1.Load(), s.computedProfiles.Load()
 }
@@ -308,18 +326,24 @@ func (s *Suite) records(name string, profileInput bool) ([]trace.Record, error) 
 }
 
 // Step1 returns the cached step-1 sweep (all 32 fixed lengths, private
-// tables) of one benchmark's profile input at index width k. Concurrent
-// callers for the same key share a single computation.
-func (s *Suite) Step1(name string, indirect bool, k uint) (profile.Step1Result, error) {
-	f := getFlight(&s.mu, s.step1, cacheKey{name, indirect, k})
-	return f.do(func() (profile.Step1Result, error) {
+// tables) of one benchmark's profile input at index width k, per-branch
+// candidate rankings included, so every two-step profile of that input
+// at that k starts from it instead of recomputing it. Concurrent callers for the
+// same key share a single computation.
+func (s *Suite) Step1(name string, indirect bool, k uint) (*profile.Step1, error) {
+	return s.step1For(name, indirect, profile.Config{TableBits: k}.Resolved())
+}
+
+// step1For is Step1 for any candidate set; cfg must be resolved.
+func (s *Suite) step1For(name string, indirect bool, cfg profile.Config) (*profile.Step1, error) {
+	f := getFlight(&s.mu, s.step1, step1Key(name, indirect, cfg))
+	return f.do(func() (*profile.Step1, error) {
 		src, err := s.ProfileSource(name)
 		if err != nil {
-			return profile.Step1Result{}, err
+			return nil, err
 		}
 		s.computedStep1.Add(1)
-		_, agg, err := profile.BestFixedLength(src, profile.Config{TableBits: k}, indirect)
-		return agg, err
+		return profile.RunStep1(src, cfg, indirect)
 	})
 }
 
@@ -329,19 +353,43 @@ func (s *Suite) Step1(name string, indirect bool, k uint) (profile.Step1Result, 
 // artifact the suite produces, so duplicate passes are the first thing
 // a parallel sweep would otherwise burn time on.
 func (s *Suite) Profile(name string, indirect bool, k uint) (*profile.Profile, error) {
-	f := getFlight(&s.mu, s.profiles, cacheKey{name, indirect, k})
+	return s.profileFor(name, indirect, profile.Config{TableBits: k})
+}
+
+// profileFor returns the cached two-step profile of one benchmark under
+// any profile configuration. Step 2 runs from the cached step 1 of the
+// same candidate set, so profiles that differ only in their step-2
+// settings share one step 1.
+func (s *Suite) profileFor(name string, indirect bool, cfg profile.Config) (*profile.Profile, error) {
+	cfg = cfg.Resolved()
+	key := profileKey{step1Key(name, indirect, cfg), cfg.Candidates, cfg.Iterations}
+	f := getFlight(&s.mu, s.profiles, key)
 	return f.do(func() (*profile.Profile, error) {
+		s1, err := s.step1For(name, indirect, cfg)
+		if err != nil {
+			return nil, err
+		}
 		src, err := s.ProfileSource(name)
 		if err != nil {
 			return nil, err
 		}
 		s.computedProfiles.Add(1)
-		var p *profile.Profile
-		if indirect {
-			p, _, err = profile.Indirect(src, profile.Config{TableBits: k})
-		} else {
-			p, _, err = profile.Cond(src, profile.Config{TableBits: k})
+		return profile.RunStep2(src, cfg, indirect, s1)
+	})
+}
+
+// patternProfile returns the cached elastic-history (pattern length)
+// profile of one benchmark at index width k; ComputeCounts counts it
+// with the two-step profiles.
+func (s *Suite) patternProfile(name string, k uint) (*profile.PatternProfile, error) {
+	f := getFlight(&s.mu, s.patterns, cacheKey{bench: name, k: k})
+	return f.do(func() (*profile.PatternProfile, error) {
+		src, err := s.ProfileSource(name)
+		if err != nil {
+			return nil, err
 		}
+		s.computedProfiles.Add(1)
+		p, _, err := profile.PatternCond(src, profile.Config{TableBits: k})
 		return p, err
 	})
 }
@@ -361,7 +409,7 @@ func (s *Suite) SuiteFixedLength(bs []*workload.Benchmark, indirect bool, k uint
 		if r.Total == 0 {
 			continue // benchmark executes no branches of this class
 		}
-		results = append(results, r)
+		results = append(results, r.Step1Result)
 	}
 	if len(results) == 0 {
 		return 0, fmt.Errorf("experiments: no benchmark executed branches for the sweep")

@@ -2,11 +2,14 @@ package profile
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/bpred/counter"
+	"repro/internal/engine/pool"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vlp"
@@ -125,14 +128,45 @@ func refStep1Indirect(src trace.Source, k uint, n int, lengths []int) (map[arch.
 	return perPC, correct, total
 }
 
-// TestStep1FlatMatchesMapReference pins the interned flat-array step 1
-// (including its worker-pool sharding and column merge) to the map-based
-// reference, count for count, for both branch classes.
+// refRanking is the reference ranking of one branch's per-length correct
+// counts: candidate indices by count, most first, stable on ties.
+func refRanking(correct []int64) []uint8 {
+	idx := make([]uint8, len(correct))
+	for i := range idx {
+		idx[i] = uint8(i)
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return correct[idx[a]] > correct[idx[b]] })
+	return idx
+}
+
+// step1Configs are the step-1 differential inputs: narrow, middling
+// and wide tables, the cheaper hash-function subset of §3.1, and a
+// shallower THB.
+var step1Configs = []Config{
+	{TableBits: 1},
+	{TableBits: 9},
+	{TableBits: 17},
+	{TableBits: 9, Lengths: []int{1, 2, 4, 8, 16, 32}},
+	{TableBits: 9, MaxPath: 8},
+}
+
+// poolCaps are the worker-pool ceilings the differentials run under:
+// sequential, and sharded with uneven chunks.
+var poolCaps = []int{1, 3}
+
+func withPoolCap(t *testing.T, n int) {
+	t.Helper()
+	pool.SetCap(n)
+	t.Cleanup(func() { pool.SetCap(0) })
+}
+
+// TestStep1FlatMatchesMapReference pins the tape-driven step 1
+// (including its worker-pool sharding, per-worker table reuse and
+// column merge) to the map-based reference — aggregate counts, and each
+// branch's candidate ranking by its counts — for both branch classes
+// across table widths, candidate sets and pool sizes.
 func TestStep1FlatMatchesMapReference(t *testing.T) {
 	buf := profileFixture(11, 6000)
-	const k, n = 10, 32
-	lengths := Config{TableBits: k}.lengths()
-
 	for _, class := range []struct {
 		name     string
 		indirect bool
@@ -141,27 +175,35 @@ func TestStep1FlatMatchesMapReference(t *testing.T) {
 		{"cond", false, refStep1Cond},
 		{"indirect", true, refStep1Indirect},
 	} {
-		wantPerPC, wantCorrect, wantTotal := class.ref(buf, k, n, lengths)
-
-		recIDs, pcs, scored := internPCs(buf.Records, class.indirect)
-		counts, correct, err := step1Flat(buf.Records, recIDs, len(pcs), class.indirect, k, n, lengths)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if scored != wantTotal {
-			t.Errorf("%s: scored %d branches, reference scored %d", class.name, scored, wantTotal)
-		}
-		if !reflect.DeepEqual(correct, wantCorrect) {
-			t.Errorf("%s: aggregate correct counts diverge:\n flat %v\n ref  %v", class.name, correct, wantCorrect)
-		}
-		if len(pcs) != len(wantPerPC) {
-			t.Fatalf("%s: interned %d PCs, reference saw %d", class.name, len(pcs), len(wantPerPC))
-		}
-		w := len(lengths)
-		for id, pc := range pcs {
-			if !reflect.DeepEqual(counts[id*w:(id+1)*w], wantPerPC[pc]) {
-				t.Errorf("%s: PC %v per-length counts diverge:\n flat %v\n ref  %v",
-					class.name, pc, counts[id*w:(id+1)*w], wantPerPC[pc])
+		for _, cfg := range step1Configs {
+			lengths := cfg.lengths()
+			wantPerPC, wantCorrect, wantTotal := class.ref(buf, cfg.TableBits, cfg.maxPath(), lengths)
+			for _, workers := range poolCaps {
+				name := fmt.Sprintf("%s/k=%d/lengths=%v/workers=%d", class.name, cfg.TableBits, lengths, workers)
+				withPoolCap(t, workers)
+				s1, err := RunStep1(buf, cfg, class.indirect)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if s1.Total != wantTotal {
+					t.Errorf("%s: scored %d branches, reference scored %d", name, s1.Total, wantTotal)
+				}
+				if !reflect.DeepEqual(s1.Lengths, lengths) || s1.TableBits != cfg.TableBits || s1.Indirect != class.indirect {
+					t.Errorf("%s: step 1 labelled lengths %v k=%d indirect=%v", name, s1.Lengths, s1.TableBits, s1.Indirect)
+				}
+				if !reflect.DeepEqual(s1.Correct, wantCorrect) {
+					t.Errorf("%s: aggregate correct counts diverge:\n flat %v\n ref  %v", name, s1.Correct, wantCorrect)
+				}
+				if len(s1.PCs) != len(wantPerPC) {
+					t.Fatalf("%s: interned %d PCs, reference saw %d", name, len(s1.PCs), len(wantPerPC))
+				}
+				w := len(lengths)
+				for id, pc := range s1.PCs {
+					if want := refRanking(wantPerPC[pc]); !reflect.DeepEqual(s1.Ranks[id*w:(id+1)*w], want) {
+						t.Errorf("%s: PC %v candidate ranking diverges:\n flat %v\n ref  %v (counts %v)",
+							name, pc, s1.Ranks[id*w:(id+1)*w], want, wantPerPC[pc])
+					}
+				}
 			}
 		}
 	}
@@ -268,45 +310,85 @@ func refTwoStepIndirect(src trace.Source, cfg Config) (*Profile, error) {
 	return &Profile{Kind: "indirect", TableBits: k, Lengths: final, Default: def}, nil
 }
 
-// TestTwoStepMatchesReference is the end-to-end flat-array differential:
-// the production Cond/Indirect heuristics — interned ids, flat count
-// matrices, the devirtualised step-2 kernel — must emit exactly the
-// Profile the reference implementation built from public predictors does.
+// TestTwoStepMatchesReference is the end-to-end differential: the
+// production Cond/Indirect heuristics — one index tape, flat count
+// matrices, devirtualised step-2 passes — must emit exactly the Profile
+// the reference implementation built from public predictors does,
+// across table widths, candidate sets, candidate/iteration settings and
+// pool sizes. Two-step built from a separately computed step 1
+// (RunStep1 then RunStep2) must equal Cond/Indirect exactly, and a step
+// 1 of the wrong class, k, lengths or input must be rejected.
 func TestTwoStepMatchesReference(t *testing.T) {
 	buf := profileFixture(23, 4000)
-	cfg := Config{TableBits: 9}
+	configs := append(append([]Config(nil), step1Configs...),
+		Config{TableBits: 9, Candidates: 1, Iterations: 1},
+		Config{TableBits: 9, Candidates: 5, Iterations: 7},
+	)
+	for _, class := range []struct {
+		name     string
+		indirect bool
+		run      func(trace.Source, Config) (*Profile, Step1Result, error)
+		ref      func(trace.Source, Config) (*Profile, error)
+	}{
+		{"cond", false, Cond, refTwoStepCond},
+		{"indirect", true, Indirect, refTwoStepIndirect},
+	} {
+		for _, cfg := range configs {
+			want, err := class.ref(buf, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range poolCaps {
+				name := fmt.Sprintf("%s/%+v/workers=%d", class.name, cfg, workers)
+				withPoolCap(t, workers)
+				got, agg, err := class.run(buf, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: profiles diverge:\n flat %+v\n ref  %+v", name, got, want)
+				}
+				if agg.Total == 0 {
+					t.Errorf("%s: step-1 aggregate empty", name)
+				}
 
-	got, agg, err := Cond(buf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := refTwoStepCond(buf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Default != want.Default {
-		t.Errorf("cond: Default = %d, reference %d", got.Default, want.Default)
-	}
-	if !reflect.DeepEqual(got.Lengths, want.Lengths) {
-		t.Errorf("cond: assignments diverge:\n flat %v\n ref  %v", got.Lengths, want.Lengths)
-	}
-	if agg.Total == 0 {
-		t.Error("cond: step-1 aggregate empty")
+				s1, err := RunStep1(buf, cfg, class.indirect)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !reflect.DeepEqual(s1.Step1Result, agg) {
+					t.Errorf("%s: RunStep1 aggregate %+v, two-step reported %+v", name, s1.Step1Result, agg)
+				}
+				memo, err := RunStep2(buf, cfg, class.indirect, s1)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !reflect.DeepEqual(memo, got) {
+					t.Errorf("%s: two-step from a memoized step 1 diverges:\n memo %+v\n full %+v", name, memo, got)
+				}
+			}
+		}
 	}
 
-	gi, _, err := Indirect(buf, cfg)
+	s1, err := RunStep1(buf, Config{TableBits: 9}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wi, err := refTwoStepIndirect(buf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gi.Default != wi.Default {
-		t.Errorf("indirect: Default = %d, reference %d", gi.Default, wi.Default)
-	}
-	if !reflect.DeepEqual(gi.Lengths, wi.Lengths) {
-		t.Errorf("indirect: assignments diverge:\n flat %v\n ref  %v", gi.Lengths, wi.Lengths)
+	for _, bad := range []struct {
+		name     string
+		src      trace.Source
+		cfg      Config
+		indirect bool
+	}{
+		{"class", buf, Config{TableBits: 9}, true},
+		{"k", buf, Config{TableBits: 10}, false},
+		{"lengths", buf, Config{TableBits: 9, Lengths: []int{1, 2, 4, 8, 16, 32}}, false},
+		{"maxpath", buf, Config{TableBits: 9, MaxPath: 8}, false},
+		{"input", profileFixture(24, 4000), Config{TableBits: 9}, false},
+	} {
+		if _, err := RunStep2(bad.src, bad.cfg, bad.indirect, s1); err == nil {
+			t.Errorf("RunStep2 accepted a step 1 with the wrong %s", bad.name)
+		}
 	}
 }
 

@@ -32,6 +32,9 @@ func PatternCond(src trace.Source, cfg Config) (*PatternProfile, Step1Result, er
 			lengths[i] = i
 		}
 	}
+	if len(lengths) > maxLengths {
+		return nil, Step1Result{}, fmt.Errorf("profile: %d candidate history lengths, at most %d", len(lengths), maxLengths)
+	}
 	for _, l := range lengths {
 		if l < 0 || l > int(cfg.TableBits) {
 			return nil, Step1Result{}, fmt.Errorf("profile: history bits %d out of range 0..%d", l, cfg.TableBits)

@@ -17,9 +17,8 @@
 package profile
 
 import (
-	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/bpred"
@@ -82,11 +81,26 @@ func (c Config) iterations() int {
 	return c.Iterations
 }
 
+// Resolved returns c with every default filled in, so two spellings of
+// one configuration compare equal (callers key memoized profiles by it).
+func (c Config) Resolved() Config {
+	return Config{
+		TableBits:  c.TableBits,
+		MaxPath:    c.maxPath(),
+		Lengths:    c.lengths(),
+		Candidates: c.candidates(),
+		Iterations: c.iterations(),
+	}
+}
+
 func (c Config) validate() error {
 	if c.TableBits < 1 || c.TableBits > 32 {
 		return fmt.Errorf("profile: table bits %d out of range 1..32", c.TableBits)
 	}
 	mp := c.maxPath()
+	if n := len(c.lengths()); n == 0 || n > maxLengths {
+		return fmt.Errorf("profile: %d candidate lengths, want 1..%d", n, maxLengths)
+	}
 	for _, l := range c.lengths() {
 		if l < 1 || l > mp {
 			return fmt.Errorf("profile: candidate length %d out of range 1..%d", l, mp)
@@ -147,22 +161,58 @@ func (s Step1Result) BestLength() int {
 	return best
 }
 
+// maxLengths bounds the candidate set, so a candidate's index fits the
+// byte each rank entry of Step1 holds.
+const maxLengths = 256
+
+// rankCandidates fills rank with the candidate indices ordered by correct
+// count, most correct first. The insertion sort is stable, so ties keep
+// candidate order (the shorter length first, for ascending lengths).
+func rankCandidates(correct []int64, rank []uint8) {
+	for i := range rank {
+		rank[i] = uint8(i)
+		for j := i; j > 0 && correct[rank[j-1]] < correct[rank[j]]; j-- {
+			rank[j-1], rank[j] = rank[j], rank[j-1]
+		}
+	}
+}
+
+// rankedLengths returns the lengths of the first n ranked candidates.
+func rankedLengths(lengths []int, rank []uint8, n int) []int {
+	out := make([]int, min(n, len(rank)))
+	for i := range out {
+		out[i] = lengths[rank[i]]
+	}
+	return out
+}
+
 // topCandidates returns, for one branch's per-length correct counts, the
 // candidate lengths ranked by correctness (ties to shorter), at most n.
 func topCandidates(lengths []int, correct []int64, n int) []int {
-	idx := make([]int, len(lengths))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return correct[idx[a]] > correct[idx[b]] })
-	if len(idx) > n {
-		idx = idx[:n]
-	}
-	out := make([]int, len(idx))
-	for i, j := range idx {
-		out[i] = lengths[j]
-	}
-	return out
+	rank := make([]uint8, len(lengths))
+	rankCandidates(correct, rank)
+	return rankedLengths(lengths, rank, n)
+}
+
+// Step1 is step 1's whole output on one profile input: the aggregate
+// per-length accuracy plus each branch's candidates ranked by its correct
+// counts, which is all step 2 reads of them. It holds no table indices
+// and one byte per branch and candidate, so it is small enough to
+// memoize: callers that profile one input at one k with several step-2
+// settings run step 1 once and pass it to RunStep2.
+type Step1 struct {
+	Step1Result
+	// Indirect reports the branch class the sweep scored.
+	Indirect bool
+	// TableBits is the index width k the sweep ran at.
+	TableBits uint
+	// PCs are the scored static branches in first-sight order.
+	PCs []arch.Addr
+	// Ranks holds each branch's candidate indices (into Lengths) ranked
+	// by its correct count, most correct first, ties to the earlier
+	// candidate: len(PCs)×len(Lengths), row-major by branch (the order
+	// of PCs).
+	Ranks []uint8
 }
 
 // Cond runs the full two-step heuristic for conditional branches on the
@@ -177,22 +227,94 @@ func Indirect(src trace.Source, cfg Config) (*Profile, Step1Result, error) {
 	return twoStep(src, cfg, true)
 }
 
+// RunStep1 runs step 1 alone: one fixed length path predictor per
+// candidate length, each with a private table, over the profile input.
+func RunStep1(src trace.Source, cfg Config, indirect bool) (*Step1, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	t, err := newTape(asRecords(src), indirect, cfg.TableBits, cfg.lengths())
+	if err != nil {
+		return nil, err
+	}
+	return t.step1(), nil
+}
+
+// RunStep2 runs step 2 on the profile input from a step 1 already
+// computed on that same input, so a memoized step 1 is not recomputed.
+// s1 must match the class, TableBits and candidate lengths of cfg; a
+// mismatch, or a step 1 computed on a different input, is an error.
+func RunStep2(src trace.Source, cfg Config, indirect bool, s1 *Step1) (*Profile, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if s1.Indirect != indirect || s1.TableBits != cfg.TableBits || !slices.Equal(s1.Lengths, cfg.lengths()) {
+		return nil, fmt.Errorf("profile: step 1 (%s, k=%d, lengths %v) does not match the step-2 config (%s, k=%d, lengths %v)",
+			kindName(s1.Indirect), s1.TableBits, s1.Lengths, kindName(indirect), cfg.TableBits, cfg.lengths())
+	}
+	if len(s1.Ranks) != len(s1.PCs)*len(s1.Lengths) {
+		return nil, fmt.Errorf("profile: step 1 holds %d ranks for %d branches × %d lengths",
+			len(s1.Ranks), len(s1.PCs), len(s1.Lengths))
+	}
+	t, err := newTape(asRecords(src), indirect, cfg.TableBits, s1.Lengths)
+	if err != nil {
+		return nil, err
+	}
+	if scored, pcs := t.branches(); int64(scored) != s1.Total || !slices.Equal(pcs, s1.PCs) {
+		return nil, fmt.Errorf("profile: step 1 was computed on a different profile input")
+	}
+	return t.step2(cfg, s1, s1.candidates(cfg.candidates())), nil
+}
+
+// twoStep is the shared driver behind Cond and Indirect: one tape feeds
+// both steps.
+func twoStep(src trace.Source, cfg Config, indirect bool) (*Profile, Step1Result, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, Step1Result{}, err
+	}
+	t, err := newTape(asRecords(src), indirect, cfg.TableBits, cfg.lengths())
+	if err != nil {
+		return nil, Step1Result{}, err
+	}
+	s1 := t.step1()
+	return t.step2(cfg, s1, s1.candidates(cfg.candidates())), s1.Step1Result, nil
+}
+
+func kindName(indirect bool) string {
+	if indirect {
+		return "indirect"
+	}
+	return "cond"
+}
+
+// candidates returns every branch's top n candidate lengths, by dense id.
+func (s *Step1) candidates(n int) [][]int {
+	w := len(s.Lengths)
+	cands := make([][]int, len(s.PCs))
+	for id := range cands {
+		cands[id] = rankedLengths(s.Lengths, s.Ranks[id*w:(id+1)*w], n)
+	}
+	return cands
+}
+
 // --- Hot-path kernels -----------------------------------------------------
 //
-// Both steps replay the profile input many times (once per candidate hash
-// function in step 1, once per iteration in step 2), so the replay loops
-// are the pipeline's cost. Three structural choices keep them cheap:
+// Both steps replay the profile input many times (once per candidate
+// hash function in step 1, once per iteration in step 2), so the replay
+// loops are the pipeline's cost. The index I_X at a branch depends only
+// on the input and on k, not on which predictor reads it — the paper's
+// hardware shares one THB across all N hash functions (§3.1, §4.1) — so
+// each profiling call runs the THB once, into an index tape, and every
+// pass reads its indices from the tape:
 //
-//   - the input is materialised once into a record slice and every pass
-//     iterates it directly — no Source.Next interface call per record;
-//   - static branches are interned into dense ids up front (one map
-//     lookup per record, once), so every pass indexes flat arrays
-//     instead of touching a map per dynamic branch;
-//   - step 1's per-candidate predictors are independent by construction
-//     (private tables, private THB replay), so the candidate set is
-//     sharded across the engine's worker pool (engine/pool), each worker
-//     replaying
-//     the shared record slice against its private table subset.
+//   - static branches are interned into dense ids up front, so every
+//     pass indexes flat arrays instead of touching a map per branch;
+//   - step 1 runs one candidate at a time over its contiguous tape row;
+//     the candidates are sharded across the engine's worker pool
+//     (engine/pool), and each worker reuses one table for every
+//     candidate of its shard;
+//   - each step-2 iteration is one pass over the tape plus one table,
+//     reused across iterations.
 
 // asRecords exposes the record slice behind src, materialising non-buffer
 // sources once so every profiling pass can iterate the slice directly.
@@ -234,255 +356,283 @@ func internPCs(recs []trace.Record, indirect bool) (recIDs []int32, pcs []arch.A
 	return recIDs, pcs, scored
 }
 
-func maxLength(lengths []int) int {
-	max := 0
-	for _, l := range lengths {
-		if l > max {
-			max = l
-		}
-	}
-	return max
+// indexTape is an index tape of either element width.
+type indexTape interface {
+	step1() *Step1
+	step2(cfg Config, s1 *Step1, cands [][]int) *Profile
+	// branches reports the scored dynamic branches and the interned
+	// static branches.
+	branches() (scored int, pcs []arch.Addr)
 }
 
-// step1CondKernel replays recs against one private FLP counter table per
-// candidate length in sub, accumulating per-(branch,length) correct counts
-// into a flat numPCs×len(sub) matrix. The worker's hash bank is bounded to
-// the deepest length it evaluates.
-func step1CondKernel(recs []trace.Record, recIDs []int32, numPCs int, k uint, n int, sub []int) (counts, correct []int64, err error) {
-	hs, err := vlp.NewHashSet(k, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	hs.SetMaxNeeded(maxLength(sub))
-	tables := make([]*counter.Array, len(sub))
-	for i := range tables {
-		tables[i] = counter.NewArray(1<<k, 2, 1)
-	}
-	w := len(sub)
-	counts = make([]int64, numPCs*w)
-	correct = make([]int64, w)
-	for j := range recs {
-		r := &recs[j]
-		if id := recIDs[j]; id >= 0 {
-			row := counts[int(id)*w : int(id)*w+w]
-			for i, l := range sub {
-				idx := int(hs.Index(l))
-				if tables[i].Taken(idx) == r.Taken {
-					row[i]++
-					correct[i]++
-				}
-				tables[i].Train(idx, r.Taken)
-			}
-		}
-		if r.Kind.RecordsInTHB() {
-			hs.Insert(r.Next)
-		}
-	}
-	return counts, correct, nil
+// index is a tape element: uint16 when every index fits (k <= 16),
+// which halves the tape, else uint32.
+type index interface{ uint16 | uint32 }
+
+// tape is the profile input as the predictors see it: for every scored
+// record s, the branch's dense id, its outcome, and the index
+// I_lengths[r] of every requested length r, stored length-major
+// (idx[r*len(ids)+s]) so a step-1 candidate reads one contiguous row.
+// It is built by one vlp.HashSet pass. A tape grows with the profile
+// input (S × |lengths| indices) where the tables it replaces grow only
+// with k, so it lives only for the profiling call that built it and is
+// never cached.
+type tape[T index] struct {
+	indirect bool
+	k        uint
+	lengths  []int
+	rowOf    []int // rowOf[l] is length l's row, -1 when not recorded
+	ids      []int32
+	taken    []bool      // cond outcomes
+	next     []arch.Addr // indirect outcomes
+	pcs      []arch.Addr
+	idx      []T
 }
 
-// step1IndirectKernel is step1CondKernel for the indirect class: private
-// target-register tables, last-target-match scoring.
-func step1IndirectKernel(recs []trace.Record, recIDs []int32, numPCs int, k uint, n int, sub []int) (counts, correct []int64, err error) {
-	hs, err := vlp.NewHashSet(k, n)
-	if err != nil {
-		return nil, nil, err
+func newTape(recs []trace.Record, indirect bool, k uint, lengths []int) (indexTape, error) {
+	if k <= 16 {
+		return buildTape[uint16](recs, indirect, k, lengths)
 	}
-	hs.SetMaxNeeded(maxLength(sub))
-	tables := make([][]uint32, len(sub))
-	for i := range tables {
-		tables[i] = make([]uint32, 1<<k)
-	}
-	w := len(sub)
-	counts = make([]int64, numPCs*w)
-	correct = make([]int64, w)
-	for j := range recs {
-		r := &recs[j]
-		if id := recIDs[j]; id >= 0 {
-			row := counts[int(id)*w : int(id)*w+w]
-			target := uint32(r.Next)
-			for i, l := range sub {
-				idx := hs.Index(l)
-				if tables[i][idx] == target {
-					row[i]++
-					correct[i]++
-				}
-				tables[i][idx] = target
-			}
-		}
-		if r.Kind.RecordsInTHB() {
-			hs.Insert(r.Next)
-		}
-	}
-	return counts, correct, nil
+	return buildTape[uint32](recs, indirect, k, lengths)
 }
 
-// step1Flat runs the step-1 sweep over all candidate lengths, sharding the
-// candidate set across a worker pool when the machine has one to offer.
-// The returned matrix is numPCs×len(lengths), row-major by dense id, with
-// columns in candidate order — bit-identical to a sequential sweep, since
-// each candidate's predictor is private either way.
-func step1Flat(recs []trace.Record, recIDs []int32, numPCs int, indirect bool, k uint, n int, lengths []int) (counts, correct []int64, err error) {
-	kernel := step1CondKernel
-	if indirect {
-		kernel = step1IndirectKernel
-	}
-	w := len(lengths)
-	workers := pool.Size(w)
-	if workers <= 1 {
-		return kernel(recs, recIDs, numPCs, k, n, lengths)
-	}
-	type shard struct {
-		off             int
-		sub             []int
-		counts, correct []int64
-	}
-	shards := make([]shard, 0, workers)
-	for i := 0; i < workers; i++ {
-		lo, hi := i*w/workers, (i+1)*w/workers
-		if lo < hi {
-			shards = append(shards, shard{off: lo, sub: lengths[lo:hi]})
-		}
-	}
-	if err := pool.ForEach(context.Background(), len(shards), func(i int) error {
-		s := &shards[i]
-		var err error
-		s.counts, s.correct, err = kernel(recs, recIDs, numPCs, k, n, s.sub)
-		return err
-	}); err != nil {
-		return nil, nil, err
-	}
-	counts = make([]int64, numPCs*w)
-	correct = make([]int64, w)
-	for _, s := range shards {
-		sw := len(s.sub)
-		copy(correct[s.off:s.off+sw], s.correct)
-		for id := 0; id < numPCs; id++ {
-			copy(counts[id*w+s.off:id*w+s.off+sw], s.counts[id*sw:(id+1)*sw])
-		}
-	}
-	return counts, correct, nil
-}
-
-// twoStep is the shared driver behind Cond and Indirect.
-func twoStep(src trace.Source, cfg Config, indirect bool) (*Profile, Step1Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, Step1Result{}, err
-	}
-	lengths := cfg.lengths()
-	k, n := cfg.TableBits, cfg.maxPath()
-	kind := "cond"
-	if indirect {
-		kind = "indirect"
-	}
-
-	recs := asRecords(src)
+func buildTape[T index](recs []trace.Record, indirect bool, k uint, lengths []int) (*tape[T], error) {
 	recIDs, pcs, scored := internPCs(recs, indirect)
-
-	// --- Step 1: one FLP predictor per candidate, private tables. ---
-	counts, correct, err := step1Flat(recs, recIDs, len(pcs), indirect, k, n, lengths)
+	maxL := slices.Max(lengths)
+	t := &tape[T]{indirect: indirect, k: k, lengths: lengths, rowOf: make([]int, maxL+1), pcs: pcs}
+	for l := range t.rowOf {
+		t.rowOf[l] = -1
+	}
+	for r, l := range lengths {
+		t.rowOf[l] = r
+	}
+	hs, err := vlp.NewHashSet(k, maxL)
 	if err != nil {
-		return nil, Step1Result{}, err
+		return nil, err
 	}
-	agg := Step1Result{
-		Lengths: append([]int(nil), lengths...),
-		Correct: correct,
-		Total:   scored,
+	n := int(scored)
+	t.ids = make([]int32, n)
+	t.idx = make([]T, len(lengths)*n)
+	if indirect {
+		t.next = make([]arch.Addr, n)
+	} else {
+		t.taken = make([]bool, n)
 	}
-	obs.CountBranches(agg.Total)
-
+	// Indices are gathered record-major into a small block, then
+	// written out row by row, so the tape is filled by contiguous runs
+	// rather than one scattered write per row per record.
+	const block = 256
 	w := len(lengths)
-	cands := make([][]int, len(pcs))
-	for id := range pcs {
-		cands[id] = topCandidates(lengths, counts[id*w:(id+1)*w], cfg.candidates())
+	buf := make([]T, block*w)
+	flush := func(end int) {
+		base := end - (end-1)%block - 1
+		for row := 0; row < w; row++ {
+			dst := t.idx[row*n+base : row*n+end]
+			for b := range dst {
+				dst[b] = buf[b*w+row]
+			}
+		}
 	}
-	def := agg.BestLength()
+	s := 0
+	for j := range recs {
+		r := &recs[j]
+		if id := recIDs[j]; id >= 0 {
+			t.ids[s] = id
+			if indirect {
+				t.next[s] = r.Next
+			} else {
+				t.taken[s] = r.Taken
+			}
+			b, regs := buf[s%block*w:s%block*w+w], hs.Indices()
+			for row, l := range lengths {
+				b[row] = T(regs[l-1])
+			}
+			s++
+			if s%block == 0 {
+				flush(s)
+			}
+		}
+		if r.Kind.RecordsInTHB() {
+			hs.Insert(r.Next)
+		}
+	}
+	if s%block != 0 {
+		flush(s)
+	}
+	return t, nil
+}
 
-	// --- Step 2: iterate the shared-table VLP simulation. ---
-	// The test input of each pass is the profile input itself, so every
-	// profiled branch executes in every pass: the candidate chosen for a
-	// branch always has its misprediction count written back (untested
-	// candidates keep their implicit zero, matching the paper's
-	// initialisation, so they are tried first in candidate rank order).
-	record := make([][]int64, len(pcs)) // per branch, per candidate: fewest misses seen
+func (t *tape[T]) branches() (int, []arch.Addr) { return len(t.ids), t.pcs }
+
+// row returns the indices of tape row r.
+func (t *tape[T]) row(r int) []T {
+	n := len(t.ids)
+	return t.idx[r*n : (r+1)*n]
+}
+
+// step1 runs one FLP predictor per tape row, each on a table of 2^k
+// entries. The rows are sharded into contiguous chunks across the worker
+// pool; a worker reuses one table and one count column for every
+// candidate of its chunk and copies each finished column into its own
+// cells of the count matrix, so the result is bit-identical to a
+// sequential sweep at any pool size. The matrix is then reduced to each
+// branch's ranking.
+func (t *tape[T]) step1() *Step1 {
+	w := len(t.lengths)
+	s1 := &Step1{
+		Step1Result: Step1Result{
+			Lengths: append([]int(nil), t.lengths...),
+			Correct: make([]int64, w),
+			Total:   int64(len(t.ids)),
+		},
+		Indirect:  t.indirect,
+		TableBits: t.k,
+		PCs:       t.pcs,
+		Ranks:     make([]uint8, len(t.pcs)*w),
+	}
+	counts := make([]int64, len(t.pcs)*w)
+	workers := pool.Size(w)
+	pool.Fan(workers, workers, func(shard int) {
+		lo, hi := shard*w/workers, (shard+1)*w/workers
+		col := make([]int64, len(t.pcs))
+		var (
+			pht *counter.Array
+			reg []uint32
+		)
+		if t.indirect {
+			reg = make([]uint32, 1<<t.k)
+		} else {
+			pht = counter.NewArray(1<<t.k, 2, 1)
+		}
+		for i := lo; i < hi; i++ {
+			clear(col)
+			if t.indirect {
+				clear(reg)
+				s1.Correct[i] = flpIndirect(t.row(i), t.ids, t.next, reg, col)
+			} else {
+				pht.Reset(1)
+				s1.Correct[i] = flpCond(t.row(i), t.ids, t.taken, pht, col)
+			}
+			for id, c := range col {
+				counts[id*w+i] = c
+			}
+		}
+	})
+	for id := range t.pcs {
+		rankCandidates(counts[id*w:(id+1)*w], s1.Ranks[id*w:(id+1)*w])
+	}
+	obs.CountBranches(s1.Total)
+	return s1
+}
+
+// flpCond replays one fixed length path predictor for conditionals over
+// its tape row, adding each correct prediction to its branch's entry of
+// col, and returns the total correct.
+func flpCond[T index](row []T, ids []int32, taken []bool, pht *counter.Array, col []int64) (correct int64) {
+	ids, taken = ids[:len(row)], taken[:len(row)]
+	for s, ix := range row {
+		i, tk := int(ix), taken[s]
+		if pht.Taken(i) == tk {
+			col[ids[s]]++
+			correct++
+		}
+		pht.Train(i, tk)
+	}
+	return correct
+}
+
+// flpIndirect is flpCond for the indirect class: target registers,
+// last-target-match scoring on the low 32 target bits.
+func flpIndirect[T index](row []T, ids []int32, next []arch.Addr, reg []uint32, col []int64) (correct int64) {
+	ids, next = ids[:len(row)], next[:len(row)]
+	for s, ix := range row {
+		target := uint32(next[s])
+		if reg[ix] == target {
+			col[ids[s]]++
+			correct++
+		}
+		reg[ix] = target
+	}
+	return correct
+}
+
+// step2 iterates the shared-table VLP simulation over the tape. The test
+// input of each pass is the profile input itself, so every profiled
+// branch executes in every pass: the candidate chosen for a branch
+// always has its misprediction count written back (untested candidates
+// keep their implicit zero, matching the paper's initialisation, so they
+// are tried first in candidate rank order).
+func (t *tape[T]) step2(cfg Config, s1 *Step1, cands [][]int) *Profile {
+	n := len(t.ids)
+	record := make([][]int64, len(cands)) // per branch, per candidate: fewest misses seen
 	for id := range record {
 		record[id] = make([]int64, len(cands[id]))
 	}
-	chosen := make([]int, len(pcs))
-	assign := make([]int, len(pcs))
+	chosen := make([]int, len(cands))
+	off := make([]int, len(cands)) // tape offset of each branch's assigned row
+	misses := make([]int64, len(cands))
+	var (
+		pht *counter.Array
+		reg []uint32
+	)
+	if t.indirect {
+		reg = make([]uint32, 1<<t.k)
+	} else {
+		pht = counter.NewArray(1<<t.k, 2, 1)
+	}
 	for iter := 0; iter < cfg.iterations(); iter++ {
 		for id := range cands {
 			ci := argmin(record[id])
 			chosen[id] = ci
-			assign[id] = cands[id][ci]
+			off[id] = t.rowOf[cands[id][ci]] * n
 		}
-		misses, err := simulateVLPFlat(recs, recIDs, assign, indirect, k, n)
-		if err != nil {
-			return nil, Step1Result{}, err
+		clear(misses)
+		if t.indirect {
+			clear(reg)
+			vlpIndirect(t, off, reg, misses)
+		} else {
+			pht.Reset(1)
+			vlpCond(t, off, pht, misses)
 		}
+		obs.CountBranches(int64(n))
 		for id, ci := range chosen {
 			record[id][ci] = misses[id]
 		}
 	}
-	final := make(map[arch.Addr]int, len(pcs))
-	for id, pc := range pcs {
+	final := make(map[arch.Addr]int, len(cands))
+	for id, pc := range t.pcs {
 		final[pc] = cands[id][argmin(record[id])]
 	}
-	return &Profile{Kind: kind, TableBits: k, Lengths: final, Default: def}, agg, nil
+	return &Profile{Kind: kindName(t.indirect), TableBits: t.k, Lengths: final, Default: s1.BestLength()}
 }
 
-// simulateVLPFlat runs one shared-table VLP pass over the record slice and
-// returns per-branch misprediction counts indexed by dense id. It is the
-// devirtualised equivalent of replaying a vlp.Cond/Indirect built from a
-// PerBranch selector over assign: same table, same update order, but the
-// per-branch length comes from a flat array instead of a map lookup, and
-// the hash bank is bounded to the deepest assigned length.
-func simulateVLPFlat(recs []trace.Record, recIDs []int32, assign []int, indirect bool, k uint, n int) ([]int64, error) {
-	hs, err := vlp.NewHashSet(k, n)
-	if err != nil {
-		return nil, err
-	}
-	hs.SetMaxNeeded(maxLength(assign))
-	misses := make([]int64, len(assign))
-	var scored int64
-	if indirect {
-		table := make([]uint32, 1<<k)
-		for j := range recs {
-			r := &recs[j]
-			if id := recIDs[j]; id >= 0 {
-				scored++
-				idx := hs.Index(assign[id])
-				// The register holds the low 32 target bits (§3.1
-				// footnote) but the prediction it implies is a full
-				// address — mirror vlp.Indirect.Predict exactly.
-				if arch.Addr(table[idx]) != r.Next {
-					misses[id]++
-				}
-				table[idx] = uint32(r.Next)
-			}
-			if r.Kind.RecordsInTHB() {
-				hs.Insert(r.Next)
-			}
+// vlpCond is one shared-table VLP pass for conditionals: the same table
+// and update order as replaying a vlp.Cond built from a PerBranch
+// selector, with each branch's index read from its assigned tape row.
+func vlpCond[T index](t *tape[T], off []int, pht *counter.Array, misses []int64) {
+	taken := t.taken[:len(t.ids)]
+	for s, id := range t.ids {
+		i, tk := int(t.idx[off[id]+s]), taken[s]
+		if pht.Taken(i) != tk {
+			misses[id]++
 		}
-	} else {
-		pht := counter.NewArray(1<<k, 2, 1)
-		for j := range recs {
-			r := &recs[j]
-			if id := recIDs[j]; id >= 0 {
-				scored++
-				idx := int(hs.Index(assign[id]))
-				if pht.Taken(idx) != r.Taken {
-					misses[id]++
-				}
-				pht.Train(idx, r.Taken)
-			}
-			if r.Kind.RecordsInTHB() {
-				hs.Insert(r.Next)
-			}
-		}
+		pht.Train(i, tk)
 	}
-	obs.CountBranches(scored)
-	return misses, nil
+}
+
+// vlpIndirect is vlpCond for the indirect class.
+func vlpIndirect[T index](t *tape[T], off []int, reg []uint32, misses []int64) {
+	next := t.next[:len(t.ids)]
+	for s, id := range t.ids {
+		ix := t.idx[off[id]+s]
+		// The register holds the low 32 target bits (§3.1 footnote)
+		// but the prediction it implies is a full address — mirror
+		// vlp.Indirect.Predict exactly.
+		if arch.Addr(reg[ix]) != next[s] {
+			misses[id]++
+		}
+		reg[ix] = uint32(next[s])
+	}
 }
 
 // argmin returns the index of the smallest value (first on ties, which
@@ -504,42 +654,11 @@ func argmin(v []int64) int {
 // the per-benchmark "tuned" variant of §5.2.3). For multi-benchmark
 // averages, sum the returned Step1Results with MergeStep1.
 func BestFixedLength(src trace.Source, cfg Config, indirect bool) (int, Step1Result, error) {
-	var (
-		agg Step1Result
-		err error
-	)
-	if indirect {
-		_, agg, err = step1Only(src, cfg, true)
-	} else {
-		_, agg, err = step1Only(src, cfg, false)
-	}
+	s1, err := RunStep1(src, cfg, indirect)
 	if err != nil {
-		return 0, agg, err
+		return 0, Step1Result{}, err
 	}
-	return agg.BestLength(), agg, nil
-}
-
-// step1Only runs step 1 without retaining per-branch data. The full
-// heuristics above inline their own step-1 loops because they need the
-// per-branch counts; this variant serves the fixed-length tuning paths.
-func step1Only(src trace.Source, cfg Config, indirect bool) (map[arch.Addr][]int64, Step1Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, Step1Result{}, err
-	}
-	if indirect {
-		p, agg, err := Indirect(src, Config{
-			TableBits: cfg.TableBits, MaxPath: cfg.MaxPath, Lengths: cfg.Lengths,
-			Candidates: 1, Iterations: 1,
-		})
-		_ = p
-		return nil, agg, err
-	}
-	p, agg, err := Cond(src, Config{
-		TableBits: cfg.TableBits, MaxPath: cfg.MaxPath, Lengths: cfg.Lengths,
-		Candidates: 1, Iterations: 1,
-	})
-	_ = p
-	return nil, agg, err
+	return s1.BestLength(), s1.Step1Result, nil
 }
 
 // BestAverageLength returns the length minimising the *unweighted mean* of

@@ -56,6 +56,16 @@ func TestConfigValidation(t *testing.T) {
 	if _, _, err := Cond(src, Config{TableBits: 10, Lengths: []int{0}}); err == nil {
 		t.Error("candidate length 0 accepted")
 	}
+	if _, _, err := Cond(src, Config{TableBits: 10, Lengths: []int{}}); err == nil {
+		t.Error("empty candidate set accepted")
+	}
+	ones := make([]int, 257)
+	for i := range ones {
+		ones[i] = 1
+	}
+	if _, _, err := Cond(src, Config{TableBits: 10, Lengths: ones}); err == nil {
+		t.Error("candidate set beyond 256 lengths accepted")
+	}
 	if _, _, err := Cond(src, Config{TableBits: 10, Lengths: []int{40}}); err == nil {
 		t.Error("candidate length beyond THB accepted")
 	}
@@ -304,6 +314,9 @@ func TestPatternCondValidation(t *testing.T) {
 	}
 	if _, _, err := PatternCond(src, Config{TableBits: 10, Candidates: 3, Iterations: 1}); err == nil {
 		t.Error("iterations < candidates accepted")
+	}
+	if _, _, err := PatternCond(src, Config{TableBits: 10, Lengths: make([]int, 257)}); err == nil {
+		t.Error("candidate set beyond 256 history lengths accepted")
 	}
 }
 

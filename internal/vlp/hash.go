@@ -126,6 +126,12 @@ func (h *HashSet) Index(length int) uint32 {
 	return h.idx[length-1]
 }
 
+// Indices returns I_1..I_MaxNeeded (element x-1 is I_x) as a view of the
+// partial-sum registers: read-only, and valid until the next insert.
+// Callers that read many lengths per branch use it instead of one Index
+// call per length.
+func (h *HashSet) Indices() []uint32 { return h.idx[:h.live] }
+
 // Target returns the depth-th most recent compressed target in the THB
 // (depth 0 is the most recent), or 0 if fewer targets have been inserted —
 // matching the zero-initialised hardware registers.

@@ -78,6 +78,32 @@ func TestIncrementalMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestIndicesViewMatchesIndex: the register view Indices exposes holds
+// I_1..I_MaxNeeded, full bank or bounded, after every insert.
+func TestIndicesViewMatchesIndex(t *testing.T) {
+	rng := xrand.New(5)
+	for _, bound := range []int{0, 8} {
+		h, err := NewHashSet(12, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.SetMaxNeeded(bound)
+		for s := 0; s < 100; s++ {
+			h.Insert(arch.Addr(rng.Uint64() & 0xfffffff))
+			regs := h.Indices()
+			if len(regs) != h.MaxNeeded() {
+				t.Fatalf("bound %d: %d registers in view, want %d", bound, len(regs), h.MaxNeeded())
+			}
+			for l := 1; l <= h.MaxNeeded(); l++ {
+				if regs[l-1] != h.Index(l) || regs[l-1] != h.DirectIndex(l) {
+					t.Fatalf("bound %d step %d: view I_%d = %d, Index %d, DirectIndex %d",
+						bound, s, l, regs[l-1], h.Index(l), h.DirectIndex(l))
+				}
+			}
+		}
+	}
+}
+
 func TestIndexEncodesOrder(t *testing.T) {
 	// The same two targets inserted in opposite orders must generally
 	// produce different I_2 (the point of the rotation, §3.3).

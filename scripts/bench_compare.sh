@@ -35,8 +35,8 @@ go test -run '^$' -bench "$BENCHES" -benchtime "$BENCHTIME" -count "$COUNT" . | 
 # emit PREFIX OUT UNITS [SAVINGS] records one benchmark family of the
 # run as a committed JSON artifact: every benchmark whose name starts
 # with PREFIX maps to the mean of each go-test unit in UNITS over its
-# runs (ns/op -> ns_per_op, MB/s -> mb_per_sec, allocs/op ->
-# allocs_per_op). SAVINGS, a "base,new" pair of benchmark names, adds
+# runs (ns/op -> ns_per_op, MB/s -> mb_per_sec, B/op -> bytes_per_op,
+# allocs/op -> allocs_per_op). SAVINGS, a "base,new" pair of benchmark names, adds
 # the new one's ns/op saving over the base in percent.
 emit() {
 	grep -q "^$1" "$current" || return 0
@@ -45,6 +45,7 @@ emit() {
 			nu = split(units, unit, " ")
 			key["ns/op"] = "ns_per_op"; fmt["ns/op"] = "%.0f"
 			key["MB/s"] = "mb_per_sec"; fmt["MB/s"] = "%.1f"
+			key["B/op"] = "bytes_per_op"; fmt["B/op"] = "%.0f"
 			key["allocs/op"] = "allocs_per_op"; fmt["allocs/op"] = "%.0f"
 		}
 		$1 ~ prefix && $4 == "ns/op" {
@@ -77,12 +78,14 @@ emit() {
 # The committed perf trajectory: BENCH_fused.json (the fused kernel
 # against the per-cell reference on a Table-2 grid), BENCH_snap.json
 # (the snapshot encode+decode round trip of a warmed 64KB vlp
-# predictor) and BENCH_engine.json (overlapping plans with and without
-# the engine's cell dedup, plus the saving).
+# predictor), BENCH_engine.json (overlapping plans with and without
+# the engine's cell dedup, plus the saving) and BENCH_profile.json (the
+# two-step profiling heuristic on one benchmark's profile input).
 emit BenchmarkFusedSweep/ BENCH_fused.json "ns/op allocs/op"
 emit BenchmarkSnapshotRoundtrip BENCH_snap.json "ns/op MB/s allocs/op"
 emit BenchmarkEngineDedup/ BENCH_engine.json "ns/op allocs/op" \
 	"BenchmarkEngineDedup/nodedup,BenchmarkEngineDedup/dedup"
+emit BenchmarkProfilingPipeline BENCH_profile.json "ns/op B/op allocs/op"
 
 if [ ! -f "$baseline" ]; then
 	cp "$current" "$baseline"
