@@ -238,41 +238,29 @@ func BenchmarkTargetCachePath(b *testing.B) {
 	}
 }
 
-// BenchmarkHashSetInsert measures the cost of the incremental partial-sum
-// update (§4.1): the full 32-register bank, and the bank bounded to the 8
-// registers a Fixed{L:8} predictor actually reads (SetMaxNeeded).
+// BenchmarkHashSetInsert measures the cost of one THB insert into a
+// 32-deep HashSet: a prefix XOR and two ring writes, whatever the depth.
 func BenchmarkHashSetInsert(b *testing.B) {
-	for _, c := range []struct {
-		name    string
-		bounded int
-	}{
-		{"full32", 0},
-		{"bounded8", 8},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			hs, err := vlp.NewHashSet(14, 32)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if c.bounded > 0 {
-				hs.SetMaxNeeded(c.bounded)
-			}
-			rng := xrand.New(1)
-			addrs := make([]arch.Addr, 1024)
-			for i := range addrs {
-				addrs[i] = arch.Addr(rng.Uint64() & 0xffffff)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				hs.Insert(addrs[i%len(addrs)])
-			}
-		})
-	}
+	b.Run("full32", func(b *testing.B) {
+		hs, err := vlp.NewHashSet(14, 32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := xrand.New(1)
+		addrs := make([]arch.Addr, 1024)
+		for i := range addrs {
+			addrs[i] = arch.Addr(rng.Uint64() & 0xffffff)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			hs.Insert(addrs[i%len(addrs)])
+		}
+	})
 }
 
 // BenchmarkHashSetDirect measures the naive multi-stage recomputation the
-// partial sums replace, at the deepest path length.
+// prefix form replaces, at the deepest path length.
 func BenchmarkHashSetDirect(b *testing.B) {
 	hs, err := vlp.NewHashSet(14, 32)
 	if err != nil {

@@ -106,6 +106,27 @@ func (a *Array) Train(i int, taken bool) {
 	}
 }
 
+// Step predicts with counter i, then trains it with the outcome, and
+// reports whether the prediction was correct: Taken followed by Train,
+// with no data-dependent branch, for the replay loops that do both per
+// record. Train's two saturating branches become one clamp: the counter
+// moves to v+1 when taken and v-1 when not, clamped to 0..max.
+func (a *Array) Step(i int, taken bool) (correct bool) {
+	v := int(a.table[i])
+	t := int(bit(taken))
+	a.table[i] = uint8(min(max(v+t+t-1, 0), int(a.max)))
+	return v >= int(a.mid) == taken
+}
+
+// bit converts a condition to 0 or 1 without a branch.
+func bit(b bool) uint8 {
+	var x uint8
+	if b {
+		x = 1
+	}
+	return x
+}
+
 // ShiftReg is a k-bit history shift register (k <= 64). New outcomes enter
 // at the least-significant bit, the convention used throughout the
 // two-level predictor literature.

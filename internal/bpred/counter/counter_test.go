@@ -187,3 +187,23 @@ func TestShiftRegPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestArrayStepMatchesTakenTrain checks the branch-free Step against
+// Taken followed by Train for every width, value and outcome.
+func TestArrayStepMatchesTakenTrain(t *testing.T) {
+	for bits := 1; bits <= 8; bits++ {
+		max := 1<<bits - 1
+		for v := 0; v <= max; v++ {
+			for _, taken := range []bool{false, true} {
+				got, want := NewArray(1, bits, uint8(v)), NewArray(1, bits, uint8(v))
+				correct := got.Step(0, taken)
+				wantCorrect := want.Taken(0) == taken
+				want.Train(0, taken)
+				if correct != wantCorrect || got.Value(0) != want.Value(0) {
+					t.Errorf("bits %d value %d taken %v: Step = (%v, %d), Taken+Train = (%v, %d)",
+						bits, v, taken, correct, got.Value(0), wantCorrect, want.Value(0))
+				}
+			}
+		}
+	}
+}

@@ -140,14 +140,17 @@ func refRanking(correct []int64) []uint8 {
 }
 
 // step1Configs are the step-1 differential inputs: narrow, middling
-// and wide tables, the cheaper hash-function subset of §3.1, and a
-// shallower THB.
+// and wide tables, the cheaper hash-function subset of §3.1, a
+// shallower THB, and a one-deep THB, where every index is the newest
+// target and the prefix array's padding is a single zero. k = 1 is the
+// rotating frame's other edge: its phase never turns.
 var step1Configs = []Config{
 	{TableBits: 1},
 	{TableBits: 9},
 	{TableBits: 17},
 	{TableBits: 9, Lengths: []int{1, 2, 4, 8, 16, 32}},
 	{TableBits: 9, MaxPath: 8},
+	{TableBits: 9, MaxPath: 1},
 }
 
 // poolCaps are the worker-pool ceilings the differentials run under:
@@ -160,7 +163,47 @@ func withPoolCap(t *testing.T, n int) {
 	t.Cleanup(func() { pool.SetCap(0) })
 }
 
-// TestStep1FlatMatchesMapReference pins the tape-driven step 1
+// TestInputIndicesMatchHashSet pins the index every profiling pass
+// computes from the input's prefix array, I_L at every scored record, to
+// a vlp.HashSet replaying the same records, for both branch classes and
+// every length. It covers k = 32, where a shift by k must clear the
+// value and which no table-backed test can reach (a 2^32-entry table
+// does not fit in test memory), and one-deep THBs.
+func TestInputIndicesMatchHashSet(t *testing.T) {
+	recs := profileFixture(5, 3000).Records
+	for _, k := range []uint{1, 9, 17, 32} {
+		for _, n := range []int{1, 8, 32} {
+			for _, indirect := range []bool{false, true} {
+				in, err := newInput(recs, indirect, k, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hs, err := vlp.NewHashSet(k, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recIDs, _, _ := internPCs(recs, indirect)
+				s := 0
+				for j, r := range recs {
+					if recIDs[j] >= 0 {
+						for l := 1; l <= n; l++ {
+							if got, want := index(in.frame, in.pre, in.branches[s], l), hs.Index(l); got != want {
+								t.Fatalf("k=%d n=%d indirect=%v: record %d: I_%d = %#x, HashSet %#x",
+									k, n, indirect, j, l, got, want)
+							}
+						}
+						s++
+					}
+					if r.Kind.RecordsInTHB() {
+						hs.Insert(r.Next)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStep1FlatMatchesMapReference pins the prefix-driven step 1
 // (including its worker-pool sharding, per-worker table reuse and
 // column merge) to the map-based reference — aggregate counts, and each
 // branch's candidate ranking by its counts — for both branch classes
@@ -311,7 +354,7 @@ func refTwoStepIndirect(src trace.Source, cfg Config) (*Profile, error) {
 }
 
 // TestTwoStepMatchesReference is the end-to-end differential: the
-// production Cond/Indirect heuristics — one index tape, flat count
+// production Cond/Indirect heuristics — one prefix array, flat count
 // matrices, devirtualised step-2 passes — must emit exactly the Profile
 // the reference implementation built from public predictors does,
 // across table widths, candidate sets, candidate/iteration settings and

@@ -233,11 +233,11 @@ func RunStep1(src trace.Source, cfg Config, indirect bool) (*Step1, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	t, err := newTape(asRecords(src), indirect, cfg.TableBits, cfg.lengths())
+	in, err := newInput(asRecords(src), indirect, cfg.TableBits, slices.Max(cfg.lengths()))
 	if err != nil {
 		return nil, err
 	}
-	return t.step1(), nil
+	return in.step1(cfg.lengths()), nil
 }
 
 // RunStep2 runs step 2 on the profile input from a step 1 already
@@ -256,28 +256,28 @@ func RunStep2(src trace.Source, cfg Config, indirect bool, s1 *Step1) (*Profile,
 		return nil, fmt.Errorf("profile: step 1 holds %d ranks for %d branches × %d lengths",
 			len(s1.Ranks), len(s1.PCs), len(s1.Lengths))
 	}
-	t, err := newTape(asRecords(src), indirect, cfg.TableBits, s1.Lengths)
+	in, err := newInput(asRecords(src), indirect, cfg.TableBits, slices.Max(s1.Lengths))
 	if err != nil {
 		return nil, err
 	}
-	if scored, pcs := t.branches(); int64(scored) != s1.Total || !slices.Equal(pcs, s1.PCs) {
+	if int64(len(in.branches)) != s1.Total || !slices.Equal(in.pcs, s1.PCs) {
 		return nil, fmt.Errorf("profile: step 1 was computed on a different profile input")
 	}
-	return t.step2(cfg, s1, s1.candidates(cfg.candidates())), nil
+	return in.step2(cfg, s1, s1.candidates(cfg.candidates())), nil
 }
 
-// twoStep is the shared driver behind Cond and Indirect: one tape feeds
-// both steps.
+// twoStep is the shared driver behind Cond and Indirect: one input
+// feeds both steps.
 func twoStep(src trace.Source, cfg Config, indirect bool) (*Profile, Step1Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, Step1Result{}, err
 	}
-	t, err := newTape(asRecords(src), indirect, cfg.TableBits, cfg.lengths())
+	in, err := newInput(asRecords(src), indirect, cfg.TableBits, slices.Max(cfg.lengths()))
 	if err != nil {
 		return nil, Step1Result{}, err
 	}
-	s1 := t.step1()
-	return t.step2(cfg, s1, s1.candidates(cfg.candidates())), s1.Step1Result, nil
+	s1 := in.step1(cfg.lengths())
+	return in.step2(cfg, s1, s1.candidates(cfg.candidates())), s1.Step1Result, nil
 }
 
 func kindName(indirect bool) string {
@@ -301,20 +301,21 @@ func (s *Step1) candidates(n int) [][]int {
 //
 // Both steps replay the profile input many times (once per candidate
 // hash function in step 1, once per iteration in step 2), so the replay
-// loops are the pipeline's cost. The index I_X at a branch depends only
+// loops are the pipeline's cost. The index I_L at a branch depends only
 // on the input and on k, not on which predictor reads it — the paper's
-// hardware shares one THB across all N hash functions (§3.1, §4.1) — so
-// each profiling call runs the THB once, into an index tape, and every
-// pass reads its indices from the tape:
+// hardware shares one THB across all N hash functions (§3.1, §4.1) — and
+// in vlp.Frame's rotating frame any I_L is one XOR and one rotation of
+// two prefix XORs. So each profiling call runs the THB once, into one
+// prefix array, and every pass computes the indices it reads inline:
 //
 //   - static branches are interned into dense ids up front, so every
 //     pass indexes flat arrays instead of touching a map per branch;
-//   - step 1 runs one candidate at a time over its contiguous tape row;
-//     the candidates are sharded across the engine's worker pool
+//   - step 1 runs one candidate at a time over the scored records; the
+//     candidates are sharded across the engine's worker pool
 //     (engine/pool), and each worker reuses one table for every
 //     candidate of its shard;
-//   - each step-2 iteration is one pass over the tape plus one table,
-//     reused across iterations.
+//   - each step-2 iteration is one pass over the scored records plus one
+//     table, reused across iterations.
 
 // asRecords exposes the record slice behind src, materialising non-buffer
 // sources once so every profiling pass can iterate the slice directly.
@@ -356,282 +357,239 @@ func internPCs(recs []trace.Record, indirect bool) (recIDs []int32, pcs []arch.A
 	return recIDs, pcs, scored
 }
 
-// indexTape is an index tape of either element width.
-type indexTape interface {
-	step1() *Step1
-	step2(cfg Config, s1 *Step1, cands [][]int) *Profile
-	// branches reports the scored dynamic branches and the interned
-	// static branches.
-	branches() (scored int, pcs []arch.Addr)
-}
-
-// index is a tape element: uint16 when every index fits (k <= 16),
-// which halves the tape, else uint32.
-type index interface{ uint16 | uint32 }
-
-// tape is the profile input as the predictors see it: for every scored
-// record s, the branch's dense id, its outcome, and the index
-// I_lengths[r] of every requested length r, stored length-major
-// (idx[r*len(ids)+s]) so a step-1 candidate reads one contiguous row.
-// It is built by one vlp.HashSet pass. A tape grows with the profile
-// input (S × |lengths| indices) where the tables it replaces grow only
-// with k, so it lives only for the profiling call that built it and is
+// input is the profile input as the predictors see it: one branch per
+// scored record, and pre, the prefix XOR after every THB insert of the
+// input behind maxL leading zeros, so index reaches back any candidate
+// length with no bounds special case. Memory is one entry per scored
+// record and per THB insert, whatever the number of candidate lengths;
+// the input lives only for the profiling call that built it and is
 // never cached.
-type tape[T index] struct {
+type input struct {
 	indirect bool
-	k        uint
-	lengths  []int
-	rowOf    []int // rowOf[l] is length l's row, -1 when not recorded
-	ids      []int32
-	taken    []bool      // cond outcomes
-	next     []arch.Addr // indirect outcomes
+	frame    vlp.Frame
+	branches []branch
+	next     []arch.Addr // indirect outcomes, by scored record
+	pre      []uint32
 	pcs      []arch.Addr
-	idx      []T
 }
 
-func newTape(recs []trace.Record, indirect bool, k uint, lengths []int) (indexTape, error) {
-	if k <= 16 {
-		return buildTape[uint16](recs, indirect, k, lengths)
-	}
-	return buildTape[uint32](recs, indirect, k, lengths)
+// branch is one scored record: its dense id, its place on the path and
+// its conditional outcome. at is the position in pre of the newest
+// prefix before the branch, and phase that insert's frame phase.
+type branch struct {
+	at    int32
+	id    int32
+	phase uint8
+	taken bool
 }
 
-func buildTape[T index](recs []trace.Record, indirect bool, k uint, lengths []int) (*tape[T], error) {
-	recIDs, pcs, scored := internPCs(recs, indirect)
-	maxL := slices.Max(lengths)
-	t := &tape[T]{indirect: indirect, k: k, lengths: lengths, rowOf: make([]int, maxL+1), pcs: pcs}
-	for l := range t.rowOf {
-		t.rowOf[l] = -1
-	}
-	for r, l := range lengths {
-		t.rowOf[l] = r
-	}
-	hs, err := vlp.NewHashSet(k, maxL)
+// index returns I_l at branch b.
+func index(f vlp.Frame, pre []uint32, b branch, l int) uint32 {
+	return f.Index(pre[b.at], pre[int(b.at)-l], uint(b.phase))
+}
+
+// newInput interns the scored branches of recs and runs the THB over
+// recs once, for candidate lengths up to maxL.
+func newInput(recs []trace.Record, indirect bool, k uint, maxL int) (*input, error) {
+	f, err := vlp.NewFrame(k)
 	if err != nil {
 		return nil, err
 	}
-	n := int(scored)
-	t.ids = make([]int32, n)
-	t.idx = make([]T, len(lengths)*n)
-	if indirect {
-		t.next = make([]arch.Addr, n)
-	} else {
-		t.taken = make([]bool, n)
-	}
-	// Indices are gathered record-major into a small block, then
-	// written out row by row, so the tape is filled by contiguous runs
-	// rather than one scattered write per row per record.
-	const block = 256
-	w := len(lengths)
-	buf := make([]T, block*w)
-	flush := func(end int) {
-		base := end - (end-1)%block - 1
-		for row := 0; row < w; row++ {
-			dst := t.idx[row*n+base : row*n+end]
-			for b := range dst {
-				dst[b] = buf[b*w+row]
-			}
+	recIDs, pcs, scored := internPCs(recs, indirect)
+	inserts := 0
+	for j := range recs {
+		if recs[j].Kind.RecordsInTHB() {
+			inserts++
 		}
 	}
-	s := 0
+	n := int(scored)
+	in := &input{
+		indirect: indirect,
+		frame:    f,
+		branches: make([]branch, n),
+		pre:      make([]uint32, maxL+1+inserts),
+		pcs:      pcs,
+	}
+	if indirect {
+		in.next = make([]arch.Addr, n)
+	}
+	at, phase, s := maxL, uint(0), 0
 	for j := range recs {
 		r := &recs[j]
 		if id := recIDs[j]; id >= 0 {
-			t.ids[s] = id
+			in.branches[s] = branch{at: int32(at), id: id, phase: uint8(phase), taken: r.Taken}
 			if indirect {
-				t.next[s] = r.Next
-			} else {
-				t.taken[s] = r.Taken
-			}
-			b, regs := buf[s%block*w:s%block*w+w], hs.Indices()
-			for row, l := range lengths {
-				b[row] = T(regs[l-1])
+				in.next[s] = r.Next
 			}
 			s++
-			if s%block == 0 {
-				flush(s)
-			}
 		}
 		if r.Kind.RecordsInTHB() {
-			hs.Insert(r.Next)
+			in.pre[at+1], phase = f.Push(in.pre[at], phase, f.Compress(r.Next))
+			at++
 		}
 	}
-	if s%block != 0 {
-		flush(s)
-	}
-	return t, nil
+	return in, nil
 }
 
-func (t *tape[T]) branches() (int, []arch.Addr) { return len(t.ids), t.pcs }
+func (in *input) k() uint { return in.frame.K() }
 
-// row returns the indices of tape row r.
-func (t *tape[T]) row(r int) []T {
-	n := len(t.ids)
-	return t.idx[r*n : (r+1)*n]
-}
-
-// step1 runs one FLP predictor per tape row, each on a table of 2^k
-// entries. The rows are sharded into contiguous chunks across the worker
-// pool; a worker reuses one table and one count column for every
-// candidate of its chunk and copies each finished column into its own
-// cells of the count matrix, so the result is bit-identical to a
+// step1 runs one FLP predictor per candidate length, each on a table of
+// 2^k entries. The candidates are sharded into contiguous chunks across
+// the worker pool; a worker reuses one table and one count column for
+// every candidate of its chunk and copies each finished column into its
+// own cells of the count matrix, so the result is bit-identical to a
 // sequential sweep at any pool size. The matrix is then reduced to each
 // branch's ranking.
-func (t *tape[T]) step1() *Step1 {
-	w := len(t.lengths)
+func (in *input) step1(lengths []int) *Step1 {
+	w := len(lengths)
 	s1 := &Step1{
 		Step1Result: Step1Result{
-			Lengths: append([]int(nil), t.lengths...),
+			Lengths: append([]int(nil), lengths...),
 			Correct: make([]int64, w),
-			Total:   int64(len(t.ids)),
+			Total:   int64(len(in.branches)),
 		},
-		Indirect:  t.indirect,
-		TableBits: t.k,
-		PCs:       t.pcs,
-		Ranks:     make([]uint8, len(t.pcs)*w),
+		Indirect:  in.indirect,
+		TableBits: in.k(),
+		PCs:       in.pcs,
+		Ranks:     make([]uint8, len(in.pcs)*w),
 	}
-	counts := make([]int64, len(t.pcs)*w)
+	counts := make([]int64, len(in.pcs)*w)
 	workers := pool.Size(w)
 	pool.Fan(workers, workers, func(shard int) {
 		lo, hi := shard*w/workers, (shard+1)*w/workers
-		col := make([]int64, len(t.pcs))
+		col := make([]int64, len(in.pcs))
 		var (
 			pht *counter.Array
 			reg []uint32
 		)
-		if t.indirect {
-			reg = make([]uint32, 1<<t.k)
+		if in.indirect {
+			reg = make([]uint32, 1<<in.k())
 		} else {
-			pht = counter.NewArray(1<<t.k, 2, 1)
+			pht = counter.NewArray(1<<in.k(), 2, 1)
 		}
 		for i := lo; i < hi; i++ {
 			clear(col)
-			if t.indirect {
+			if in.indirect {
 				clear(reg)
-				s1.Correct[i] = flpIndirect(t.row(i), t.ids, t.next, reg, col)
+				flpIndirect(in, lengths[i], reg, col)
 			} else {
 				pht.Reset(1)
-				s1.Correct[i] = flpCond(t.row(i), t.ids, t.taken, pht, col)
+				flpCond(in, lengths[i], pht, col)
 			}
 			for id, c := range col {
 				counts[id*w+i] = c
+				s1.Correct[i] += c
 			}
 		}
 	})
-	for id := range t.pcs {
+	for id := range in.pcs {
 		rankCandidates(counts[id*w:(id+1)*w], s1.Ranks[id*w:(id+1)*w])
 	}
 	obs.CountBranches(s1.Total)
 	return s1
 }
 
-// flpCond replays one fixed length path predictor for conditionals over
-// its tape row, adding each correct prediction to its branch's entry of
-// col, and returns the total correct.
-func flpCond[T index](row []T, ids []int32, taken []bool, pht *counter.Array, col []int64) (correct int64) {
-	ids, taken = ids[:len(row)], taken[:len(row)]
-	for s, ix := range row {
-		i, tk := int(ix), taken[s]
-		if pht.Taken(i) == tk {
-			col[ids[s]]++
-			correct++
-		}
-		pht.Train(i, tk)
+// one is 1 for true and 0 for false, so the kernels count without a
+// data-dependent branch.
+func one(b bool) int64 {
+	var x int64
+	if b {
+		x = 1
 	}
-	return correct
+	return x
+}
+
+// flpCond replays the fixed length path predictor of length l for
+// conditionals, adding each correct prediction to its branch's entry of
+// col.
+func flpCond(in *input, l int, pht *counter.Array, col []int64) {
+	f, pre := in.frame, in.pre
+	for _, b := range in.branches {
+		col[b.id] += one(pht.Step(int(index(f, pre, b, l)), b.taken))
+	}
 }
 
 // flpIndirect is flpCond for the indirect class: target registers,
 // last-target-match scoring on the low 32 target bits.
-func flpIndirect[T index](row []T, ids []int32, next []arch.Addr, reg []uint32, col []int64) (correct int64) {
-	ids, next = ids[:len(row)], next[:len(row)]
-	for s, ix := range row {
-		target := uint32(next[s])
-		if reg[ix] == target {
-			col[ids[s]]++
-			correct++
-		}
-		reg[ix] = target
+func flpIndirect(in *input, l int, reg []uint32, col []int64) {
+	f, pre, next := in.frame, in.pre, in.next[:len(in.branches)]
+	for s, b := range in.branches {
+		i, target := index(f, pre, b, l), uint32(next[s])
+		col[b.id] += one(reg[i] == target)
+		reg[i] = target
 	}
-	return correct
 }
 
-// step2 iterates the shared-table VLP simulation over the tape. The test
-// input of each pass is the profile input itself, so every profiled
+// step2 iterates the shared-table VLP simulation over the input. The
+// test input of each pass is the profile input itself, so every profiled
 // branch executes in every pass: the candidate chosen for a branch
 // always has its misprediction count written back (untested candidates
 // keep their implicit zero, matching the paper's initialisation, so they
 // are tried first in candidate rank order).
-func (t *tape[T]) step2(cfg Config, s1 *Step1, cands [][]int) *Profile {
-	n := len(t.ids)
+func (in *input) step2(cfg Config, s1 *Step1, cands [][]int) *Profile {
 	record := make([][]int64, len(cands)) // per branch, per candidate: fewest misses seen
 	for id := range record {
 		record[id] = make([]int64, len(cands[id]))
 	}
 	chosen := make([]int, len(cands))
-	off := make([]int, len(cands)) // tape offset of each branch's assigned row
+	assigned := make([]int32, len(cands)) // each branch's assigned length
 	misses := make([]int64, len(cands))
 	var (
 		pht *counter.Array
 		reg []uint32
 	)
-	if t.indirect {
-		reg = make([]uint32, 1<<t.k)
+	if in.indirect {
+		reg = make([]uint32, 1<<in.k())
 	} else {
-		pht = counter.NewArray(1<<t.k, 2, 1)
+		pht = counter.NewArray(1<<in.k(), 2, 1)
 	}
 	for iter := 0; iter < cfg.iterations(); iter++ {
 		for id := range cands {
 			ci := argmin(record[id])
 			chosen[id] = ci
-			off[id] = t.rowOf[cands[id][ci]] * n
+			assigned[id] = int32(cands[id][ci])
 		}
 		clear(misses)
-		if t.indirect {
+		if in.indirect {
 			clear(reg)
-			vlpIndirect(t, off, reg, misses)
+			vlpIndirect(in, assigned, reg, misses)
 		} else {
 			pht.Reset(1)
-			vlpCond(t, off, pht, misses)
+			vlpCond(in, assigned, pht, misses)
 		}
-		obs.CountBranches(int64(n))
+		obs.CountBranches(int64(len(in.branches)))
 		for id, ci := range chosen {
 			record[id][ci] = misses[id]
 		}
 	}
 	final := make(map[arch.Addr]int, len(cands))
-	for id, pc := range t.pcs {
+	for id, pc := range in.pcs {
 		final[pc] = cands[id][argmin(record[id])]
 	}
-	return &Profile{Kind: kindName(t.indirect), TableBits: t.k, Lengths: final, Default: s1.BestLength()}
+	return &Profile{Kind: kindName(in.indirect), TableBits: in.k(), Lengths: final, Default: s1.BestLength()}
 }
 
 // vlpCond is one shared-table VLP pass for conditionals: the same table
 // and update order as replaying a vlp.Cond built from a PerBranch
-// selector, with each branch's index read from its assigned tape row.
-func vlpCond[T index](t *tape[T], off []int, pht *counter.Array, misses []int64) {
-	taken := t.taken[:len(t.ids)]
-	for s, id := range t.ids {
-		i, tk := int(t.idx[off[id]+s]), taken[s]
-		if pht.Taken(i) != tk {
-			misses[id]++
-		}
-		pht.Train(i, tk)
+// selector, with each branch's index at its assigned length.
+func vlpCond(in *input, assigned []int32, pht *counter.Array, misses []int64) {
+	f, pre := in.frame, in.pre
+	for _, b := range in.branches {
+		i := index(f, pre, b, int(assigned[b.id]))
+		misses[b.id] += 1 - one(pht.Step(int(i), b.taken))
 	}
 }
 
 // vlpIndirect is vlpCond for the indirect class.
-func vlpIndirect[T index](t *tape[T], off []int, reg []uint32, misses []int64) {
-	next := t.next[:len(t.ids)]
-	for s, id := range t.ids {
-		ix := t.idx[off[id]+s]
+func vlpIndirect(in *input, assigned []int32, reg []uint32, misses []int64) {
+	f, pre, next := in.frame, in.pre, in.next[:len(in.branches)]
+	for s, b := range in.branches {
+		i := index(f, pre, b, int(assigned[b.id]))
 		// The register holds the low 32 target bits (§3.1 footnote)
 		// but the prediction it implies is a full address — mirror
 		// vlp.Indirect.Predict exactly.
-		if arch.Addr(reg[ix]) != next[s] {
-			misses[id]++
-		}
-		reg[ix] = uint32(next[s])
+		misses[b.id] += one(arch.Addr(reg[i]) != next[s])
+		reg[i] = uint32(next[s])
 	}
 }
 

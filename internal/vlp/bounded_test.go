@@ -1,104 +1,66 @@
 package vlp
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/arch"
+	"repro/internal/bpred/counter"
+	"repro/internal/bpred/state"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
-// TestBoundedBankMatchesDirect is the bounded-bank variant of the §4.1
-// equivalence: with Insert maintaining only the first m partial-sum
-// registers, every index within the bound must still equal the full
-// rotate-and-XOR recomputation over the (always fully maintained) THB.
+// A register bank bounded to the lengths its predictor reads maintains
+// only I_1..I_m; the registers above m stay stale. Such state is valid
+// vlps/v1 HashSet state, written by predictors that bounded their banks,
+// so the tests here load it and require every index within the bound to
+// continue exactly.
+
+// TestBoundedBankMatchesDirect loads the state of a bank bounded to m
+// registers, written by the reference model at a random point, and
+// requires every index within the bound to equal the bank's register and
+// the direct recomputation, on load and across further inserts.
 func TestBoundedBankMatchesDirect(t *testing.T) {
-	f := func(seed uint64, kRaw, nRaw, mRaw, steps uint8) bool {
-		k := uint(kRaw)%16 + 1 // 1..16
+	f := func(seed uint64, kRaw, nRaw, mRaw, before, after uint8) bool {
+		k := uint(kRaw)%32 + 1 // 1..32
 		n := int(nRaw)%32 + 1  // 1..32
-		h, err := NewHashSet(k, n)
-		if err != nil {
-			return false
-		}
-		m := int(mRaw)%n + 1 // 1..n
-		h.SetMaxNeeded(m)
-		if h.MaxNeeded() != m {
-			return false
-		}
+		m := int(mRaw)%n + 1   // 1..n
+		ref := newRefBank(k, n, m)
 		rng := xrand.New(seed)
-		for s := 0; s < int(steps); s++ {
-			h.Insert(arch.Addr(rng.Uint64() & 0xfffffff))
+		for s := 0; s < int(before); s++ {
+			ref.insert(uint32(rng.Uint64()))
+		}
+		var buf bytes.Buffer
+		h, err := NewHashSet(k, n)
+		if err != nil || ref.saveState(&buf) != nil || h.LoadState(&buf) != nil {
+			return false
+		}
+		for s := 0; ; s++ {
 			for l := 1; l <= m; l++ {
-				if h.Index(l) != h.DirectIndex(l) {
+				if h.Index(l) != ref.regs[l-1] || h.Index(l) != h.DirectIndex(l) {
 					return false
 				}
 			}
+			if s == int(after) {
+				return true
+			}
+			v := uint32(rng.Uint64())
+			h.InsertCompressed(v)
+			ref.insert(v)
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestSetMaxNeededOutOfRangeKeepsFullBank: 0, negative, and beyond-depth
-// bounds all mean "unknown" and leave every register live.
-func TestSetMaxNeededOutOfRangeKeepsFullBank(t *testing.T) {
-	h, _ := NewHashSet(12, 16)
-	for _, m := range []int{0, -3, 17, 1000} {
-		h.SetMaxNeeded(8)
-		h.SetMaxNeeded(m)
-		if h.MaxNeeded() != 16 {
-			t.Errorf("SetMaxNeeded(%d): MaxNeeded = %d, want full bank 16", m, h.MaxNeeded())
-		}
-	}
-}
-
-// TestBoundedIndexPanicsBeyondBound: reading a stale register past the
-// bound must panic rather than silently return garbage.
-func TestBoundedIndexPanicsBeyondBound(t *testing.T) {
-	h, _ := NewHashSet(12, 16)
-	h.SetMaxNeeded(6)
-	h.Insert(0x1004)
-	_ = h.Index(6) // within bound: fine
-	defer func() {
-		if recover() == nil {
-			t.Error("Index past the bank bound did not panic")
-		}
-	}()
-	h.Index(7)
-}
-
-// TestSelectorMaxNeeded pins the MaxNeeder hints the bank bound derives
-// from: Fixed reports its length, PerBranch the deepest length it can
-// return, and a selector without the refinement reports "unknown".
-func TestSelectorMaxNeeded(t *testing.T) {
-	if got := MaxNeededOf(Fixed{L: 8}); got != 8 {
-		t.Errorf("Fixed{8} MaxNeeded = %d", got)
-	}
-	pb := &PerBranch{Lengths: map[arch.Addr]int{0x1004: 3, 0x2008: 11}, Default: 5}
-	if got := MaxNeededOf(pb); got != 11 {
-		t.Errorf("PerBranch MaxNeeded = %d, want deepest profiled length 11", got)
-	}
-	pb2 := &PerBranch{Lengths: map[arch.Addr]int{0x1004: 3}, Default: 9}
-	if got := MaxNeededOf(pb2); got != 9 {
-		t.Errorf("PerBranch MaxNeeded = %d, want default 9", got)
-	}
-	if got := MaxNeededOf(plainSelector{}); got != 0 {
-		t.Errorf("hint-less selector MaxNeeded = %d, want 0 (unknown)", got)
-	}
-}
-
-// plainSelector implements Selector without the MaxNeeder refinement.
-type plainSelector struct{}
-
-func (plainSelector) Length(arch.Addr) int { return 4 }
-func (plainSelector) Name() string         { return "plain" }
-
 // boundedTrace builds a deterministic mix of conditionals, indirect
 // branches, calls, and returns — calls and returns included so the
-// history-stack variant exercises Snapshot/Restore over a bounded bank.
+// history-stack variant exercises Snapshot/Restore.
 func boundedTrace(n int) []trace.Record {
 	rng := xrand.New(99)
 	pcs := []arch.Addr{0x1004, 0x2008, 0x300c, 0x4010}
@@ -125,74 +87,221 @@ func boundedTrace(n int) []trace.Record {
 	return recs
 }
 
-// TestBoundedCondMatchesFullBank replays identical traces through two
-// Fixed{8} conditional predictors — one auto-bounded to 8 registers via
-// the selector hint, one explicitly kept at the full 32-register bank —
-// and requires bit-identical predictions on every conditional. The bound
-// is a simulation-cost knob only; any divergence is a bug.
+// refPath is the reference path predictor: Cond's or Indirect's table
+// and update order, indexed from a refBank register bank, with the
+// history stack saving and restoring bank registers.
+type refPath struct {
+	indirect bool
+	pht      *counter.Array
+	table    []uint32
+	bank     *refBank
+	sel      Selector
+	opts     Options
+	stack    [][]uint32
+}
+
+func newRefPath(indirect bool, k uint, sel Selector, opts Options, live int) *refPath {
+	p := &refPath{indirect: indirect, bank: newRefBank(k, DefaultMaxPath, live), sel: sel, opts: opts}
+	if indirect {
+		p.table = make([]uint32, 1<<k)
+	} else {
+		p.pht = counter.NewArray(1<<k, 2, 1)
+	}
+	return p
+}
+
+func (p *refPath) index(pc arch.Addr) uint32 { return p.bank.regs[p.sel.Length(pc)-1] }
+
+func (p *refPath) update(r trace.Record) {
+	switch {
+	case !p.indirect && r.Kind == arch.Cond:
+		p.pht.Train(int(p.index(r.PC)), r.Taken)
+	case p.indirect && r.Kind.IndirectTarget():
+		p.table[p.index(r.PC)] = uint32(r.Next)
+	}
+	if p.opts.HistoryStack {
+		switch {
+		case r.Kind.PushesReturn():
+			if len(p.stack) == historyStackCap {
+				p.stack = p.stack[1:]
+			}
+			p.stack = append(p.stack, p.bank.snapshot())
+		case r.Kind == arch.Return && len(p.stack) > 0:
+			p.bank.restoreCombined(p.stack[len(p.stack)-1], p.opts.HistoryCombine)
+			p.stack = p.stack[:len(p.stack)-1]
+		}
+	}
+	if r.Kind.RecordsInTHB() || (p.opts.StoreReturns && r.Kind == arch.Return) {
+		p.bank.insert(p.bank.mask & uint32(uint64(r.Next)>>2))
+	}
+}
+
+// saveState writes the predictor in the vlps/v1 layout of Cond or
+// Indirect.
+func (p *refPath) saveState(w io.Writer) error {
+	if p.indirect {
+		e := state.NewEncoder(w)
+		e.U32s(p.table)
+		if err := e.Err(); err != nil {
+			return err
+		}
+	} else if err := p.pht.SaveState(w); err != nil {
+		return err
+	}
+	if err := p.bank.saveState(w); err != nil {
+		return err
+	}
+	e := state.NewEncoder(w)
+	saveStack(e, p.stack)
+	return e.Err()
+}
+
+// pathUnderTest is the surface the lockstep test drives on Cond and
+// Indirect.
+type pathUnderTest interface {
+	Update(trace.Record)
+	LoadState(io.Reader) error
+}
+
+// lockstepPaths replays boundedTrace through a predictor, a reference
+// over the full register bank and one over a bank bounded to the deepest
+// length the selector reads. Halfway, a fresh predictor loads the
+// bounded reference's state and joins. At every scored record all four must
+// predict the same: the prefix form equals the register bank, and a
+// bounded bank's state, stale registers and history-stack frames
+// included, continues bit-identically.
+func lockstepPaths(t *testing.T, indirect bool, k uint, sel Selector, bound int, opts Options,
+	build func() pathUnderTest, predict func(pathUnderTest, arch.Addr) uint32) {
+	t.Helper()
+	full := newRefPath(indirect, k, sel, opts, DefaultMaxPath)
+	bounded := newRefPath(indirect, k, sel, opts, bound)
+	refPredict := func(p *refPath, pc arch.Addr) uint32 {
+		if indirect {
+			return p.table[p.index(pc)]
+		}
+		if p.pht.Taken(int(p.index(pc))) {
+			return 1
+		}
+		return 0
+	}
+	live := []pathUnderTest{build()}
+	recs := boundedTrace(20000)
+	for i, r := range recs {
+		if i == len(recs)/2 {
+			var buf bytes.Buffer
+			if err := bounded.saveState(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded := build()
+			if err := loaded.LoadState(&buf); err != nil {
+				t.Fatalf("loading bounded-bank state: %v", err)
+			}
+			live = append(live, loaded)
+		}
+		scored := r.Kind == arch.Cond
+		if indirect {
+			scored = r.Kind.IndirectTarget()
+		}
+		if scored {
+			want := refPredict(full, r.PC)
+			if got := refPredict(bounded, r.PC); got != want {
+				t.Fatalf("record %d: bounded bank predicts %d, full bank %d", i, got, want)
+			}
+			for j, p := range live {
+				if got := predict(p, r.PC); got != want {
+					t.Fatalf("record %d: predictor %d predicts %d, register bank %d", i, j, got, want)
+				}
+			}
+		}
+		full.update(r)
+		bounded.update(r)
+		for _, p := range live {
+			p.Update(r)
+		}
+	}
+}
+
+// lockstepSelectors are a fixed length and a profiled selector with the
+// deepest length each reads.
+var lockstepSelectors = []struct {
+	sel   Selector
+	bound int
+}{
+	{Fixed{L: 8}, 8},
+	{&PerBranch{Lengths: map[arch.Addr]int{0x1004: 3, 0x2008: 11, 0x300c: 5}, Default: 7}, 11},
+}
+
+// TestBoundedCondMatchesFullBank runs the conditional lockstep for each
+// selector, with and without the history stack and its combine variant.
 func TestBoundedCondMatchesFullBank(t *testing.T) {
 	for _, opts := range []Options{{}, {HistoryStack: true}, {HistoryStack: true, HistoryCombine: 2}} {
-		full := opts
-		full.MaxNeeded = DefaultMaxPath // explicit full bank
-		bounded, err := NewCondBits(12, Fixed{L: 8}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reference, err := NewCondBits(12, Fixed{L: 8}, full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bounded.HashSet().MaxNeeded() != 8 {
-			t.Fatalf("selector hint not applied: MaxNeeded = %d", bounded.HashSet().MaxNeeded())
-		}
-		if reference.HashSet().MaxNeeded() != DefaultMaxPath {
-			t.Fatalf("explicit full bank not applied: MaxNeeded = %d", reference.HashSet().MaxNeeded())
-		}
-		for i, r := range boundedTrace(20000) {
-			if r.Kind == arch.Cond && bounded.Predict(r.PC) != reference.Predict(r.PC) {
-				t.Fatalf("opts %+v: record %d: bounded and full-bank predictions diverge", opts, i)
-			}
-			bounded.Update(r)
-			reference.Update(r)
+		for _, s := range lockstepSelectors {
+			t.Run(fmt.Sprintf("%s/%+v", s.sel.Name(), opts), func(t *testing.T) {
+				lockstepPaths(t, false, 12, s.sel, s.bound, opts, func() pathUnderTest {
+					p, err := NewCondBits(12, s.sel, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return p
+				}, func(p pathUnderTest, pc arch.Addr) uint32 {
+					if p.(*Cond).Predict(pc) {
+						return 1
+					}
+					return 0
+				})
+			})
 		}
 	}
 }
 
 // TestBoundedIndirectMatchesFullBank is the indirect-branch counterpart.
 func TestBoundedIndirectMatchesFullBank(t *testing.T) {
-	bounded, err := NewIndirectBits(10, Fixed{L: 6}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reference, err := NewIndirectBits(10, Fixed{L: 6}, Options{MaxNeeded: DefaultMaxPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bounded.HashSet().MaxNeeded() != 6 || reference.HashSet().MaxNeeded() != DefaultMaxPath {
-		t.Fatalf("bank bounds = %d / %d, want 6 / %d",
-			bounded.HashSet().MaxNeeded(), reference.HashSet().MaxNeeded(), DefaultMaxPath)
-	}
-	for i, r := range boundedTrace(20000) {
-		if r.Kind.IndirectTarget() && bounded.Predict(r.PC) != reference.Predict(r.PC) {
-			t.Fatalf("record %d: bounded and full-bank targets diverge", i)
+	for _, opts := range []Options{{}, {HistoryStack: true, HistoryCombine: 2}} {
+		for _, s := range lockstepSelectors {
+			t.Run(fmt.Sprintf("%s/%+v", s.sel.Name(), opts), func(t *testing.T) {
+				lockstepPaths(t, true, 10, s.sel, s.bound, opts, func() pathUnderTest {
+					p, err := NewIndirectBits(10, s.sel, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return p
+				}, func(p pathUnderTest, pc arch.Addr) uint32 {
+					return uint32(p.(*Indirect).Predict(pc))
+				})
+			})
 		}
-		bounded.Update(r)
-		reference.Update(r)
 	}
 }
 
-// TestRot1MatchesRotl pins the specialised one-bit rotation against the
-// general rotl it replaced, across every index width including k=1 where
-// the shift form degenerates to the identity.
-func TestRot1MatchesRotl(t *testing.T) {
-	for k := uint(1); k <= 32; k++ {
-		h := &HashSet{k: k, mask: uint32(uint64(1)<<k - 1)}
-		rng := xrand.New(uint64(k))
-		for i := 0; i < 200; i++ {
-			v := uint32(rng.Uint64())
-			if got, want := h.rot1(v), h.rotl(v, 1); got != want {
-				t.Fatalf("k=%d: rot1(%#x) = %#x, want rotl(v,1) = %#x", k, v, got, want)
+// TestSelectorIndicesMatchDirect replays the hardware-selected and
+// coarse-hint predictors, which read and train every tracked length per
+// branch, and requires each length's index to equal the direct
+// recomputation at every record.
+func TestSelectorIndicesMatchDirect(t *testing.T) {
+	dyn, err := NewDynCond(1024, nil, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coarse, err := NewCoarseCond(1024, nil, map[arch.Addr]int{0x1004: 2, 0x2008: 30}, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		update  func(trace.Record)
+		hs      *HashSet
+		lengths []int
+	}{
+		{"dynamic", dyn.Update, dyn.inner.hs, dyn.lengths},
+		{"coarse", coarse.Update, coarse.inner.hs, []int{1, 2, 4, 8, 16, 32}},
+	} {
+		for i, r := range boundedTrace(5000) {
+			for _, l := range c.lengths {
+				if got, want := c.hs.Index(l), c.hs.DirectIndex(l); got != want {
+					t.Fatalf("%s: record %d: I_%d = %#x, direct %#x", c.name, i, l, got, want)
+				}
 			}
+			c.update(r)
 		}
 	}
 }

@@ -111,20 +111,6 @@ type coarseSelector struct{ c *CoarseCond }
 func (s coarseSelector) Length(pc arch.Addr) int { return s.c.length(pc) }
 func (s coarseSelector) Name() string            { return "coarse" }
 
-// MaxNeeded implements MaxNeeder: the deepest length in any bucket, which
-// also covers the bucket-wide TrainAt calls in Update.
-func (s coarseSelector) MaxNeeded() int {
-	max := 0
-	for _, bkt := range s.c.buckets {
-		for _, l := range bkt {
-			if l > max {
-				max = l
-			}
-		}
-	}
-	return max
-}
-
 func (c *CoarseCond) slot(pc arch.Addr) int { return int(bpred.PCBits(pc) & c.slots) }
 
 func (c *CoarseCond) bucket(pc arch.Addr) []int {

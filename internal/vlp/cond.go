@@ -21,8 +21,8 @@ type Cond struct {
 	opts Options
 	name string
 
-	// stack holds saved partial-sum registers for the history-stack
-	// extension (nil when the extension is off).
+	// stack holds saved index snapshots (in partial-sum register
+	// layout) for the history-stack extension (nil when it is off).
 	stack [][]uint32
 
 	// extHist marks the path history as externally maintained: the
@@ -37,13 +37,6 @@ type Cond struct {
 type Options struct {
 	// MaxPath is the THB depth N; 0 means DefaultMaxPath (32).
 	MaxPath int
-	// MaxNeeded bounds the bank of partial-sum registers maintained per
-	// THB insert (§4.1) when the caller knows no deeper index is ever
-	// read. 0 derives the bound from the selector's MaxNeeder hint when
-	// it provides one; values outside 1..MaxPath keep the full bank.
-	// This is purely a simulation-cost knob: bounded registers are never
-	// read, so predictions are bit-identical to the full bank.
-	MaxNeeded int
 	// NoRotation disables the per-depth rotation of §3.3, so target
 	// order is no longer encoded in the index (ablation).
 	NoRotation bool
@@ -52,7 +45,7 @@ type Options struct {
 	// choice (§3.2) — this option measures that claim.
 	StoreReturns bool
 	// HistoryStack enables the §6 future-work extension after Jacobson
-	// et al.: partial-sum registers are saved on calls and restored on
+	// et al.: the path indices are saved on calls and restored on
 	// returns, so a subroutine's internal control flow does not disturb
 	// the caller's path history. Depth is capped at 64 frames.
 	HistoryStack bool
@@ -70,18 +63,6 @@ func (o Options) maxPath() int {
 		return DefaultMaxPath
 	}
 	return o.MaxPath
-}
-
-// boundBank applies the register-bank bound to a freshly built HashSet:
-// the explicit Options.MaxNeeded when set, else the selector's hint. The
-// NoRotation ablation recomputes indices from the THB ring rather than
-// the registers, so the bound is moot there but still harmless.
-func (o Options) boundBank(hs *HashSet, sel Selector) {
-	m := o.MaxNeeded
-	if m == 0 {
-		m = MaxNeededOf(sel)
-	}
-	hs.SetMaxNeeded(m)
 }
 
 // NewCond returns a conditional path predictor whose counter table fits
@@ -105,7 +86,6 @@ func NewCondBits(k uint, sel Selector, opts Options) (*Cond, error) {
 	if f, ok := sel.(Fixed); ok && (f.L < 1 || f.L > hs.MaxPath()) {
 		return nil, fmt.Errorf("vlp: fixed path length %d out of range 1..%d", f.L, hs.MaxPath())
 	}
-	opts.boundBank(hs, sel)
 	return &Cond{
 		pht:  counter.NewArray(1<<k, 2, 1),
 		hs:   hs,
@@ -212,7 +192,7 @@ func (c *Cond) ObservePath(r trace.Record) {
 	}
 }
 
-// restoreCombined restores saved partial sums and, for the combine
+// restoreCombined restores saved indices and, for the combine
 // variant, replays the most recent `combine` THB targets (the callee's
 // tail) on top, oldest first, so the indices reflect caller context
 // followed by the callee's last transfers.

@@ -193,7 +193,7 @@ func TestNotTakenFallThroughEntersTHB(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Update(condRec(0x1004, false, 0x9008))
-	if got := p.HashSet().Target(0); got != p.HashSet().compress(arch.Addr(0x1004).FallThrough()) {
+	if got := p.HashSet().Target(0); got != p.HashSet().f.Compress(arch.Addr(0x1004).FallThrough()) {
 		t.Errorf("THB top = %#x, want compressed fall-through", got)
 	}
 }

@@ -85,19 +85,6 @@ type dynSelector struct{ d *DynCond }
 func (s dynSelector) Length(pc arch.Addr) int { return s.d.bestLength(pc) }
 func (s dynSelector) Name() string            { return "dynamic" }
 
-// MaxNeeded implements MaxNeeder: the deepest tracked hash function. The
-// wrapped Cond also trains at every tracked length (TrainAt), which this
-// bound covers by construction.
-func (s dynSelector) MaxNeeded() int {
-	max := 0
-	for _, l := range s.d.lengths {
-		if l > max {
-			max = l
-		}
-	}
-	return max
-}
-
 func (d *DynCond) slot(pc arch.Addr) int { return int(bpred.PCBits(pc) & d.slots) }
 
 func (d *DynCond) bestLength(pc arch.Addr) int {

@@ -16,6 +16,67 @@ import (
 // at most 32 target addresses so there were 32 hash functions" (§3.1).
 const DefaultMaxPath = 32
 
+// Frame is the rotating frame of the prefix-XOR path hash at index width
+// k. The index of hash function HF_L is the XOR of the L most recent
+// compressed targets, the one at depth j rotated left by j bits (§3.3).
+// In the frame, the m-th inserted target u_m enters rotated right by its
+// phase φ_m = m mod k, and a running prefix accumulates the entries:
+//
+//	U_m = rotr(u_m, φ_m)    P_m = P_{m-1} XOR U_m    (P_{<0} = 0)
+//
+// After insert m, I_L = rotl(P_m XOR P_{m-L}, φ_m): rotating U_{m-j} left
+// by φ_m gives rotl(u_{m-j}, j), exactly §3.3's depth-j term. So any
+// index costs one XOR and one rotation, and an insert costs one of each,
+// whatever the path length. HashSet keeps the prefixes in a ring; the
+// profiling pipeline keeps them for a whole input and reads every
+// candidate length from the same array.
+type Frame struct {
+	k    uint
+	mask uint32
+}
+
+// NewFrame returns the frame for k-bit indices; k must be in 1..32.
+func NewFrame(k uint) (Frame, error) {
+	if k < 1 || k > 32 {
+		return Frame{}, fmt.Errorf("vlp: index width %d out of range 1..32", k)
+	}
+	return Frame{k: k, mask: uint32(1<<k - 1)}, nil
+}
+
+// K returns the index width in bits.
+func (f Frame) K() uint { return f.k }
+
+// Compress reduces a target address to k bits. The always-zero low two PC
+// bits are discarded first, then the high-order bits, the paper's "simply
+// discarding the higher order bits" (§3.1).
+func (f Frame) Compress(a arch.Addr) uint32 {
+	return uint32(uint64(a)>>2) & f.mask
+}
+
+// Push inserts compressed target u on top of prefix p, whose newest
+// insert has the given phase, and returns the new prefix and its phase.
+func (f Frame) Push(p uint32, phase uint, u uint32) (uint32, uint) {
+	phase++
+	if phase == f.k {
+		phase = 0
+	}
+	return p ^ f.enter(u, phase), phase
+}
+
+// enter returns U = rotr(u, phase), the prefix term of compressed target
+// u inserted at phase. phase < k and u < 2^k, so the rotation needs no
+// modulo and no zero-rotation branch: a shift by k clears u, even at 32.
+func (f Frame) enter(u uint32, phase uint) uint32 {
+	return (u>>phase | u<<(f.k-phase)) & f.mask
+}
+
+// Index returns I_L from the newest prefix p, the prefix q taken L
+// inserts earlier, and the phase of the newest insert.
+func (f Frame) Index(p, q uint32, phase uint) uint32 {
+	v := p ^ q
+	return (v<<phase | v>>(f.k-phase)) & f.mask
+}
+
 // HashSet maintains the Target History Buffer (THB) and the N path hash
 // indices I_1..I_N over it (§3.1, Figure 2).
 //
@@ -25,17 +86,21 @@ const DefaultMaxPath = 32
 // depth: T_1 by 0 bits, T_2 by 1 bit, and so on (§3.3), so that the same
 // set of targets in a different order yields a different index.
 //
-// Indices are maintained incrementally with the paper's "partial sum"
-// registers (§4.1): the register of HF_X holds I_{X-1}, and inserting a
-// new target t updates I_X to rot1(I_{X-1}) XOR t. The THB ring is kept as
-// well so DirectIndex can recompute any index from scratch; the test suite
-// verifies the two always agree.
+// The paper maintains the indices with N "partial sum" registers (§4.1),
+// which makes every insert update all N registers. HashSet keeps Frame's
+// prefix XORs instead, in a ring of a power-of-two size above N, so both
+// Insert and Index are O(1). The register layout survives at the edges:
+// Snapshot, Restore, SaveState and LoadState convert to and from it. The
+// THB ring is kept as well so Target and DirectIndex see the true recent
+// path; the test suite checks Index against DirectIndex and against a
+// model of the partial-sum registers.
 type HashSet struct {
-	k     uint
+	f     Frame
 	n     int
-	live  int // partial-sum registers maintained by Insert (<= n)
-	mask  uint32
-	idx   []uint32 // idx[x-1] = I_x
+	pre   []uint32 // prefix ring; pre[pos] is the newest prefix
+	ring  int      // len(pre)-1, a mask
+	pos   int
+	phase uint     // frame phase of the newest insert
 	thb   []uint32 // ring of compressed targets
 	head  int      // position of most recent target in thb
 	count int      // targets inserted, saturating at n
@@ -44,93 +109,76 @@ type HashSet struct {
 // NewHashSet returns a HashSet producing k-bit indices over paths of up to
 // n targets. k must be in 1..32 and n at least 1.
 func NewHashSet(k uint, n int) (*HashSet, error) {
-	if k < 1 || k > 32 {
-		return nil, fmt.Errorf("vlp: index width %d out of range 1..32", k)
+	f, err := NewFrame(k)
+	if err != nil {
+		return nil, err
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("vlp: path depth %d out of range", n)
 	}
+	size := 2
+	for size <= n {
+		size *= 2
+	}
 	return &HashSet{
-		k:    k,
+		f:    f,
 		n:    n,
-		live: n,
-		mask: uint32(1<<k - 1),
-		idx:  make([]uint32, n),
+		pre:  make([]uint32, size),
+		ring: size - 1,
 		thb:  make([]uint32, n),
 		head: n - 1,
 	}, nil
 }
 
 // K returns the index width in bits.
-func (h *HashSet) K() uint { return h.k }
+func (h *HashSet) K() uint { return h.f.k }
 
 // MaxPath returns the THB depth N.
 func (h *HashSet) MaxPath() int { return h.n }
 
-// SetMaxNeeded bounds the bank of partial-sum registers Insert maintains
-// to the first m, for callers that know they will never ask for an index
-// deeper than m (a Fixed{L:8} selector needs 8 registers, not 32). Values
-// outside 1..MaxPath mean "unknown" and keep the full bank. The THB ring
-// is always maintained in full, so DirectIndex and Target still work at
-// any depth; only Index is restricted to lengths within the bound.
-func (h *HashSet) SetMaxNeeded(m int) {
-	if m < 1 || m > h.n {
-		m = h.n
-	}
-	h.live = m
-}
-
-// MaxNeeded returns the number of partial-sum registers Insert maintains.
-func (h *HashSet) MaxNeeded() int { return h.live }
-
-// compress reduces a target address to k bits. The always-zero low two PC
-// bits are discarded first, then the high-order bits, the paper's "simply
-// discarding the higher order bits".
-func (h *HashSet) compress(a arch.Addr) uint32 {
-	return uint32(uint64(a)>>2) & h.mask
-}
-
 // rotl rotates v left by r bits within the k-bit index width.
 func (h *HashSet) rotl(v uint32, r uint) uint32 {
-	r %= h.k
+	r %= h.f.k
 	if r == 0 {
-		return v & h.mask
+		return v & h.f.mask
 	}
-	return (v<<r | v>>(h.k-r)) & h.mask
+	return (v<<r | v>>(h.f.k-r)) & h.f.mask
 }
 
-// rot1 is rotl(v, 1) without the modulo and the zero-rotation branch: the
-// incremental update rotates by exactly one bit per stage, and for k == 1
-// the plain shift form already reduces to the identity, so the hot loop
-// needs neither the `%` nor the branch.
-func (h *HashSet) rot1(v uint32) uint32 {
-	return (v<<1 | v>>(h.k-1)) & h.mask
-}
-
-// Insert records a new branch target into the THB, updating every index
-// incrementally (§4.1). Callers insert the targets of conditional and
-// indirect branches only (§3.2); unconditional branches and returns carry
-// no path information.
+// Insert records a new branch target into the THB (§4.1). Callers insert
+// the targets of conditional and indirect branches only (§3.2);
+// unconditional branches and returns carry no path information.
 func (h *HashSet) Insert(target arch.Addr) {
-	h.InsertCompressed(h.compress(target))
+	h.InsertCompressed(h.f.Compress(target))
+}
+
+// InsertCompressed inserts a target that is already compressed to k bits
+// — used when re-playing targets captured from the THB ring (the
+// history-stack combine variant re-inserts the last few callee targets on
+// top of the restored caller history).
+func (h *HashSet) InsertCompressed(t uint32) {
+	t &= h.f.mask
+	p, phase := h.f.Push(h.pre[h.pos], h.phase, t)
+	h.pos = (h.pos + 1) & h.ring
+	h.pre[h.pos], h.phase = p, phase
+	h.head++
+	if h.head == h.n {
+		h.head = 0
+	}
+	h.thb[h.head] = t
+	if h.count < h.n {
+		h.count++
+	}
 }
 
 // Index returns I_length, the predictor-table index produced by hash
-// function HF_length. length must be in 1..MaxNeeded (which is MaxPath
-// unless the bank was bounded with SetMaxNeeded).
+// function HF_length. length must be in 1..MaxPath.
 func (h *HashSet) Index(length int) uint32 {
-	if length < 1 || length > h.live {
-		panic(fmt.Sprintf("vlp: path length %d out of range 1..%d (bank bounded to %d of %d registers)",
-			length, h.live, h.live, h.n))
+	if length < 1 || length > h.n {
+		panic(fmt.Sprintf("vlp: path length %d out of range 1..%d", length, h.n))
 	}
-	return h.idx[length-1]
+	return h.f.Index(h.pre[h.pos], h.pre[(h.pos-length)&h.ring], h.phase)
 }
-
-// Indices returns I_1..I_MaxNeeded (element x-1 is I_x) as a view of the
-// partial-sum registers: read-only, and valid until the next insert.
-// Callers that read many lengths per branch use it instead of one Index
-// call per length.
-func (h *HashSet) Indices() []uint32 { return h.idx[:h.live] }
 
 // Target returns the depth-th most recent compressed target in the THB
 // (depth 0 is the most recent), or 0 if fewer targets have been inserted —
@@ -143,9 +191,8 @@ func (h *HashSet) Target(depth int) uint32 {
 }
 
 // DirectIndex recomputes I_length from the THB contents using the
-// straightforward multi-stage XOR tree of §4.1, without the partial-sum
-// registers. It exists to validate the incremental implementation and to
-// document the reference semantics.
+// straightforward multi-stage XOR tree of §4.1. It exists to validate the
+// prefix form and to document the reference semantics.
 func (h *HashSet) DirectIndex(length int) uint32 {
 	if length < 1 || length > h.n {
 		panic(fmt.Sprintf("vlp: path length %d out of range 1..%d", length, h.n))
@@ -157,47 +204,30 @@ func (h *HashSet) DirectIndex(length int) uint32 {
 	return v
 }
 
-// InsertCompressed performs the incremental index update for a target that
-// is already compressed to k bits — used when re-playing targets captured
-// from the THB ring (the history-stack combine variant re-inserts the last
-// few callee targets on top of the restored caller history).
-//
-// Only the first MaxNeeded partial-sum registers are updated: I_X =
-// rot1(I_{X-1}) XOR t, evaluated from deep to shallow so each update reads
-// the previous insertion's value. Registers past the bound go stale, which
-// is fine because Index refuses to read them.
-func (h *HashSet) InsertCompressed(t uint32) {
-	t &= h.mask
-	idx := h.idx[:h.live]
-	for x := len(idx) - 1; x >= 1; x-- {
-		idx[x] = h.rot1(idx[x-1]) ^ t
-	}
-	idx[0] = t
-	h.head++
-	if h.head == h.n {
-		h.head = 0
-	}
-	h.thb[h.head] = t
-	if h.count < h.n {
-		h.count++
-	}
-}
-
-// Snapshot returns a copy of the partial-sum registers, used by the
-// history-stack extension (§6) to save predictor history across calls.
+// Snapshot returns the indices I_1..I_N in the layout of §4.1's
+// partial-sum registers (element x-1 is I_x), used by the history-stack
+// extension (§6) to save predictor history across calls.
 func (h *HashSet) Snapshot() []uint32 {
 	s := make([]uint32, h.n)
-	copy(s, h.idx)
+	for x := range s {
+		s[x] = h.Index(x + 1)
+	}
 	return s
 }
 
-// Restore overwrites the partial-sum registers with a snapshot taken
-// earlier. The THB ring is left alone: DirectIndex reflects the true
-// recent path while Index reflects the restored prediction history, which
-// is exactly the divergence the history-stack extension introduces.
+// Restore overwrites the indices with a register snapshot: the newest
+// prefix becomes 0 and the prefix X inserts older becomes I_X rotated
+// into the current frame, so Index(X) returns s[X-1] and later inserts
+// continue from it exactly as the partial-sum registers would. The THB
+// ring is left alone: DirectIndex reflects the true recent path while
+// Index reflects the restored prediction history, which is exactly the
+// divergence the history-stack extension introduces.
 func (h *HashSet) Restore(s []uint32) {
 	if len(s) != h.n {
 		panic(fmt.Sprintf("vlp: restoring snapshot of depth %d into HashSet of depth %d", len(s), h.n))
 	}
-	copy(h.idx, s)
+	h.pre[h.pos] = 0
+	for x, v := range s {
+		h.pre[(h.pos-x-1)&h.ring] = h.f.enter(v, h.phase)
+	}
 }

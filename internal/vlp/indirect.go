@@ -44,7 +44,6 @@ func NewIndirectBits(k uint, sel Selector, opts Options) (*Indirect, error) {
 	if f, ok := sel.(Fixed); ok && (f.L < 1 || f.L > hs.MaxPath()) {
 		return nil, fmt.Errorf("vlp: fixed path length %d out of range 1..%d", f.L, hs.MaxPath())
 	}
-	opts.boundBank(hs, sel)
 	return &Indirect{
 		table: make([]uint32, 1<<k),
 		mask:  1<<k - 1,

@@ -20,24 +20,6 @@ type Selector interface {
 	Name() string
 }
 
-// MaxNeeder is an optional Selector refinement: a selector that knows the
-// deepest path length it will ever return lets the predictor bound its
-// bank of partial-sum registers (HashSet.SetMaxNeeded), so a Fixed{L:8}
-// predictor updates 8 registers per THB insert instead of MaxPath. A
-// return outside 1..MaxPath means "unknown" and keeps the full bank.
-type MaxNeeder interface {
-	MaxNeeded() int
-}
-
-// MaxNeededOf resolves the bank bound for a selector: its MaxNeeded hint
-// when it provides one, otherwise 0 ("unknown", keep the full bank).
-func MaxNeededOf(sel Selector) int {
-	if m, ok := sel.(MaxNeeder); ok {
-		return m.MaxNeeded()
-	}
-	return 0
-}
-
 // Fixed selects the same path length for every branch: the fixed length
 // path (FLP) predictor, which "can be selected without the aid of any
 // profiling information" (§6).
@@ -48,9 +30,6 @@ func (f Fixed) Length(arch.Addr) int { return f.L }
 
 // Name implements Selector.
 func (f Fixed) Name() string { return fmt.Sprintf("fixed(%d)", f.L) }
-
-// MaxNeeded implements MaxNeeder: an FLP predictor only ever reads I_L.
-func (f Fixed) MaxNeeded() int { return f.L }
 
 // PerBranch selects a profiled path length for each static branch, with a
 // default for branches not seen during profiling: "All static branches not
@@ -75,18 +54,6 @@ func (p *PerBranch) Length(pc arch.Addr) int {
 // Name implements Selector.
 func (p *PerBranch) Name() string {
 	return fmt.Sprintf("profiled(%d branches,default %d)", len(p.Lengths), p.Default)
-}
-
-// MaxNeeded implements MaxNeeder: the deepest profiled length, or the
-// default for unprofiled branches, whichever is larger.
-func (p *PerBranch) MaxNeeded() int {
-	max := p.Default
-	for _, l := range p.Lengths {
-		if l > max {
-			max = l
-		}
-	}
-	return max
 }
 
 // LengthHistogram returns, for documentation and the ablation experiments,

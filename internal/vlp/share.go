@@ -87,7 +87,6 @@ func (o *PathObserver) Update(r trace.Record) {
 type historySharer interface {
 	HistoryKey() (HistoryKey, bool)
 	AttachHistory(hs *HashSet)
-	HashSet() *HashSet
 }
 
 // SharedGroup names the members (indices into the column) that were
@@ -105,18 +104,12 @@ type SharedGroup struct {
 // this when the observer job follows the member jobs) and must not
 // replay any member outside the fused pass afterwards.
 //
-// The shared register bank is bounded to the deepest index any member
-// reads (the maximum of the members' MaxNeeded bounds); bounded
-// registers past a member's own need are write-only for that member, so
-// — as with the per-predictor bound — predictions are bit-identical to
-// the full bank. Predictors that are not path predictors, use the
-// history-stack extension, or have a unique configuration are left
-// untouched.
+// Predictors that are not path predictors, use the history-stack
+// extension, or have a unique configuration are left untouched.
 func ShareCondHistories(preds []bpred.CondPredictor) []SharedGroup {
 	type group struct {
 		key     HistoryKey
 		members []int
-		bound   int
 	}
 	// First pass sizes each group so the second allocates every member
 	// slice exactly once — column setup runs per benchmark replay, so
@@ -147,9 +140,6 @@ func ShareCondHistories(preds []bpred.CondPredictor) []SharedGroup {
 			groups = append(groups, g)
 		}
 		g.members = append(g.members, i)
-		if m := hsr.HashSet().MaxNeeded(); m > g.bound {
-			g.bound = m
-		}
 	}
 	var shared []SharedGroup
 	for _, g := range groups {
@@ -162,7 +152,6 @@ func ShareCondHistories(preds []bpred.CondPredictor) []SharedGroup {
 			// they are known-valid; fail loudly if that ever changes.
 			panic(err)
 		}
-		hs.SetMaxNeeded(g.bound)
 		for _, i := range g.members {
 			preds[i].(historySharer).AttachHistory(hs)
 		}

@@ -71,10 +71,6 @@ func TestShareCondHistoriesGrouping(t *testing.T) {
 	if big.extHist || ret.extHist || stack.extHist {
 		t.Error("singleton / excluded predictors were attached")
 	}
-	// The shared bank must cover the deepest reader: Fixed{L:7}'s bound.
-	if got := a.hs.MaxNeeded(); got < 7 {
-		t.Errorf("shared bank bound %d cannot serve the L=7 member", got)
-	}
 }
 
 type notAPathPredictor struct{}

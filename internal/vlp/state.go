@@ -8,22 +8,23 @@ import (
 
 // Checkpoint support (bpred.StateCodec) for the path predictors. The
 // mutable state of a path predictor is its counter or target table plus
-// the HashSet — THB ring and partial-sum registers — and, with the
-// history-stack extension, the saved register frames. Selectors,
-// profiles, budgets, and the register-bank bound are configuration:
-// they are pinned by the factory spec recorded in the snapshot
-// container, not re-encoded here.
+// the HashSet — THB ring and indices — and, with the history-stack
+// extension, the saved register frames. Indices are encoded in the
+// layout of §4.1's partial-sum registers (I_1..I_N), whatever form
+// HashSet keeps them in. Selectors, profiles and budgets are
+// configuration: they are pinned by the factory spec recorded in the
+// snapshot container, not re-encoded here.
 //
 // Predictors attached to a shared HashSet (AttachHistory) save the
 // shared registers like any other state; restoring every member of a
 // group writes the same bytes into the one shared HashSet, so group
 // restore is idempotent and order-free.
 
-// SaveState implements bpred.StateCodec: the partial-sum registers,
-// the THB ring, and the ring position.
+// SaveState implements bpred.StateCodec: the indices in register
+// layout, the THB ring, and the ring position.
 func (h *HashSet) SaveState(w io.Writer) error {
 	e := state.NewEncoder(w)
-	e.U32s(h.idx)
+	e.U32s(h.Snapshot())
 	e.U32s(h.thb)
 	e.Int(h.head)
 	e.Int(h.count)
@@ -31,10 +32,14 @@ func (h *HashSet) SaveState(w io.Writer) error {
 }
 
 // LoadState implements bpred.StateCodec. The receiver's k and n are
-// configuration; state sized or valued beyond them is corrupt.
+// configuration; state sized or valued beyond them is corrupt. Any
+// register values load, including a bank whose registers past some
+// bound were never maintained: Index reads back exactly the registers
+// loaded, so indices within the bound continue exactly.
 func (h *HashSet) LoadState(r io.Reader) error {
 	d := state.NewDecoder(r)
-	d.U32s(h.idx)
+	regs := make([]uint32, h.n)
+	d.U32s(regs)
 	d.U32s(h.thb)
 	head := d.Int()
 	count := d.Int()
@@ -47,16 +52,17 @@ func (h *HashSet) LoadState(r io.Reader) error {
 	if count > h.n {
 		return state.Corruptf("vlp: THB count %d beyond depth %d", count, h.n)
 	}
-	for i, v := range h.idx {
-		if v&^h.mask != 0 {
-			return state.Corruptf("vlp: register %d value %#x overflows %d-bit index", i, v, h.k)
+	for i, v := range regs {
+		if v&^h.f.mask != 0 {
+			return state.Corruptf("vlp: register %d value %#x overflows %d-bit index", i, v, h.f.k)
 		}
 	}
 	for i, v := range h.thb {
-		if v&^h.mask != 0 {
-			return state.Corruptf("vlp: THB slot %d value %#x overflows %d-bit index", i, v, h.k)
+		if v&^h.f.mask != 0 {
+			return state.Corruptf("vlp: THB slot %d value %#x overflows %d-bit index", i, v, h.f.k)
 		}
 	}
+	h.Restore(regs)
 	h.head = head
 	h.count = count
 	return nil

@@ -11,6 +11,9 @@
 # -count=5 so the comparison has variance to work with. The run is saved
 # to $RESULTS/bench_micro.txt; with BENCH_JSON_DIR exported the artifact
 # benchmarks in the subset also emit repro-bench/v1 JSON reports there.
+# The committed BENCH_*.json points are rewritten only at the default
+# COUNT and BENCHTIME, so a quicker run (ci.sh's smoke) leaves the tree
+# clean.
 #
 # Comparison: benchstat when it is on PATH (statistically sound), else a
 # plain per-benchmark mean-ns/op delta table. If the baseline file does
@@ -79,13 +82,19 @@ emit() {
 # against the per-cell reference on a Table-2 grid), BENCH_snap.json
 # (the snapshot encode+decode round trip of a warmed 64KB vlp
 # predictor), BENCH_engine.json (overlapping plans with and without
-# the engine's cell dedup, plus the saving) and BENCH_profile.json (the
-# two-step profiling heuristic on one benchmark's profile input).
-emit BenchmarkFusedSweep/ BENCH_fused.json "ns/op allocs/op"
-emit BenchmarkSnapshotRoundtrip BENCH_snap.json "ns/op MB/s allocs/op"
-emit BenchmarkEngineDedup/ BENCH_engine.json "ns/op allocs/op" \
-	"BenchmarkEngineDedup/nodedup,BenchmarkEngineDedup/dedup"
-emit BenchmarkProfilingPipeline BENCH_profile.json "ns/op B/op allocs/op"
+# the engine's cell dedup, plus the saving), BENCH_profile.json (the
+# two-step profiling heuristic on one benchmark's profile input) and
+# BENCH_hash.json (one THB insert).
+if [ "$COUNT" = 5 ] && [ "$BENCHTIME" = 100ms ]; then
+	emit BenchmarkFusedSweep/ BENCH_fused.json "ns/op allocs/op"
+	emit BenchmarkSnapshotRoundtrip BENCH_snap.json "ns/op MB/s allocs/op"
+	emit BenchmarkEngineDedup/ BENCH_engine.json "ns/op allocs/op" \
+		"BenchmarkEngineDedup/nodedup,BenchmarkEngineDedup/dedup"
+	emit BenchmarkProfilingPipeline BENCH_profile.json "ns/op B/op allocs/op"
+	emit BenchmarkHashSetInsert BENCH_hash.json "ns/op allocs/op"
+else
+	echo "== bench-compare: COUNT=$COUNT BENCHTIME=$BENCHTIME is not the default 5 x 100ms; committed BENCH_*.json left as they are"
+fi
 
 if [ ! -f "$baseline" ]; then
 	cp "$current" "$baseline"
