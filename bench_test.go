@@ -312,6 +312,44 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeChunk decodes one 16384-record gcc chunk in the VLPT
+// wire format, the payload of one served request: Decode into a fresh
+// Buffer (the file and batch paths), and DecodeInto a reused record
+// window (the serve ingest path, which should not allocate).
+func BenchmarkDecodeChunk(b *testing.B) {
+	const chunkRecords = 16384
+	data, err := trace.Encode(trace.NewBuffer(benchTrace(b).Records[:chunkRecords]))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Decode", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := trace.Decode(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("DecodeInto", func(b *testing.B) {
+		window, err := trace.DecodeInto(nil, data) // sizes the window
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if window, err = trace.DecodeInto(window, data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if len(window) != chunkRecords {
+			b.Fatalf("decoded %d records, want %d", len(window), chunkRecords)
+		}
+	})
+}
+
 // BenchmarkServeEndToEnd measures the prediction service round trip:
 // chunk encoding, HTTP transport, server-side decode, and batched
 // replay, driven by the same load generator cmd/vlpload ships. Each

@@ -14,6 +14,7 @@ package obs
 import (
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"sync/atomic"
 	"time"
 )
@@ -46,8 +47,8 @@ type RunMetrics struct {
 	// throughput figure the ROADMAP's perf trajectory tracks.
 	BranchesPerSec float64 `json:"branches_per_sec"`
 	// AllocBytes is the heap allocated inside the region (delta of
-	// runtime.MemStats.TotalAlloc; concurrent activity is attributed
-	// to whichever spans are open).
+	// runtime/metrics' /gc/heap/allocs:bytes; concurrent activity is
+	// attributed to whichever spans are open).
 	AllocBytes uint64 `json:"alloc_bytes"`
 	// GCCycles is the number of garbage collections completed inside
 	// the region.
@@ -88,22 +89,30 @@ type Span struct {
 	start         time.Time
 	startBranches int64
 	startAlloc    uint64
-	startGC       uint32
+	startGC       uint64
 	workers       int
+	// samples is the span's runtime/metrics read buffer, kept in the
+	// span so a read allocates nothing.
+	samples [2]metrics.Sample
+}
+
+// read refreshes the span's samples: cumulative heap allocation and
+// completed GC cycles. Unlike runtime.ReadMemStats it does not stop the
+// world; small allocations still cached per P may be counted late.
+func (s *Span) read() (alloc, gcs uint64) {
+	s.samples[0].Name = "/gc/heap/allocs:bytes"
+	s.samples[1].Name = "/gc/cycles/total:gc-cycles"
+	metrics.Read(s.samples[:])
+	return s.samples[0].Value.Uint64(), s.samples[1].Value.Uint64()
 }
 
 // StartSpan begins measuring. It snapshots the clock, the process
 // branch counter, and the allocator statistics.
 func StartSpan() *Span {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return &Span{
-		start:         time.Now(),
-		startBranches: BranchTotal(),
-		startAlloc:    ms.TotalAlloc,
-		startGC:       ms.NumGC,
-		workers:       1,
-	}
+	s := &Span{startBranches: BranchTotal(), workers: 1}
+	s.startAlloc, s.startGC = s.read()
+	s.start = time.Now()
+	return s
 }
 
 // SetWorkers records the worker-pool size the region fans out over.
@@ -118,13 +127,12 @@ func (s *Span) SetWorkers(n int) {
 // End stops measuring and returns the region's metrics.
 func (s *Span) End() RunMetrics {
 	wall := time.Since(s.start)
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	alloc, gcs := s.read()
 	m := RunMetrics{
 		WallNanos:  int64(wall),
 		Branches:   BranchTotal() - s.startBranches,
-		AllocBytes: ms.TotalAlloc - s.startAlloc,
-		GCCycles:   ms.NumGC - s.startGC,
+		AllocBytes: alloc - s.startAlloc,
+		GCCycles:   uint32(gcs - s.startGC),
 		Workers:    s.workers,
 	}
 	if wall > 0 {

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -30,6 +31,28 @@ func TestSpanMeasuresBranchesAndWall(t *testing.T) {
 	}
 	if m.String() == "" {
 		t.Error("String empty")
+	}
+}
+
+// spanSink keeps TestSpanCountsAllocAndGC's allocation live on the heap.
+var spanSink []byte
+
+// TestSpanCountsAllocAndGC pins the allocator half of a span: a 1 MiB
+// allocation inside it shows in AllocBytes, and a forced collection in
+// GCCycles.
+func TestSpanCountsAllocAndGC(t *testing.T) {
+	sp := StartSpan()
+	spanSink = make([]byte, 1<<20)
+	m := sp.End()
+	if m.AllocBytes < 1<<20 {
+		t.Errorf("AllocBytes = %d after a 1 MiB allocation, want >= %d", m.AllocBytes, 1<<20)
+	}
+	spanSink = nil
+
+	sp = StartSpan()
+	runtime.GC()
+	if m := sp.End(); m.GCCycles < 1 {
+		t.Errorf("GCCycles = %d across runtime.GC(), want >= 1", m.GCCycles)
 	}
 }
 

@@ -323,14 +323,17 @@ type PredictResponse struct {
 	TotalMissRate    float64 `json:"total_miss_rate"`
 }
 
-// The ingest hot path recycles its two per-request allocations: gzip
-// readers (each ~44KB of inflate state) and the chunk byte buffer
-// io.ReadAll would otherwise regrow per request. Pooled values are
+// The ingest hot path recycles its three per-request allocations: gzip
+// readers (each ~44KB of inflate state), the chunk byte buffer
+// io.ReadAll would otherwise regrow per request, and the record window
+// a chunk decodes into (24 bytes a record). Pooled values are
 // request-scoped — taken after the worker-slot gate, returned before
-// the handler exits — so the pools hold at most one value per worker.
+// the handler exits, after replay and spill, with no reference kept —
+// so the pools hold at most one value per worker.
 var (
-	gzipReaders sync.Pool // *gzip.Reader, between requests holds a closed reader
-	chunkBufs   = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
+	gzipReaders   sync.Pool // *gzip.Reader, between requests holds a closed reader
+	chunkBufs     = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
+	recordWindows = sync.Pool{New: func() interface{} { return new(trace.Buffer) }}
 )
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -386,7 +389,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	data := bb.Bytes()
-	buf, err := trace.Decode(data)
+	// The whole chunk decodes before any record reaches the predictor,
+	// so a rejected chunk leaves the session untouched.
+	buf := recordWindows.Get().(*trace.Buffer)
+	defer recordWindows.Put(buf)
+	var err error
+	buf.Records, err = trace.DecodeInto(buf.Records, data)
 	if err != nil {
 		s.writeError(w, err)
 		return

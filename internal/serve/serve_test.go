@@ -304,6 +304,50 @@ func TestCorruptChunk(t *testing.T) {
 	}
 }
 
+// TestRejectedChunkLeavesSessionUntouched streams a valid chunk, a
+// truncated one declaring the same 16384 records, and a second valid
+// chunk. The truncated chunk half-fills a pooled record window before
+// it fails; the session's totals and vlps/v1 snapshot must still equal
+// those of a session that saw only the two valid chunks.
+func TestRejectedChunkLeavesSessionUntouched(t *testing.T) {
+	const chunkRecords = 16384
+	recs := testTrace(t, 2*chunkRecords).Records
+	first := encodeRecords(t, recs[:chunkRecords])
+	second := encodeRecords(t, recs[chunkRecords:])
+	truncated := second[:len(second)/2]
+	_, ts := newTestServer(t, testLimits())
+
+	createSession(t, ts.URL, "ref", "cond", "gshare:budget=16KB")
+	createSession(t, ts.URL, "s", "cond", "gshare:budget=16KB")
+	for _, c := range [][]byte{first, second} {
+		if _, status, _ := postChunk(t, ts.URL, "ref", c, false); status != http.StatusOK {
+			t.Fatalf("reference chunk: status %d", status)
+		}
+	}
+	if _, status, _ := postChunk(t, ts.URL, "s", first, false); status != http.StatusOK {
+		t.Fatalf("first chunk: status %d", status)
+	}
+	if _, status, env := postChunk(t, ts.URL, "s", truncated, false); status != http.StatusBadRequest || env.Code != CodeCorrupt {
+		t.Fatalf("truncated chunk: status %d code %q, want 400 %q", status, env.Code, CodeCorrupt)
+	}
+	pr, status, _ := postChunk(t, ts.URL, "s", second, false)
+	if status != http.StatusOK || pr.Records != chunkRecords {
+		t.Fatalf("second chunk: status %d, %d records", status, pr.Records)
+	}
+
+	want, _ := getSessionInfo(t, ts.URL, "ref")
+	got, _ := getSessionInfo(t, ts.URL, "s")
+	if got.Chunks != want.Chunks || got.Records != want.Records ||
+		got.Branches != want.Branches || got.Mispredicts != want.Mispredicts {
+		t.Errorf("totals after a rejected chunk: got %+v, want %+v", got, want)
+	}
+	wantSnap, _ := fetchSnapshot(t, ts.URL, "ref")
+	gotSnap, status := fetchSnapshot(t, ts.URL, "s")
+	if status != http.StatusOK || !bytes.Equal(gotSnap, wantSnap) {
+		t.Errorf("snapshot after a rejected chunk differs from the two-chunk reference (status %d)", status)
+	}
+}
+
 // TestBodyTooLarge asserts the body cap answers 413 before decoding.
 func TestBodyTooLarge(t *testing.T) {
 	limits := testLimits()

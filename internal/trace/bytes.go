@@ -8,8 +8,9 @@ import (
 // wire format the file layer uses, so a trace chunk can travel over a
 // network connection (the prediction service's request bodies) or sit in
 // a test fixture without touching the filesystem. A decoded chunk is
-// bit-identical to the records that were encoded: the codec is the file
-// codec over a byte slice.
+// bit-identical to the records that were encoded: ReadFile, Decode and
+// DecodeInto are one slice codec, and the streaming Reader runs the
+// same per-record decoder.
 
 // Encode serializes all records of src (after resetting it) into the
 // VLPT wire format.
@@ -31,29 +32,15 @@ func Encode(src Source) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// Decode parses one complete VLPT stream held in data. Decode failures
-// carry the same ErrCorrupt classification as the file reader, so
-// callers (the prediction service's ingestion path) can distinguish
-// structurally bad payloads from transient I/O the same way the batch
-// pipeline does. The header's declared count is untrusted: the
-// preallocation is capped by what len(data) bytes could possibly
-// encode, exactly as ReadFile caps it by the file size.
+// Decode parses one complete VLPT stream held in data into a new
+// Buffer: DecodeInto with no storage to reuse. Decode failures carry
+// the same ErrCorrupt classification as the file reader, so callers
+// can distinguish structurally bad payloads from transient I/O the same
+// way the batch pipeline does.
 func Decode(data []byte) (*Buffer, error) {
-	r, err := NewReader(bytes.NewReader(data))
+	recs, err := DecodeInto(nil, data)
 	if err != nil {
 		return nil, err
 	}
-	buf := &Buffer{Records: make([]Record, 0, preallocCount(r.count, int64(len(data))))}
-	var rec Record
-	for r.Next(&rec) {
-		buf.Append(rec)
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if buf.Len() != r.Count() {
-		return nil, corruptf("trace: decoded %d records, header declared %d",
-			buf.Len(), r.Count())
-	}
-	return buf, nil
+	return NewBuffer(recs), nil
 }

@@ -71,3 +71,19 @@ func TestDecodeCorrupt(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeRejectsMisaligned pins the writer's alignment check: the
+// format stores addresses in instruction units, so a PC or Next off an
+// instruction boundary is an error, not silently rounded down.
+func TestEncodeRejectsMisaligned(t *testing.T) {
+	for _, r := range []Record{
+		{PC: 0x1002, Kind: arch.Cond, Taken: true, Next: 0x2001},
+		{PC: 0x1002, Kind: arch.Cond, Taken: true, Next: 0x2000},
+		{PC: 0x1000, Kind: arch.Indirect, Taken: true, Next: 0x2001},
+	} {
+		if data, err := Encode(NewBuffer([]Record{r})); err == nil {
+			buf, _ := Decode(data)
+			t.Errorf("Encode(%v) succeeded; it decodes as %v", r, buf.Records)
+		}
+	}
+}

@@ -57,75 +57,165 @@ func corruptf(format string, args ...any) error {
 	return &corruptError{err: fmt.Errorf(format, args...)}
 }
 
-// classifyRead marks end-of-stream read failures as corruption (the
-// header promised more data than the stream holds) while leaving other
-// I/O errors — which may be transient — unclassified.
-func classifyRead(err error) bool {
-	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
-}
-
-// readUvarint mirrors binary.ReadUvarint but returns a corrupt-classified
-// error on overflow: a varint longer than 64 bits is structurally bad
-// data, and the standard library's unexported overflow error would read
-// as retryable I/O to the ingestion layer.
-func readUvarint(br io.ByteReader) (uint64, error) {
-	var x uint64
-	var s uint
-	for i := 0; i < binary.MaxVarintLen64; i++ {
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return 0, corruptf("varint overflows a 64-bit integer")
-			}
-			return x | uint64(b)<<s, nil
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
+// readErr formats a failure to read the field what. A premature end of
+// stream is corruption (the header promised more data than the stream
+// holds); other I/O errors, which may be transient, stay unclassified.
+func readErr(what string, err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return corruptf("trace: %s: %w", what, err)
 	}
-	return 0, corruptf("varint overflows a 64-bit integer")
+	return fmt.Errorf("trace: %s: %w", what, err)
 }
 
-// readVarint is the zig-zag signed companion to readUvarint.
-func readVarint(br io.ByteReader) (int64, error) {
-	ux, err := readUvarint(br)
-	x := int64(ux >> 1)
+// errVarintOverflow reports a varint longer than 64 bits: structurally
+// bad data, where the standard library's overflow would read as
+// retryable I/O to the ingestion layer.
+var errVarintOverflow = &corruptError{err: errors.New("varint overflows a 64-bit integer")}
+
+// varintErr is the failure behind binary.Uvarint's n <= 0: overflow,
+// or end, the reason its input ends where it does (io.EOF for a
+// complete payload).
+func varintErr(n int, end error) error {
+	if n < 0 {
+		return errVarintOverflow
+	}
+	return end
+}
+
+const (
+	// maxHeaderBytes is the longest file header: magic, version, count.
+	maxHeaderBytes = len(fileMagic) + 2*binary.MaxVarintLen64
+	// maxRecordBytes is the longest encoded record: header byte, PC
+	// delta and Next.
+	maxRecordBytes = 1 + 2*binary.MaxVarintLen64
+)
+
+// parseHeader parses the file header at the front of p and returns the
+// declared record count and the header's length. end is the reason p
+// ends where it does: io.EOF when p holds the whole stream, the read
+// error when p is a prefix of one.
+func parseHeader(p []byte, end error) (count uint64, n int, err error) {
+	if len(p) < len(fileMagic) {
+		if len(p) > 0 && end == io.EOF {
+			end = io.ErrUnexpectedEOF
+		}
+		return 0, 0, readErr("reading magic", end)
+	}
+	if string(p[:len(fileMagic)]) != fileMagic {
+		return 0, 0, corruptf("trace: bad magic %q", p[:len(fileMagic)])
+	}
+	n = len(fileMagic)
+	version, m := binary.Uvarint(p[n:])
+	if m <= 0 {
+		return 0, 0, corruptf("trace: reading version: %w", varintErr(m, end))
+	}
+	if version != fileVersion {
+		return 0, 0, corruptf("trace: unsupported version %d", version)
+	}
+	n += m
+	count, m = binary.Uvarint(p[n:])
+	if m <= 0 {
+		err = varintErr(m, end)
+	} else if count > math.MaxInt {
+		// Count() reports int; a count that cannot even be represented
+		// is a scrambled header, not a plausible trace.
+		err = corruptf("implausible record count %d", count)
+	}
+	if err != nil {
+		return 0, 0, corruptf("trace: reading count: %w", err)
+	}
+	return count, n + m, nil
+}
+
+// decodeRecord is the one VLPT record decoder: it parses the record at
+// the front of p, the i-th of its stream, whose predecessor's PC is
+// prevPC, and returns it with its encoded length. end is the reason p
+// ends where it does, reported if the record runs off it.
+func decodeRecord(p []byte, end error, prevPC arch.Addr, i uint64) (Record, int, error) {
+	if len(p) == 0 {
+		return Record{}, 0, readErr(fmt.Sprintf("record %d header", i), end)
+	}
+	hdr := p[0]
+	kind := arch.BranchKind(hdr & hdrKindMask)
+	if int(kind) >= arch.NumKinds {
+		return Record{}, 0, corruptf("trace: record %d has invalid kind %d", i, kind)
+	}
+	// Both varints take an inlined one-byte path; binary.Uvarint
+	// decodes longer ones and reports truncation and overflow.
+	n := 1
+	ux, m := uint64(0), 1
+	if len(p) > n && p[n] < 0x80 {
+		ux = uint64(p[n])
+	} else if ux, m = binary.Uvarint(p[n:]); m <= 0 {
+		return Record{}, 0, readErr(fmt.Sprintf("record %d pc delta", i), varintErr(m, end))
+	}
+	n += m
+	delta := int64(ux >> 1)
 	if ux&1 != 0 {
-		x = ^x
+		delta = ^delta
 	}
-	return x, err
+	pc := arch.Addr(int64(prevPC) + delta*arch.InstrBytes)
+	next := pc.FallThrough()
+	if hdr&hdrFallThrough == 0 {
+		u, m := uint64(0), 1
+		if len(p) > n && p[n] < 0x80 {
+			u = uint64(p[n])
+		} else if u, m = binary.Uvarint(p[n:]); m <= 0 {
+			return Record{}, 0, readErr(fmt.Sprintf("record %d next", i), varintErr(m, end))
+		}
+		next, n = arch.Addr(u*arch.InstrBytes), n+m
+	}
+	return Record{PC: pc, Kind: kind, Taken: hdr&hdrTaken != 0, Next: next}, n, nil
 }
 
-// maxPreallocRecords caps how many records a file header can make
-// ReadFile preallocate before a single byte of payload has been
-// decoded. A hostile or scrambled header can declare 2^60 records; the
-// slice still grows to the real decoded size on demand, so the cap
-// costs nothing on honest files. 1M records ≈ 24 MB of slice.
+// DecodeInto parses one complete VLPT stream held in data into dst's
+// storage, discarding dst's contents, and returns the records. It
+// allocates only when dst's capacity is short of the declared count
+// (bounded by what data could encode), so a caller that decodes chunk
+// after chunk into the returned slice decodes without allocating. On
+// error it returns the storage emptied, for reuse.
+func DecodeInto(dst []Record, data []byte) ([]Record, error) {
+	dst = dst[:0]
+	count, off, err := parseHeader(data, io.EOF)
+	if err != nil {
+		return dst, err
+	}
+	// The header's declared count is untrusted: the preallocation is
+	// capped by what len(data) bytes could possibly encode.
+	if n := preallocCount(count, len(data)); cap(dst) < n {
+		dst = make([]Record, 0, n)
+	}
+	var prevPC arch.Addr
+	for i := uint64(0); i < count; i++ {
+		rec, n, err := decodeRecord(data[off:], io.EOF, prevPC, i)
+		if err != nil {
+			return dst[:0], err
+		}
+		dst = append(dst, rec)
+		prevPC = rec.PC
+		off += n
+	}
+	return dst, nil
+}
+
+// maxPreallocRecords caps how many records a header can make DecodeInto
+// preallocate before a single record has been decoded. A hostile or
+// scrambled header can declare 2^60 records; the slice still grows to
+// the real decoded size on demand, so the cap costs nothing on honest
+// payloads. 1M records ≈ 24 MB of slice.
 const maxPreallocRecords = 1 << 20
 
 // minRecordBytes is the smallest possible encoded record: one header
 // byte plus a one-byte PC delta (the fall-through bit elides Next).
-// A file of N bytes therefore holds at most N/minRecordBytes records,
-// which bounds the preallocation for uncompressed files exactly.
+// A payload of N bytes therefore holds at most N/minRecordBytes records,
+// which bounds the preallocation exactly.
 const minRecordBytes = 2
 
 // preallocCount returns a safe capacity hint for a declared record
-// count: bounded by what dataBytes of payload could possibly encode
-// (when known; pass < 0 for unseekable/compressed streams) and by the
-// absolute maxPreallocRecords cap.
-func preallocCount(declared uint64, dataBytes int64) int {
-	n := declared
-	if dataBytes >= 0 {
-		if max := uint64(dataBytes) / minRecordBytes; n > max {
-			n = max
-		}
-	}
-	if n > maxPreallocRecords {
-		n = maxPreallocRecords
-	}
-	return int(n)
+// count: bounded by what dataBytes of payload could possibly encode and
+// by the absolute maxPreallocRecords cap.
+func preallocCount(declared uint64, dataBytes int) int {
+	return int(min(declared, uint64(dataBytes)/minRecordBytes, maxPreallocRecords))
 }
 
 const (
@@ -163,10 +253,16 @@ func NewWriter(w io.Writer, count int) (*Writer, error) {
 	return &Writer{w: bw, count: uint64(count)}, nil
 }
 
-// Write encodes one record.
+// Write encodes one record. The format stores addresses in instruction
+// units, so a PC or Next that is not instruction-aligned is an error
+// rather than silently rounded down.
 func (w *Writer) Write(r Record) error {
 	if w.wrote == w.count {
 		return fmt.Errorf("trace: writing more than the declared %d records", w.count)
+	}
+	if r.PC%arch.InstrBytes != 0 || r.Next%arch.InstrBytes != 0 {
+		return fmt.Errorf("trace: record %d (%v -> %v) is not %d-byte aligned",
+			w.wrote, r.PC, r.Next, arch.InstrBytes)
 	}
 	hdr := byte(r.Kind) & hdrKindMask
 	if r.Taken {
@@ -217,32 +313,12 @@ type Reader struct {
 // first record.
 func NewReader(rs io.ReadSeeker) (*Reader, error) {
 	br := bufio.NewReaderSize(rs, 1<<16)
-	magic := make([]byte, len(fileMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		if classifyRead(err) {
-			return nil, corruptf("trace: reading magic: %w", err)
-		}
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if string(magic) != fileMagic {
-		return nil, corruptf("trace: bad magic %q", magic)
-	}
-	version, err := readUvarint(br)
+	p, end := br.Peek(maxHeaderBytes)
+	count, n, err := parseHeader(p, end)
 	if err != nil {
-		return nil, corruptf("trace: reading version: %w", err)
+		return nil, err
 	}
-	if version != fileVersion {
-		return nil, corruptf("trace: unsupported version %d", version)
-	}
-	count, err := readUvarint(br)
-	if err == nil && count > math.MaxInt {
-		// Count() reports int; a count that cannot even be represented
-		// is a scrambled header, not a plausible trace.
-		err = corruptf("implausible record count %d", count)
-	}
-	if err != nil {
-		return nil, corruptf("trace: reading count: %w", err)
-	}
+	_, _ = br.Discard(n) // cannot fail: Peek buffered the n bytes
 	// Record where the data section starts so Reset can seek back to it.
 	pos, err := rs.Seek(0, io.SeekCurrent)
 	if err != nil {
@@ -260,50 +336,20 @@ func (r *Reader) Count() int { return int(r.count) }
 // distinguish check Err.
 func (r *Reader) Err() error { return r.err }
 
-// decodeErr formats a per-record decode failure, classifying premature
-// end of stream as corruption (the header declared records the stream
-// does not hold).
-func (r *Reader) decodeErr(what string, err error) error {
-	if classifyRead(err) {
-		return corruptf("trace: "+what+": %w", r.read, err)
-	}
-	return fmt.Errorf("trace: "+what+": %w", r.read, err)
-}
-
 // Next implements Source.
 func (r *Reader) Next(rec *Record) bool {
 	if r.err != nil || r.read >= r.count {
 		return false
 	}
-	hdr, err := r.br.ReadByte()
+	p, end := r.br.Peek(maxRecordBytes)
+	got, n, err := decodeRecord(p, end, r.prevPC, r.read)
 	if err != nil {
-		r.err = r.decodeErr("record %d header", err)
+		r.err = err
 		return false
 	}
-	kind := arch.BranchKind(hdr & hdrKindMask)
-	if int(kind) >= arch.NumKinds {
-		r.err = corruptf("trace: record %d has invalid kind %d", r.read, kind)
-		return false
-	}
-	delta, err := readVarint(r.br)
-	if err != nil {
-		r.err = r.decodeErr("record %d pc delta", err)
-		return false
-	}
-	pc := arch.Addr(int64(r.prevPC) + delta*arch.InstrBytes)
-	var next arch.Addr
-	if hdr&hdrFallThrough != 0 {
-		next = pc.FallThrough()
-	} else {
-		u, err := readUvarint(r.br)
-		if err != nil {
-			r.err = r.decodeErr("record %d next", err)
-			return false
-		}
-		next = arch.Addr(u * arch.InstrBytes)
-	}
-	*rec = Record{PC: pc, Kind: kind, Taken: hdr&hdrTaken != 0, Next: next}
-	r.prevPC = pc
+	_, _ = r.br.Discard(n) // cannot fail: Peek buffered the n bytes
+	*rec = got
+	r.prevPC = got.PC
 	r.read++
 	return true
 }
@@ -354,33 +400,9 @@ func ReadFile(path string) (*Buffer, error) {
 	if gzipPath(path) {
 		return readFileGz(path)
 	}
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	r, err := NewReader(f)
-	if err != nil {
-		return nil, err
-	}
-	// The header's declared count is untrusted input: cap the
-	// preallocation by what the file's actual size could encode so a
-	// scrambled count cannot demand gigabytes up front.
-	dataBytes := int64(-1)
-	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
-		dataBytes = fi.Size()
-	}
-	buf := &Buffer{Records: make([]Record, 0, preallocCount(uint64(r.count), dataBytes))}
-	var rec Record
-	for r.Next(&rec) {
-		buf.Append(rec)
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if buf.Len() != r.Count() {
-		return nil, corruptf("trace: %s: decoded %d records, header declared %d",
-			path, buf.Len(), r.Count())
-	}
-	return buf, nil
+	return Decode(data)
 }

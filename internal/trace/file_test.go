@@ -338,15 +338,15 @@ func TestReaderErrIsCorruptOnTruncation(t *testing.T) {
 func TestPreallocCount(t *testing.T) {
 	cases := []struct {
 		declared  uint64
-		dataBytes int64
+		dataBytes int
 		want      int
 	}{
 		{0, 100, 0},
-		{10, 100, 10},                     // honest header: exact
-		{1 << 60, 100, 50},                // lying header, known size: bounded by payload
-		{1 << 60, -1, maxPreallocRecords}, // lying header, unknown size: absolute cap
-		{maxPreallocRecords + 1, -1, maxPreallocRecords},
-		{5, -1, 5},
+		{10, 100, 10},                          // honest header: exact
+		{1 << 60, 100, 50},                     // lying header: bounded by payload
+		{1 << 60, 1 << 40, maxPreallocRecords}, // lying header, huge payload: absolute cap
+		{maxPreallocRecords + 1, 1 << 40, maxPreallocRecords},
+		{5, 10, 5},
 	}
 	for _, c := range cases {
 		if got := preallocCount(c.declared, c.dataBytes); got != c.want {

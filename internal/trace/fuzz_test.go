@@ -19,7 +19,10 @@ func drain(r *Reader) []Record {
 // FuzzReader throws arbitrary bytes at the trace decoder. The decoder
 // must never panic or over-read, Reset must be deterministic, and any
 // input that decodes cleanly must survive an encode/decode round trip
-// bit-for-bit at the record level.
+// bit-for-bit at the record level. Every input must also decode the
+// same way, to the same records or the same error and ErrCorrupt
+// classification, through Decode, DecodeInto a dirty longer reused
+// window, and the streaming Reader.
 func FuzzReader(f *testing.F) {
 	// Seeds: an empty valid file, a real encoded trace, a truncation of
 	// it, bad magic, a wrong version, and a header whose declared count
@@ -47,8 +50,16 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte("VLPT\x01\xff\xff\xff\xff\xff\xff\xff\xff\x7f"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		decoded, decErr := Decode(data)
+		window := make([]Record, 64)
+		for i := range window {
+			window[i] = Record{PC: 0xdead0, Next: 0xbeef0, Taken: true}
+		}
+		into, intoErr := DecodeInto(window[:37], data)
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
+			sameOutcome(t, "DecodeInto", intoErr, decErr, into, nil)
+			sameOutcome(t, "Reader", err, decErr, nil, nil)
 			return // rejected at the header; nothing more to check
 		}
 		first := drain(r)
@@ -60,6 +71,16 @@ func FuzzReader(f *testing.F) {
 			// An in-memory reader can only fail structurally; every such
 			// failure must carry the no-retry classification.
 			t.Fatalf("decode error not classified corrupt: %v", firstErr)
+		}
+		var want []Record
+		if decErr == nil {
+			want = decoded.Records
+		}
+		sameOutcome(t, "DecodeInto", intoErr, decErr, into, want)
+		if firstErr == nil {
+			sameOutcome(t, "Reader", nil, decErr, first, want)
+		} else {
+			sameOutcome(t, "Reader", firstErr, decErr, nil, nil)
 		}
 
 		// Reset replays the identical stream.
@@ -109,4 +130,29 @@ func FuzzReader(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameOutcome fails t unless a decode path's result (err, recs) matches
+// Decode's: the same error text and ErrCorrupt classification, or the
+// same records.
+func sameOutcome(t *testing.T, path string, err, want error, recs, wantRecs []Record) {
+	t.Helper()
+	if (err == nil) != (want == nil) {
+		t.Fatalf("%s error %v, Decode error %v", path, err, want)
+	}
+	if err != nil {
+		if err.Error() != want.Error() || errors.Is(err, ErrCorrupt) != errors.Is(want, ErrCorrupt) {
+			t.Fatalf("%s error %q (corrupt %v), Decode error %q (corrupt %v)", path,
+				err, errors.Is(err, ErrCorrupt), want, errors.Is(want, ErrCorrupt))
+		}
+		return
+	}
+	if len(recs) != len(wantRecs) {
+		t.Fatalf("%s decoded %d records, Decode %d", path, len(recs), len(wantRecs))
+	}
+	for i := range recs {
+		if recs[i] != wantRecs[i] {
+			t.Fatalf("%s record %d = %+v, Decode %+v", path, i, recs[i], wantRecs[i])
+		}
+	}
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"compress/gzip"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 )
@@ -43,9 +44,9 @@ func writeFileGz(path string, src Source) (err error) {
 	return zw.Close()
 }
 
-// readFileGz loads an entire gzip-compressed trace file into memory. The
-// gzip stream is not seekable, so the reader decodes in one pass into a
-// Buffer (which is itself a replayable Source).
+// readFileGz loads an entire gzip-compressed trace file into memory:
+// it inflates the stream and decodes the bytes in one pass into a Buffer
+// (which is itself a replayable Source).
 func readFileGz(path string) (*Buffer, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -57,48 +58,9 @@ func readFileGz(path string) (*Buffer, error) {
 		return nil, fmt.Errorf("trace: %s: %w", path, err)
 	}
 	defer zr.Close()
-	// Wrap in a readSeekShim: NewReader only Seeks on Reset, which the
-	// one-pass decode below never calls.
-	r, err := NewReader(&noSeekReader{r: zr})
+	data, err := io.ReadAll(zr)
 	if err != nil {
-		return nil, err
+		return nil, readErr(path, err)
 	}
-	// The decompressed size is unknowable up front, so only the
-	// absolute preallocation cap protects against a hostile count here;
-	// the slice grows to the real size as records decode.
-	buf := &Buffer{Records: make([]Record, 0, preallocCount(uint64(r.Count()), -1))}
-	var rec Record
-	for r.Next(&rec) {
-		buf.Append(rec)
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if buf.Len() != r.Count() {
-		return nil, corruptf("trace: %s: decoded %d records, header declared %d",
-			path, buf.Len(), r.Count())
-	}
-	return buf, nil
-}
-
-// noSeekReader adapts a plain reader to the io.ReadSeeker NewReader wants;
-// it supports only the initial no-op Seek used to locate the data section.
-type noSeekReader struct {
-	r   interface{ Read([]byte) (int, error) }
-	pos int64
-}
-
-func (n *noSeekReader) Read(p []byte) (int, error) {
-	m, err := n.r.Read(p)
-	n.pos += int64(m)
-	return m, err
-}
-
-func (n *noSeekReader) Seek(offset int64, whence int) (int64, error) {
-	// Only the "tell" form (Seek(0, Current)) used during header parsing
-	// is answerable without real seeking.
-	if whence == 1 && offset == 0 {
-		return n.pos, nil
-	}
-	return 0, fmt.Errorf("trace: cannot seek in a compressed stream")
+	return Decode(data)
 }

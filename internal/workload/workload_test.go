@@ -205,6 +205,29 @@ func TestTraceRecordsValid(t *testing.T) {
 	}
 }
 
+// TestTracesEncode checks that every benchmark's traces survive the VLPT
+// codec, whose writer rejects addresses that are not instruction-aligned.
+func TestTracesEncode(t *testing.T) {
+	for _, b := range All() {
+		for _, src := range []trace.Source{b.ProfileSource(5000), b.TestSource(5000)} {
+			want := trace.Collect(src).Records
+			data, err := trace.Encode(trace.NewBuffer(want))
+			if err != nil {
+				t.Fatalf("%s: %v", b.Name(), err)
+			}
+			got, err := trace.Decode(data)
+			if err != nil {
+				t.Fatalf("%s: %v", b.Name(), err)
+			}
+			for i := range want {
+				if got.Records[i] != want[i] {
+					t.Fatalf("%s: record %d = %v, encoded %v", b.Name(), i, got.Records[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestGenerateRandomSpecs fuzzes the generator: any well-formed Spec must
 // yield a valid program whose execution produces only well-formed records.
 func TestGenerateRandomSpecs(t *testing.T) {

@@ -6,8 +6,8 @@
 #   scripts/bench_compare.sh [baseline-file]
 #
 # The subset (predictor kernels, the §4.1 hash update, the two-step
-# profiling pipeline, the end-to-end simulation loop, and the served
-# prediction round trip) runs with
+# profiling pipeline, the end-to-end simulation loop, the served
+# prediction round trip, and one served chunk's decode) runs with
 # -count=5 so the comparison has variance to work with. The run is saved
 # to $RESULTS/bench_micro.txt; with BENCH_JSON_DIR exported the artifact
 # benchmarks in the subset also emit repro-bench/v1 JSON reports there.
@@ -25,7 +25,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 RESULTS="${RESULTS:-results}"
-BENCHES="${BENCHES:-BenchmarkGshareLookupUpdate|BenchmarkVLPCondLookupUpdate|BenchmarkVLPIndirectLookupUpdate|BenchmarkHashSetInsert|BenchmarkHashSetDirect|BenchmarkProfilingPipeline|BenchmarkEndToEndSim|BenchmarkServeEndToEnd|BenchmarkFusedSweep|BenchmarkSnapshotRoundtrip|BenchmarkEngineDedup}"
+BENCHES="${BENCHES:-BenchmarkGshareLookupUpdate|BenchmarkVLPCondLookupUpdate|BenchmarkVLPIndirectLookupUpdate|BenchmarkHashSetInsert|BenchmarkHashSetDirect|BenchmarkProfilingPipeline|BenchmarkEndToEndSim|BenchmarkServeEndToEnd|BenchmarkFusedSweep|BenchmarkSnapshotRoundtrip|BenchmarkEngineDedup|BenchmarkDecodeChunk}"
 COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-100ms}"
 baseline="${1:-$RESULTS/bench_micro_baseline.txt}"
@@ -83,8 +83,9 @@ emit() {
 # (the snapshot encode+decode round trip of a warmed 64KB vlp
 # predictor), BENCH_engine.json (overlapping plans with and without
 # the engine's cell dedup, plus the saving), BENCH_profile.json (the
-# two-step profiling heuristic on one benchmark's profile input) and
-# BENCH_hash.json (one THB insert).
+# two-step profiling heuristic on one benchmark's profile input),
+# BENCH_hash.json (one THB insert) and BENCH_decode.json (one
+# 16384-record chunk through Decode and DecodeInto a reused window).
 if [ "$COUNT" = 5 ] && [ "$BENCHTIME" = 100ms ]; then
 	emit BenchmarkFusedSweep/ BENCH_fused.json "ns/op allocs/op"
 	emit BenchmarkSnapshotRoundtrip BENCH_snap.json "ns/op MB/s allocs/op"
@@ -92,6 +93,7 @@ if [ "$COUNT" = 5 ] && [ "$BENCHTIME" = 100ms ]; then
 		"BenchmarkEngineDedup/nodedup,BenchmarkEngineDedup/dedup"
 	emit BenchmarkProfilingPipeline BENCH_profile.json "ns/op B/op allocs/op"
 	emit BenchmarkHashSetInsert BENCH_hash.json "ns/op allocs/op"
+	emit BenchmarkDecodeChunk BENCH_decode.json "ns/op B/op allocs/op"
 else
 	echo "== bench-compare: COUNT=$COUNT BENCHTIME=$BENCHTIME is not the default 5 x 100ms; committed BENCH_*.json left as they are"
 fi
