@@ -1,12 +1,14 @@
 package factory
 
 import (
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/profile"
+	"repro/internal/vlp"
 )
 
 func TestParseSpecGrammar(t *testing.T) {
@@ -175,6 +177,44 @@ func TestSpecBuildsFromProfilePath(t *testing.T) {
 	// The same path must fail for the indirect class: wrong profile kind.
 	if _, err := s.Indirect(); err == nil {
 		t.Error("cond profile accepted for indirect build")
+	}
+}
+
+// TestSpecRejectsProfileLengthPastTHB is the regression for a profile
+// naming a path length the THB cannot hash: profile.Load accepts any
+// positive length, so the build must fail with vlp.ErrPathLength rather
+// than leave HashSet.Index to panic mid-replay.
+func TestSpecRejectsProfileLengthPastTHB(t *testing.T) {
+	for _, tc := range []struct {
+		class   Class
+		lengths map[arch.Addr]int
+		def     int
+	}{
+		{Cond, map[arch.Addr]int{0x1004: 3, 0x1008: 40}, 2},
+		{Cond, map[arch.Addr]int{0x1004: 3}, 40},
+		{Indirect, map[arch.Addr]int{0x1004: 40}, 8},
+	} {
+		prof := &profile.Profile{Kind: tc.class.String(), TableBits: 10, Lengths: tc.lengths, Default: tc.def}
+		path := filepath.Join(t.TempDir(), "bad.prof")
+		if err := prof.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := profile.Load(path); err != nil {
+			t.Fatalf("profile.Load: %v", err)
+		}
+		s, err := ParseSpec("vlp:budget=4KB,profile=" + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.class == Cond {
+			_, err = s.Cond()
+		} else {
+			_, err = s.Indirect()
+		}
+		if !errors.Is(err, vlp.ErrPathLength) {
+			t.Errorf("%s lengths %v default %d: err = %v, want vlp.ErrPathLength",
+				tc.class, tc.lengths, tc.def, err)
+		}
 	}
 }
 

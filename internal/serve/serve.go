@@ -76,12 +76,15 @@ type Server struct {
 
 	// spillDir, when set (SetSpillDir), enables session hibernation:
 	// write-through snapshots after every chunk plus spill on eviction
-	// and drain, with transparent rehydration on the next request. See
+	// and drain (skipped when the file already holds the session's
+	// state), with transparent rehydration on the next request. See
 	// spill.go.
 	spillDir string
 	// snapFault, when set (SetSnapFault), injects failures into every
 	// snapshot file operation — the chaos seam for the spill path.
 	snapFault func() error
+	// rehydrateMu runs rehydrations one at a time (see rehydrate).
+	rehydrateMu sync.Mutex
 
 	requests    atomic.Int64
 	predicts    atomic.Int64
@@ -98,6 +101,7 @@ type Server struct {
 	snapsSaved        atomic.Int64
 	snapsRestored     atomic.Int64
 	rehydrateFailures atomic.Int64
+	spillsSkipped     atomic.Int64
 
 	// testHookPredict/testHookJob, when set by a test, run while the
 	// request holds its worker slot — the seam the saturation and drain
@@ -449,11 +453,14 @@ type MetricsData struct {
 	JobsFailed     int64         `json:"jobs_failed"`
 	// The hibernation counters: snapshots written (write-through,
 	// eviction, drain, downloads), sessions revived (rehydration and
-	// uploaded restores), and hibernation failures that dropped a
-	// session or a spill file instead of crashing.
+	// uploaded restores), hibernation failures that dropped a session
+	// or a spill file instead of crashing, and clean hand-offs
+	// (eviction, drain) whose spill file already held the session's
+	// state, so nothing was written.
 	SnapshotsSaved    int64           `json:"snapshots_saved"`
 	SnapshotsRestored int64           `json:"snapshots_restored"`
 	RehydrateFailures int64           `json:"rehydrate_failures"`
+	SpillsSkipped     int64           `json:"spills_skipped"`
 	RequestLatency    obs.HistSummary `json:"request_latency"`
 	WorkerPoolSize    int             `json:"worker_pool_size"`
 	WorkersInFlight   int             `json:"workers_in_flight"`
@@ -494,6 +501,7 @@ func (s *Server) MetricsReport() *obs.Report {
 		SnapshotsSaved:    s.snapsSaved.Load(),
 		SnapshotsRestored: s.snapsRestored.Load(),
 		RehydrateFailures: s.rehydrateFailures.Load(),
+		SpillsSkipped:     s.spillsSkipped.Load(),
 		RequestLatency:    s.hist.Summary(),
 		WorkerPoolSize:    s.limits.Workers,
 		WorkersInFlight:   len(s.sem),

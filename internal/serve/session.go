@@ -34,6 +34,20 @@ type session struct {
 	mu   sync.Mutex
 	pred bpred.Predictor
 	run  func(ctx context.Context, src trace.Source) sim.Result
+	// gen is the state generation, guarded by mu: it starts at 1 and
+	// goes up on every replayed chunk (canceled or not) and every
+	// restore. The predictor and the totals change together with it,
+	// under mu, so two captures of one generation are the same state.
+	gen uint64
+	// testHookReplayed, when set by a test, runs under mu between a
+	// replay and its totals update.
+	testHookReplayed func()
+
+	// spillMu runs the session's spills one at a time, so the last
+	// rename always holds the newest captured state. spilledGen, under
+	// spillMu, is the generation the spill file holds (noGen: none).
+	spillMu    sync.Mutex
+	spilledGen uint64
 
 	created time.Time
 
@@ -57,6 +71,7 @@ func newSession(id string, class factory.Class, spec factory.Spec) (*session, er
 		ID:      id,
 		Class:   class,
 		Spec:    spec,
+		gen:     1,
 		created: time.Now(),
 	}
 	s.st.Lock()
@@ -86,11 +101,17 @@ func newSession(id string, class factory.Class, spec factory.Spec) (*session, er
 }
 
 // predict replays one decoded chunk and folds its counts into the
-// session totals, returning the per-chunk result.
+// session totals, returning the per-chunk result. The replay, the new
+// generation and the totals update are one step under the replay lock,
+// so a concurrent snapshot sees either none of the chunk or all of it.
 func (s *session) predict(ctx context.Context, buf *trace.Buffer) (sim.Result, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	res := s.run(ctx, buf)
-	s.mu.Unlock()
+	s.gen++
+	if s.testHookReplayed != nil {
+		s.testHookReplayed()
+	}
 	if res.Err != nil {
 		// A canceled replay left the predictor partially trained; the
 		// session's totals no longer describe a clean prefix, so report
@@ -107,17 +128,27 @@ func (s *session) predict(ctx context.Context, buf *trace.Buffer) (sim.Result, e
 	return res, nil
 }
 
+// noGen is the generation of no state: a spill file that holds
+// nothing, or a capture that must happen whatever the generation.
+const noGen = 0
+
 // snapshot captures the session as a vlps/v1 snapshot: the predictor's
-// externalized state plus the accumulated totals in the meta field. It
-// takes the replay lock, so the captured state is always a clean
-// between-chunks boundary — restoring it and streaming the remaining
-// chunks is bit-identical to never having stopped.
-func (s *session) snapshot() (*snap.Snapshot, error) {
+// externalized state plus the accumulated totals in the meta field,
+// together with the generation captured. It takes the replay lock, so
+// the captured state is always a clean between-chunks boundary —
+// restoring it and streaming the remaining chunks is bit-identical to
+// never having stopped. A holder of generation have gets a nil
+// snapshot while the session is still at that generation; noGen always
+// captures.
+func (s *session) snapshot(have uint64) (*snap.Snapshot, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.gen == have {
+		return nil, have, nil
+	}
 	sn, err := snap.Capture(s.Class.String(), s.Spec.String(), s.pred)
 	if err != nil {
-		return nil, err
+		return nil, noGen, err
 	}
 	s.st.Lock()
 	chunks, records := s.chunks, s.records
@@ -130,18 +161,20 @@ func (s *session) snapshot() (*snap.Snapshot, error) {
 	e.U64(uint64(branches))
 	e.U64(uint64(mispredicts))
 	if err := e.Err(); err != nil {
-		return nil, err
+		return nil, noGen, err
 	}
 	sn.Meta = meta.Bytes()
-	return sn, nil
+	return sn, s.gen, nil
 }
 
 // restoreFrom loads a snapshot's predictor state and totals into a
-// freshly built session of the same class and spec. On error the
-// session must be discarded (the predictor may be half-written).
+// freshly built session of the same class and spec, as a new
+// generation. On error the session must be discarded (the predictor may
+// be half-written).
 func (s *session) restoreFrom(sn *snap.Snapshot) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.gen++
 	if err := sn.Restore(s.Class.String(), s.Spec.String(), s.pred); err != nil {
 		return err
 	}

@@ -21,12 +21,28 @@ import (
 // Eviction (LRU and idle-TTL), drain, and the explicit snapshot routes
 // reuse the same path.
 //
+// A state reaches disk once. Every session carries a state generation
+// that goes up on every replayed chunk (canceled or not) and every
+// restore, and remembers which generation its spill file holds: the
+// one it last wrote, or the one it was just rehydrated from. A chunk's
+// replay, generation and totals change together under the replay
+// lock, so one generation is one state. A session's spills run one at
+// a time, so the last rename always holds its newest captured state,
+// and a spill finding the file already at the current generation
+// writes nothing (spills_skipped). So an eviction or drain after a
+// write-through or a rehydrate costs no capture, no fsync and no
+// rename. Rehydrations run one at a time, so a failed one never
+// deletes a file another has just revived from. The generation only describes files
+// this session object wrote or loaded; a second copy of the same ID
+// (the open eviction hand-off window in ROADMAP.md) is not tracked.
+//
 // Failure policy: hibernation is a cache in front of correctness, never
 // a dependency of it. A failed spill write deletes the (now stale)
-// file and counts a rehydrate_failure; a damaged or mismatched spill
-// file on rehydrate is deleted, counted, and answered as "no such
-// session" so the client recreates from scratch. No snapshot failure
-// ever crashes the server or corrupts a live session.
+// file, resets the spilled generation to none (so the next hand-off
+// writes again), and counts a rehydrate_failure; a damaged or
+// mismatched spill file on rehydrate is deleted, counted, and answered
+// as "no such session" so the client recreates from scratch. No
+// snapshot failure ever crashes the server or corrupts a live session.
 
 // spillExt is the spill file suffix, one file per session ID. Session
 // IDs are validated path-safe at creation (ParseSessionRequest), so the
@@ -47,33 +63,39 @@ func (s *Server) spillPath(id string) string {
 	return filepath.Join(s.spillDir, id+spillExt)
 }
 
-// spill hibernates one session to its spill file. Best-effort: on any
-// failure the stale spill file is removed (resurrecting older state
-// would silently violate bit-identity), the failure is counted, and the
-// server carries on.
+// spill hibernates one session to its spill file, unless the file
+// already holds the session's current generation: then the hand-off is
+// clean, counted in spills_skipped, and writes nothing. Best-effort: on
+// any failure the stale spill file is removed (resurrecting older state
+// would silently violate bit-identity), the session's spilled generation
+// goes back to none so its next hand-off writes again, the failure is
+// counted, and the server carries on.
 func (s *Server) spill(sess *session, reason string) {
 	if s.spillDir == "" {
 		return
 	}
+	sess.spillMu.Lock()
+	defer sess.spillMu.Unlock()
+	sn, gen, err := sess.snapshot(sess.spilledGen)
+	if err == nil && sn == nil {
+		s.spillsSkipped.Add(1)
+		return
+	}
 	path := s.spillPath(sess.ID)
-	err := func() error {
-		if s.snapFault != nil {
-			if err := s.snapFault(); err != nil {
-				return err
-			}
-		}
-		sn, err := sess.snapshot()
-		if err != nil {
-			return err
-		}
-		return sn.SaveFile(path)
-	}()
+	if err == nil && s.snapFault != nil {
+		err = s.snapFault()
+	}
+	if err == nil {
+		err = sn.SaveFile(path)
+	}
 	if err != nil {
+		sess.spilledGen = noGen
 		s.rehydrateFailures.Add(1)
 		os.Remove(path)
 		s.log.Progressf("serve: session %q spill (%s) failed, dropping: %v", sess.ID, reason, err)
 		return
 	}
+	sess.spilledGen = gen
 	s.snapsSaved.Add(1)
 }
 
@@ -82,48 +104,39 @@ func (s *Server) spill(sess *session, reason string) {
 // caller answers 404 and the client recreates the session. A usable
 // snapshot re-enters the registry exactly as a live session would,
 // displacing the LRU session if the registry is full.
+//
+// Rehydrations run one at a time from the registry check to the
+// registration (rehydrateMu), so a request racing a rehydrate of the
+// same ID finds the revived session live instead of loading the file
+// again, and a failed rehydrate never deletes a file another one has
+// just claimed as holding its state.
 func (s *Server) rehydrate(id string) (*session, bool) {
 	if s.spillDir == "" {
 		return nil, false
 	}
-	path := s.spillPath(id)
-	fail := func(err error) {
-		s.rehydrateFailures.Add(1)
-		os.Remove(path)
-		s.log.Progressf("serve: session %q rehydrate failed, dropping spill file: %v", id, err)
+	s.rehydrateMu.Lock()
+	if cur, ok := s.reg.get(id); ok {
+		s.rehydrateMu.Unlock()
+		return cur, true
 	}
-	if s.snapFault != nil {
-		if err := s.snapFault(); err != nil {
-			fail(err)
-			return nil, false
-		}
-	}
-	sn, err := snap.LoadFile(path)
+	sess, err := s.loadSpill(id)
 	if errors.Is(err, os.ErrNotExist) {
+		s.rehydrateMu.Unlock()
 		return nil, false // never hibernated: a plain unknown session
 	}
 	if err != nil {
-		fail(err)
+		s.dropSpillFile(id)
+		s.rehydrateMu.Unlock()
+		s.rehydrateFailures.Add(1)
+		s.log.Progressf("serve: session %q rehydrate failed, dropping spill file: %v", id, err)
 		return nil, false
 	}
-	class, spec, err := ParseSessionRequest(SessionRequest{ID: id, Class: sn.Class, Spec: sn.Spec})
-	if err != nil {
-		fail(err)
-		return nil, false
-	}
-	sess, err := newSession(id, class, spec)
-	if err != nil {
-		fail(err)
-		return nil, false
-	}
-	if err := sess.restoreFrom(sn); err != nil {
-		fail(err)
-		return nil, false
-	}
+	sess.spilledGen = sess.gen // the file holds exactly the restored state
 	evicted, err := s.reg.add(sess)
+	s.rehydrateMu.Unlock()
 	if err != nil {
-		// A concurrent request rehydrated the same ID first; use the
-		// registered one.
+		// A create or an uploaded restore registered the same ID
+		// meanwhile; use the registered one.
 		if cur, ok := s.reg.get(id); ok {
 			return cur, true
 		}
@@ -136,6 +149,45 @@ func (s *Server) rehydrate(id string) (*session, bool) {
 	s.snapsRestored.Add(1)
 	s.log.Progressf("serve: session %q rehydrated (%d records so far)", id, sess.info().Records)
 	return sess, true
+}
+
+// loadSpill builds a session from its spill file: os.ErrNotExist when the
+// session never hibernated, any other error when the file is unusable.
+func (s *Server) loadSpill(id string) (*session, error) {
+	if s.snapFault != nil {
+		if err := s.snapFault(); err != nil {
+			return nil, err
+		}
+	}
+	sn, err := snap.LoadFile(s.spillPath(id))
+	if err != nil {
+		return nil, err
+	}
+	class, spec, err := ParseSessionRequest(SessionRequest{ID: id, Class: sn.Class, Spec: sn.Spec})
+	if err != nil {
+		return nil, err
+	}
+	sess, err := newSession(id, class, spec)
+	if err != nil {
+		return nil, err
+	}
+	if err := sess.restoreFrom(sn); err != nil {
+		return nil, err
+	}
+	return sess, nil
+}
+
+// dropSpillFile removes an unusable spill file. A live copy of the ID,
+// registered by a create or an uploaded restore while the file was
+// being loaded, may have written it through since; its spilled
+// generation goes back to none, so its next hand-off writes again.
+func (s *Server) dropSpillFile(id string) {
+	os.Remove(s.spillPath(id))
+	if cur, ok := s.reg.get(id); ok {
+		cur.spillMu.Lock()
+		cur.spilledGen = noGen
+		cur.spillMu.Unlock()
+	}
 }
 
 // lookup finds a live session or transparently rehydrates a hibernated
@@ -158,7 +210,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, Envelope{Code: CodeNotFound, Message: "no such session"})
 		return
 	}
-	sn, err := sess.snapshot()
+	sn, _, err := sess.snapshot(noGen)
 	if err != nil {
 		s.writeError(w, err)
 		return

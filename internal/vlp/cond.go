@@ -83,8 +83,8 @@ func NewCondBits(k uint, sel Selector, opts Options) (*Cond, error) {
 	if err != nil {
 		return nil, err
 	}
-	if f, ok := sel.(Fixed); ok && (f.L < 1 || f.L > hs.MaxPath()) {
-		return nil, fmt.Errorf("vlp: fixed path length %d out of range 1..%d", f.L, hs.MaxPath())
+	if err := checkSelector(sel, hs.MaxPath()); err != nil {
+		return nil, err
 	}
 	return &Cond{
 		pht:  counter.NewArray(1<<k, 2, 1),

@@ -1,6 +1,7 @@
 package vlp
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/arch"
@@ -14,6 +15,48 @@ func condRec(pc arch.Addr, taken bool, target arch.Addr) trace.Record {
 		next = target
 	}
 	return trace.Record{PC: pc, Kind: arch.Cond, Taken: taken, Next: next}
+}
+
+// TestSelectorLengthValidation pins that both constructors reject every
+// Fixed or PerBranch length outside 1..MaxPath with ErrPathLength,
+// instead of building a predictor that panics in HashSet.Index on the
+// first branch the bad length covers.
+func TestSelectorLengthValidation(t *testing.T) {
+	build := map[string]func(Selector, Options) error{
+		"cond": func(sel Selector, o Options) error {
+			_, err := NewCondBits(10, sel, o)
+			return err
+		},
+		"indirect": func(sel Selector, o Options) error {
+			_, err := NewIndirectBits(9, sel, o)
+			return err
+		},
+	}
+	for name, fn := range build {
+		for _, tc := range []struct {
+			what string
+			sel  Selector
+			opts Options
+			bad  bool
+		}{
+			{"fixed 33", Fixed{L: 33}, Options{}, true},
+			{"fixed past MaxPath", Fixed{L: 9}, Options{MaxPath: 8}, true},
+			{"branch 40", &PerBranch{Lengths: map[arch.Addr]int{0x1000: 3, 0x1004: 40}, Default: 4}, Options{}, true},
+			{"branch 0", &PerBranch{Lengths: map[arch.Addr]int{0x1004: 0}, Default: 4}, Options{}, true},
+			{"branch past MaxPath", &PerBranch{Lengths: map[arch.Addr]int{0x1004: 12}, Default: 4}, Options{MaxPath: 8}, true},
+			{"default 33", &PerBranch{Lengths: map[arch.Addr]int{0x1004: 3}, Default: 33}, Options{}, true},
+			{"default 0", &PerBranch{Default: 0}, Options{}, true},
+			{"in range", &PerBranch{Lengths: map[arch.Addr]int{0x1004: 32}, Default: 1}, Options{}, false},
+		} {
+			err := fn(tc.sel, tc.opts)
+			if tc.bad && !errors.Is(err, ErrPathLength) {
+				t.Errorf("%s %s: err = %v, want ErrPathLength", name, tc.what, err)
+			}
+			if !tc.bad && err != nil {
+				t.Errorf("%s %s: %v", name, tc.what, err)
+			}
+		}
+	}
 }
 
 func TestNewCondValidation(t *testing.T) {

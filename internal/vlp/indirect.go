@@ -41,8 +41,8 @@ func NewIndirectBits(k uint, sel Selector, opts Options) (*Indirect, error) {
 	if err != nil {
 		return nil, err
 	}
-	if f, ok := sel.(Fixed); ok && (f.L < 1 || f.L > hs.MaxPath()) {
-		return nil, fmt.Errorf("vlp: fixed path length %d out of range 1..%d", f.L, hs.MaxPath())
+	if err := checkSelector(sel, hs.MaxPath()); err != nil {
+		return nil, err
 	}
 	return &Indirect{
 		table: make([]uint32, 1<<k),

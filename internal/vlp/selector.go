@@ -1,6 +1,7 @@
 package vlp
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -18,6 +19,40 @@ type Selector interface {
 	Length(pc arch.Addr) int
 	// Name identifies the selection policy for reports.
 	Name() string
+}
+
+// ErrPathLength classifies a selector that names a path length outside
+// 1..MaxPath of the predictor it is attached to; the constructors reject
+// it up front instead of HashSet.Index panicking mid-replay.
+var ErrPathLength = errors.New("vlp: path length out of range")
+
+// checkSelector validates the lengths a Fixed or PerBranch selector can
+// return against a THB of depth maxPath. Other selectors check their own
+// lengths at construction.
+func checkSelector(sel Selector, maxPath int) error {
+	bad := func(l int) bool { return l < 1 || l > maxPath }
+	switch sel := sel.(type) {
+	case Fixed:
+		if bad(sel.L) {
+			return fmt.Errorf("%w: fixed length %d, want 1..%d", ErrPathLength, sel.L, maxPath)
+		}
+	case *PerBranch:
+		if bad(sel.Default) {
+			return fmt.Errorf("%w: default length %d, want 1..%d", ErrPathLength, sel.Default, maxPath)
+		}
+		// Report the lowest offending address, so the message is stable.
+		var pc arch.Addr
+		found := false
+		for a, l := range sel.Lengths {
+			if bad(l) && (!found || a < pc) {
+				pc, found = a, true
+			}
+		}
+		if found {
+			return fmt.Errorf("%w: branch %v length %d, want 1..%d", ErrPathLength, pc, sel.Lengths[pc], maxPath)
+		}
+	}
+	return nil
 }
 
 // Fixed selects the same path length for every branch: the fixed length

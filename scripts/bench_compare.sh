@@ -7,9 +7,10 @@
 #
 # The subset (predictor kernels, the §4.1 hash update, the two-step
 # profiling pipeline, the end-to-end simulation loop, the served
-# prediction round trip, and one served chunk's decode) runs with
-# -count=5 so the comparison has variance to work with. The run is saved
-# to $RESULTS/bench_micro.txt; with BENCH_JSON_DIR exported the artifact
+# prediction round trip, one served chunk's decode, and the serve
+# snapshot layer under eviction) runs with -count=5 so the comparison
+# has variance to work with. The run is saved to
+# $RESULTS/bench_micro.txt; with BENCH_JSON_DIR exported the artifact
 # benchmarks in the subset also emit repro-bench/v1 JSON reports there.
 # The committed BENCH_*.json points are rewritten only at the default
 # COUNT and BENCHTIME, so a quicker run (ci.sh's smoke) leaves the tree
@@ -25,7 +26,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 RESULTS="${RESULTS:-results}"
-BENCHES="${BENCHES:-BenchmarkGshareLookupUpdate|BenchmarkVLPCondLookupUpdate|BenchmarkVLPIndirectLookupUpdate|BenchmarkHashSetInsert|BenchmarkHashSetDirect|BenchmarkProfilingPipeline|BenchmarkEndToEndSim|BenchmarkServeEndToEnd|BenchmarkFusedSweep|BenchmarkSnapshotRoundtrip|BenchmarkEngineDedup|BenchmarkDecodeChunk}"
+BENCHES="${BENCHES:-BenchmarkGshareLookupUpdate|BenchmarkVLPCondLookupUpdate|BenchmarkVLPIndirectLookupUpdate|BenchmarkHashSetInsert|BenchmarkHashSetDirect|BenchmarkProfilingPipeline|BenchmarkEndToEndSim|BenchmarkServeEndToEnd|BenchmarkFusedSweep|BenchmarkSnapshotRoundtrip|BenchmarkEngineDedup|BenchmarkDecodeChunk|BenchmarkServeSpill}"
 COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-100ms}"
 baseline="${1:-$RESULTS/bench_micro_baseline.txt}"
@@ -33,17 +34,18 @@ current="$RESULTS/bench_micro.txt"
 
 mkdir -p "$RESULTS"
 echo "== bench-compare: go test -bench (count=$COUNT, benchtime=$BENCHTIME)"
-go test -run '^$' -bench "$BENCHES" -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$current"
+go test -run '^$' -bench "$BENCHES" -benchtime "$BENCHTIME" -count "$COUNT" . ./internal/serve | tee "$current"
 
 # emit PREFIX OUT UNITS [SAVINGS] records one benchmark family of the
 # run as a committed JSON artifact: every benchmark whose name starts
-# with PREFIX maps to the mean of each go-test unit in UNITS over its
-# runs (ns/op -> ns_per_op, MB/s -> mb_per_sec, B/op -> bytes_per_op,
-# allocs/op -> allocs_per_op). SAVINGS, a "base,new" pair of benchmark names, adds
-# the new one's ns/op saving over the base in percent.
+# with PREFIX (an extended regexp, so "A|B" names two families) maps to
+# the mean of each go-test unit in UNITS it reported over its runs
+# (ns/op -> ns_per_op, MB/s -> mb_per_sec, B/op -> bytes_per_op,
+# allocs/op -> allocs_per_op). SAVINGS, a "base,new" pair of benchmark
+# names, adds the new one's ns/op saving over the base in percent.
 emit() {
-	grep -q "^$1" "$current" || return 0
-	awk -v prefix="^$1" -v units="$3" -v savings="${4:-}" '
+	grep -Eq "^($1)" "$current" || return 0
+	awk -v prefix="^($1)" -v units="$3" -v savings="${4:-}" '
 		BEGIN {
 			nu = split(units, unit, " ")
 			key["ns/op"] = "ns_per_op"; fmt["ns/op"] = "%.0f"
@@ -55,15 +57,22 @@ emit() {
 			name = $1; sub(/-[0-9]+$/, "", name)
 			if (!(name in cnt)) order[++k] = name
 			cnt[name]++
-			for (f = 3; f < NF; f += 2) sum[name, $(f + 1)] += $f
+			for (f = 3; f < NF; f += 2) {
+				sum[name, $(f + 1)] += $f
+				has[name, $(f + 1)] = 1
+			}
 		}
 		END {
 			printf "{\n"
 			for (i = 1; i <= k; i++) {
 				name = order[i]
 				printf "  \"%s\": {", name
-				for (u = 1; u <= nu; u++)
-					printf "%s\"%s\": " fmt[unit[u]], (u > 1 ? ", " : ""), key[unit[u]], sum[name, unit[u]] / cnt[name]
+				sep = ""
+				for (u = 1; u <= nu; u++) {
+					if (!((name, unit[u]) in has)) continue
+					printf "%s\"%s\": " fmt[unit[u]], sep, key[unit[u]], sum[name, unit[u]] / cnt[name]
+					sep = ", "
+				}
 				printf "}%s\n", (i < k || savings != "" ? "," : "")
 			}
 			if (savings != "") {
@@ -81,14 +90,16 @@ emit() {
 # The committed perf trajectory: BENCH_fused.json (the fused kernel
 # against the per-cell reference on a Table-2 grid), BENCH_snap.json
 # (the snapshot encode+decode round trip of a warmed 64KB vlp
-# predictor), BENCH_engine.json (overlapping plans with and without
+# predictor, and a served request that rehydrates one session and
+# evicts another, with every eviction rewriting the state or only
+# dirty ones), BENCH_engine.json (overlapping plans with and without
 # the engine's cell dedup, plus the saving), BENCH_profile.json (the
 # two-step profiling heuristic on one benchmark's profile input),
 # BENCH_hash.json (one THB insert) and BENCH_decode.json (one
 # 16384-record chunk through Decode and DecodeInto a reused window).
 if [ "$COUNT" = 5 ] && [ "$BENCHTIME" = 100ms ]; then
 	emit BenchmarkFusedSweep/ BENCH_fused.json "ns/op allocs/op"
-	emit BenchmarkSnapshotRoundtrip BENCH_snap.json "ns/op MB/s allocs/op"
+	emit 'BenchmarkSnapshotRoundtrip|BenchmarkServeSpill/' BENCH_snap.json "ns/op MB/s B/op allocs/op"
 	emit BenchmarkEngineDedup/ BENCH_engine.json "ns/op allocs/op" \
 		"BenchmarkEngineDedup/nodedup,BenchmarkEngineDedup/dedup"
 	emit BenchmarkProfilingPipeline BENCH_profile.json "ns/op B/op allocs/op"
