@@ -1,6 +1,9 @@
 #!/bin/sh
-# CI pipeline without make: the same stages as `make check`.
+# The CI gate: every stage, in order. `make check` runs this script.
 set -eu
+# Smoke scratch and bench reports go here; the scripts read it too.
+RESULTS="${RESULTS:-results}"
+export RESULTS
 
 echo "== gofmt"
 out="$(gofmt -l .)"
@@ -65,9 +68,9 @@ echo "== chaos smoke (byte-identity under seeded faults + exact replay)"
 echo "== snap smoke (kill -9 restart resumes bit-identically)"
 ./scripts/snap_smoke.sh
 
-echo "== bench smoke (emits results/bench_*.json)"
-BENCH_JSON_DIR=results go test -run '^$' -bench 'BenchmarkHeadline|BenchmarkTable2' -benchtime 1x .
-go run ./cmd/obscheck -dir results
+echo "== bench smoke (emits $RESULTS/bench_*.json)"
+BENCH_JSON_DIR="$RESULTS" go test -run '^$' -bench 'BenchmarkHeadline|BenchmarkTable2' -benchtime 1x .
+go run ./cmd/obscheck -dir "$RESULTS"
 
 echo "== bench compare (micro subset vs recorded baseline)"
 COUNT=2 BENCHTIME=50ms ./scripts/bench_compare.sh

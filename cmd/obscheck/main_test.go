@@ -61,7 +61,7 @@ func TestCheckEmptyInputs(t *testing.T) {
 	}
 }
 
-// TestCheckURL scrapes a live vlpserve /metrics endpoint — the check CI
+// TestCheckURL scrapes a live vlpserve /v1/metrics endpoint — the check CI
 // runs after serve-smoke to prove the server's observability output is
 // schema-valid, not just well-intentioned.
 func TestCheckURL(t *testing.T) {
@@ -71,7 +71,7 @@ func TestCheckURL(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	if err := run("", ts.URL+"/metrics", "", nil, true, os.Stdout); err != nil {
+	if err := run("", ts.URL+"/v1/metrics", "", nil, true, os.Stdout); err != nil {
 		t.Errorf("live metrics: %v", err)
 	}
 

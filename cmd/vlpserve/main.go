@@ -18,15 +18,12 @@
 //	curl --data-binary @chunk.vlpt http://127.0.0.1:8080/v1/sessions/s1/chunks
 //	curl http://127.0.0.1:8080/v1/metrics
 //
-// Every route lives under /v1/; the pre-versioning spellings
-// (/metrics, /healthz, /v1/sessions/{id}/predict) still answer but
-// carry a Deprecation header. Failed requests share one JSON error
+// Every route lives under /v1/. Failed requests share one JSON error
 // envelope: {"code", "message", "retryable"}.
 //
 // The server is also a sweep worker: POST /v1/jobs runs one experiment
 // cell for the cmd/vlpsweep coordinator (disable with -jobs=false;
-// -tracedir points cells at recorded benchmark traces; -snapdir
-// checkpoints column replays so a requeued cell resumes mid-trace).
+// -tracedir points cells at recorded benchmark traces).
 //
 // -spill-dir enables session hibernation: every session's predictor
 // state is snapshotted write-through after each chunk, evicted and
@@ -64,7 +61,6 @@ func main() {
 		jobs     = flag.Bool("jobs", true, "serve POST /v1/jobs sweep cells (cmd/vlpsweep workers)")
 		traceDir = flag.String("tracedir", "", "recorded benchmark traces for sweep cells (<dir>/<bench>.vlpt)")
 		spillDir = flag.String("spill-dir", "", "hibernate sessions to this directory (write-through snapshots; a restart with the same dir resumes every session bit-identically)")
-		snapDir  = flag.String("snapdir", "", "checkpoint sweep-cell column replays to this directory so a requeued cell resumes instead of replaying from record zero")
 		chaosStr = flag.String("chaos", "", "server-side fault injection spec, e.g. chaos:seed=7,burst5xx=0.05,reset=0.02,truncate=0.02,stall=0.01,snap=0.1")
 		workers  = flag.Int("workers", 0, "bound every worker pool in the process, including the admission default (0 = CPU count); the limits grammar's workers= still overrides admission")
 		verbose  = flag.Bool("v", false, "narrate requests and evictions to stderr")
@@ -92,7 +88,7 @@ func main() {
 		inj = chaos.New(spec)
 	}
 	ctx, cancelSignals := runx.WithSignals(context.Background())
-	err = run(ctx, *addr, *addrFile, *limits, *jobs, *traceDir, *spillDir, *snapDir, inj, log)
+	err = run(ctx, *addr, *addrFile, *limits, *jobs, *traceDir, *spillDir, inj, log)
 	cancelSignals()
 	if perr := stop(); err == nil {
 		err = perr
@@ -103,7 +99,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, addr, addrFile, limitsStr string, jobs bool, traceDir, spillDir, snapDir string, inj *chaos.Injector, log *obs.Logger) error {
+func run(ctx context.Context, addr, addrFile, limitsStr string, jobs bool, traceDir, spillDir string, inj *chaos.Injector, log *obs.Logger) error {
 	limits, err := serve.ParseLimits(serve.DefaultLimits(), limitsStr)
 	if err != nil {
 		return err
@@ -116,9 +112,7 @@ func run(ctx context.Context, addr, addrFile, limitsStr string, jobs bool, trace
 		srv.SetSpillDir(spillDir)
 	}
 	if jobs {
-		runner := dist.NewRunner(traceDir, log)
-		runner.SetSnapDir(snapDir)
-		srv.SetJobRunner(runner)
+		srv.SetJobRunner(dist.NewRunner(traceDir, log))
 	}
 	if inj != nil {
 		// Mounted outermost — outside the panic-recovery boundary — so an

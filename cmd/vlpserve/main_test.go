@@ -21,7 +21,7 @@ func TestRunServesAndDrains(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, "127.0.0.1:0", addrFile, "workers=2,drain=2s", true, "", "", "", nil, nil)
+		done <- run(ctx, "127.0.0.1:0", addrFile, "workers=2,drain=2s", true, "", "", nil, nil)
 	}()
 
 	var addr string
@@ -44,14 +44,14 @@ func TestRunServesAndDrains(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
-	// The legacy spelling still answers, flagged deprecated.
-	legacy, err := http.Get("http://" + addr + "/healthz")
+	// The pre-v1 spelling is gone.
+	old, err := http.Get("http://" + addr + "/healthz")
 	if err != nil {
-		t.Fatalf("legacy healthz: %v", err)
+		t.Fatalf("pre-v1 healthz: %v", err)
 	}
-	legacy.Body.Close()
-	if legacy.StatusCode != http.StatusOK || legacy.Header.Get("Deprecation") != "true" {
-		t.Fatalf("legacy healthz: status %d, Deprecation %q", legacy.StatusCode, legacy.Header.Get("Deprecation"))
+	old.Body.Close()
+	if old.StatusCode != http.StatusNotFound {
+		t.Fatalf("pre-v1 healthz: status %d, want 404", old.StatusCode)
 	}
 
 	cancel()
@@ -67,13 +67,13 @@ func TestRunServesAndDrains(t *testing.T) {
 
 func TestRunRejectsBadInputs(t *testing.T) {
 	ctx := context.Background()
-	if err := run(ctx, "127.0.0.1:0", "", "max-sessions=0", false, "", "", "", nil, nil); err == nil {
+	if err := run(ctx, "127.0.0.1:0", "", "max-sessions=0", false, "", "", nil, nil); err == nil {
 		t.Error("invalid limits accepted")
 	}
-	if err := run(ctx, "127.0.0.1:0", "", "nope=1", false, "", "", "", nil, nil); err == nil {
+	if err := run(ctx, "127.0.0.1:0", "", "nope=1", false, "", "", nil, nil); err == nil {
 		t.Error("unknown limits key accepted")
 	}
-	if err := run(ctx, "256.0.0.1:99999", "", "", false, "", "", "", nil, nil); err == nil {
+	if err := run(ctx, "256.0.0.1:99999", "", "", false, "", "", nil, nil); err == nil {
 		t.Error("unlistenable address accepted")
 	}
 }

@@ -11,9 +11,9 @@
 // resets, truncated bodies, and stalled reads. Middleware wraps a
 // server-side handler (cmd/vlpserve's -chaos flag) and injects slow
 // responses, 5xx bursts, and mid-body connection drops. Health probes
-// (/v1/healthz and the legacy /healthz) are always exempt on the server
-// side so liveness reflects the process, not the schedule — which also
-// keeps the coordinator's breaker probes honest.
+// (/v1/healthz) are always exempt on the server side so liveness
+// reflects the process, not the schedule — which also keeps the
+// coordinator's breaker probes honest.
 //
 // Determinism: every request draws one fixed-order block of values from
 // a single mutex-guarded RNG stream, so the multiset of injected faults

@@ -7,13 +7,11 @@ import (
 	"strconv"
 )
 
-// healthExempt lists the paths the middleware never faults: liveness
+// healthPath is the one path the middleware never faults: liveness
 // must reflect the process, not the fault schedule, or the
 // coordinator's breaker probes and the two-strike prober would retire
 // perfectly healthy workers.
-func healthExempt(path string) bool {
-	return path == "/v1/healthz" || path == "/healthz"
-}
+const healthPath = "/v1/healthz"
 
 // Middleware wraps next in the injector's server-side faults. Each
 // non-exempt request draws one decision block; 5xx bursts and stalls
@@ -23,7 +21,7 @@ func healthExempt(path string) bool {
 // torn body rather than a short-but-valid one.
 func (in *Injector) Middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if healthExempt(r.URL.Path) {
+		if r.URL.Path == healthPath {
 			next.ServeHTTP(w, r)
 			return
 		}

@@ -43,7 +43,6 @@ import (
 // as an in-process suite run does.
 type Runner struct {
 	traceDir string
-	snapDir  string
 	log      *obs.Logger
 
 	mu     sync.Mutex
@@ -77,15 +76,6 @@ func NewRunner(traceDir string, log *obs.Logger) *Runner {
 	}
 }
 
-// SetSnapDir points every suite this runner builds at a column
-// checkpoint directory (experiments.Config.SnapDir): column replays
-// persist predictor snapshots as they go, so when a worker dies and the
-// coordinator requeues its in-flight cell, the surviving worker that
-// picks it up — or this worker after a restart — resumes from the last
-// checkpoint instead of replaying from record zero. Results are
-// bit-identical either way. Call before the first job.
-func (r *Runner) SetSnapDir(dir string) { r.snapDir = dir }
-
 // suite returns the cached suite for a scale, building and ingesting it
 // on first use.
 func (r *Runner) suite(ctx context.Context, key suiteKey) (*experiments.Suite, error) {
@@ -101,7 +91,6 @@ func (r *Runner) suite(ctx context.Context, key suiteKey) (*experiments.Suite, e
 			BaseRecords:    key.base,
 			ProfileRecords: key.profBase,
 			TraceDir:       r.traceDir,
-			SnapDir:        r.snapDir,
 		})
 		skipped, err := s.IngestTraces(ctx)
 		if err != nil {

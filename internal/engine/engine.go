@@ -5,8 +5,8 @@
 // sweep service's /v1/jobs worker, the distributed coordinator, the
 // CLIs — describes them as engine.Cell values and submits them here,
 // so planning (what cells exist), scheduling (dedup, worker pool) and
-// execution (replay, checkpointing, panic isolation) live in
-// one place instead of once per layer.
+// execution (replay, panic isolation) live in one place instead of
+// once per layer.
 //
 // The pipeline is Plan → Schedule → Execute:
 //
@@ -17,10 +17,9 @@
 //     (trace, column) cell replay it once, and fans unique cells out
 //     over the engine's worker pool (engine/pool);
 //   - execution replays each cell through the one kernel, sim.RunMany:
-//     fused, segmented with snapshot checkpoints when Config.SnapDir is
-//     set (checkpoint.go), or one predictor at a time under
-//     Config.PerCell — and the measured rates are bit-identical across
-//     all three, which the differential tests pin.
+//     fused, or one predictor at a time under Config.PerCell — and the
+//     measured rates are bit-identical across both, which the
+//     differential tests pin.
 package engine
 
 import (
@@ -144,13 +143,6 @@ type Config struct {
 	// per column. The rates are byte-identical either way; it is the
 	// reference the fused columns are checked against.
 	PerCell bool
-	// SnapDir, when set, names a directory for column replay
-	// checkpoints: a fused cell over an in-memory trace whose every
-	// participant is a bpred.StateCodec replays segmented, persisting
-	// every predictor's state (internal/snap format) so a killed or
-	// requeued run resumes from the last checkpoint instead of record
-	// zero.
-	SnapDir string
 	// NoDedup disables the per-key singleflight so every submission
 	// replays, even for a key already computed. Only the dedup
 	// benchmark uses it; production surfaces always dedup.
@@ -184,9 +176,6 @@ type Counters struct {
 	// cell's key was already scheduled — the work the unified engine
 	// saves across experiments.
 	Deduped int64
-	// ResumedRecords counts trace records segmented replays skipped by
-	// restoring checkpoints from Config.SnapDir.
-	ResumedRecords int64
 }
 
 // Engine schedules and executes cells: one singleflight per cell key,
@@ -198,10 +187,9 @@ type Engine struct {
 	mu   sync.Mutex
 	cols map[Key]*flight
 
-	submitted      atomic.Int64
-	executed       atomic.Int64
-	deduped        atomic.Int64
-	resumedRecords atomic.Int64
+	submitted atomic.Int64
+	executed  atomic.Int64
+	deduped   atomic.Int64
 }
 
 // New returns an engine with empty caches.
@@ -212,10 +200,9 @@ func New(cfg Config) *Engine {
 // Counters returns a snapshot of the scheduling counters.
 func (e *Engine) Counters() Counters {
 	return Counters{
-		Submitted:      e.submitted.Load(),
-		Executed:       e.executed.Load(),
-		Deduped:        e.deduped.Load(),
-		ResumedRecords: e.resumedRecords.Load(),
+		Submitted: e.submitted.Load(),
+		Executed:  e.executed.Load(),
+		Deduped:   e.deduped.Load(),
 	}
 }
 
@@ -285,7 +272,7 @@ func (e *Engine) runCell(ctx context.Context, c Cell) ([]float64, error) {
 		jobs, order = e.condJobs(preds)
 	}
 	e.executed.Add(1)
-	results, err := e.replay(ctx, c.Key(), jobs, order, src)
+	results, err := e.replay(ctx, jobs, order, src)
 	if err != nil {
 		return nil, err
 	}
@@ -293,34 +280,28 @@ func (e *Engine) runCell(ctx context.Context, c Cell) ([]float64, error) {
 }
 
 // ReplayCond measures a conditional column over src without
-// memoization or checkpointing and returns the per-predictor results in
-// predictor order, honouring Config.PerCell. Callers that need
+// memoization and returns the per-predictor results in predictor
+// order, honouring Config.PerCell. Callers that need
 // post-run predictor state (instrumentation counters) or replay a trace
 // outside the Source hook use it; rate-only callers go through Column.
 // A partial replay — canceled context or failed source — is refused as
 // a measurement.
 func (e *Engine) ReplayCond(ctx context.Context, preds []bpred.CondPredictor, src trace.Source) ([]sim.Result, error) {
 	jobs, order := e.condJobs(preds)
-	return e.replay(ctx, Key{}, jobs, order, src)
+	return e.replay(ctx, jobs, order, src)
 }
 
-// replay runs a column's jobs over src: each job alone under PerCell;
-// segmented with checkpoints when key names a cell (is not zero),
-// SnapDir is set, the trace is an in-memory buffer and every
-// participant is a StateCodec; and in one fused pass otherwise. order maps each predictor to its job
+// replay runs a column's jobs over src: each job alone under PerCell,
+// in one fused pass otherwise. order maps each predictor to its job
 // (nil: the identity); results come back in predictor order.
-func (e *Engine) replay(ctx context.Context, key Key, jobs []sim.Job, order []int, src trace.Source) ([]sim.Result, error) {
+func (e *Engine) replay(ctx context.Context, jobs []sim.Job, order []int, src trace.Source) ([]sim.Result, error) {
 	var results []sim.Result
-	buf, inMemory := src.(*trace.Buffer)
-	switch {
-	case e.cfg.PerCell:
+	if e.cfg.PerCell {
 		results = make([]sim.Result, len(jobs))
 		for i := range jobs {
 			results[i] = sim.RunMany(ctx, jobs[i:i+1], src, sim.Options{})[0]
 		}
-	case key != (Key{}) && e.cfg.SnapDir != "" && inMemory && checkpointable(jobs):
-		results = e.runColumnCheckpointed(ctx, key, jobs, buf)
-	default:
+	} else {
 		results = sim.RunMany(ctx, jobs, src, sim.Options{})
 	}
 	for i := range results {

@@ -31,14 +31,3 @@ func (p *Plan) Cells() []Cell { return p.cells }
 
 // Len returns how many cells the plan holds.
 func (p *Plan) Len() int { return len(p.cells) }
-
-// Keys returns the canonical key of every cell, in plan order — the
-// coordinator uses it to enumerate warmable cells without executing
-// anything.
-func (p *Plan) Keys() []Key {
-	out := make([]Key, len(p.cells))
-	for i := range p.cells {
-		out[i] = p.cells[i].Key()
-	}
-	return out
-}

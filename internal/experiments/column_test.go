@@ -24,9 +24,8 @@ func newPerCellSuite(cfg Config) *Suite {
 }
 
 // TestFusedMatchesPerCellOracle is the experiment-level differential
-// gate across every replay path: a fused suite, a per-cell reference
-// suite, and a segmented (checkpointing, SnapDir) suite at the same
-// scale must render byte-identical artifact text for every
+// gate across both replay paths: a fused suite and a per-cell reference
+// suite at the same scale must render byte-identical artifact text for every
 // column-driven experiment shape — the per-benchmark comparisons, the
 // size-sweep grids (where history sharing kicks in), the variant
 // ablations, the indirect field, and the experiments that keep their
@@ -34,12 +33,11 @@ func newPerCellSuite(cfg Config) *Suite {
 // replay through Engine.ReplayCond.
 func TestFusedMatchesPerCellOracle(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three full small-scale suites")
+		t.Skip("two full small-scale suites")
 	}
 	const scale = 60000
 	fused := NewSuite(Config{BaseRecords: scale})
 	oracle := newPerCellSuite(Config{BaseRecords: scale})
-	segmented := NewSuite(Config{BaseRecords: scale, SnapDir: t.TempDir()})
 	ctx := context.Background()
 	for _, id := range []string{
 		"fig5", "fig7", "fig9", "fig10", "headline",
@@ -58,17 +56,9 @@ func TestFusedMatchesPerCellOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s per-cell: %v", id, err)
 		}
-		sr, err := e.Run(segmented, ctx)
-		if err != nil {
-			t.Fatalf("%s segmented: %v", id, err)
-		}
 		if fr.Text != or.Text {
 			t.Errorf("%s: fused and per-cell artifacts differ\n--- fused ---\n%s\n--- per-cell ---\n%s",
 				id, fr.Text, or.Text)
-		}
-		if fr.Text != sr.Text {
-			t.Errorf("%s: fused and segmented artifacts differ\n--- fused ---\n%s\n--- segmented ---\n%s",
-				id, fr.Text, sr.Text)
 		}
 		if strings.TrimSpace(fr.Text) == "" {
 			t.Errorf("%s rendered empty text", id)

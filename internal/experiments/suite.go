@@ -46,13 +46,6 @@ type Config struct {
 	// loads them up front; benchmarks whose trace is missing or corrupt
 	// are skipped with a recorded reason rather than failing the suite.
 	TraceDir string
-	// SnapDir, when set, names a directory for column replay
-	// checkpoints: memoized columns over in-memory traces whose every
-	// predictor supports snapshots periodically persist that state
-	// (internal/snap format), so a killed or requeued run resumes from
-	// the last checkpoint instead of record zero. Results are
-	// bit-identical with or without it.
-	SnapDir string
 }
 
 func (c Config) base() int {
@@ -117,8 +110,7 @@ type Suite struct {
 
 	// eng is the suite's execution engine: every column replay — the
 	// unit of grid work — is scheduled through it, which owns per-cell
-	// memoization, checkpointed replay, and the worker pool for plan
-	// fan-out.
+	// memoization, replay, and the worker pool for plan fan-out.
 	eng *engine.Engine
 
 	mu        sync.Mutex
@@ -176,10 +168,7 @@ func NewSuite(cfg Config) *Suite {
 		benchmark: map[string]*workload.Benchmark{},
 		skipped:   map[string]string{},
 	}
-	s.eng = engine.New(engine.Config{
-		Source:  s.TestSource,
-		SnapDir: cfg.SnapDir,
-	})
+	s.eng = engine.New(engine.Config{Source: s.TestSource})
 	return s
 }
 
@@ -195,10 +184,6 @@ func (s *Suite) Engine() *engine.Engine { return s.eng }
 func (s *Suite) ComputeCounts() (records, step1, profiles int64) {
 	return s.computedRecords.Load(), s.computedStep1.Load(), s.computedProfiles.Load()
 }
-
-// ResumedRecords reports how many records column replays skipped by
-// resuming from checkpoints in Cfg.SnapDir.
-func (s *Suite) ResumedRecords() int64 { return s.eng.Counters().ResumedRecords }
 
 // ComputedColumns reports how many column replays the engine has
 // actually executed (cache misses, not lookups). Experiments that ask

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // ManifestSchema tags the manifest file so readers can reject formats
@@ -133,16 +132,6 @@ func (m *Manifest) Satisfied(id string, validate func(outputPath string) error) 
 		return true
 	}
 	return validate(e.Output) == nil
-}
-
-// IDs returns the recorded IDs in sorted order.
-func (m *Manifest) IDs() []string {
-	out := make([]string, 0, len(m.Entries))
-	for id := range m.Entries {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Save writes the manifest through AtomicWriteFile (temp file + fsync

@@ -213,8 +213,10 @@ func TestManifestRoundTrip(t *testing.T) {
 	if !ok || e.Status != StatusOK || e.Output != "results/bench_fig9.json" {
 		t.Errorf("fig9 entry = %+v", e)
 	}
-	if ids := got.IDs(); len(ids) != 3 || ids[0] != "fig5" {
-		t.Errorf("IDs = %v", ids)
+	for _, id := range []string{"fig5", "fig9", "table1"} {
+		if got.Entries[id].ID != id {
+			t.Errorf("entry %s = %+v", id, got.Entries[id])
+		}
 	}
 }
 

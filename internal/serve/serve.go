@@ -149,13 +149,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // the status line is already out; nothing to salvage
 }
 
-// Handler returns the routed handler. Every canonical route lives under
-// the /v1/ prefix; the pre-versioning spellings (/metrics, /healthz,
-// /v1/sessions/{id}/predict) remain mounted as deprecated aliases that
-// answer identically but carry a Deprecation header naming the
-// successor. Every route runs under the panic boundary: a panicking
-// predictor turns into a structured 500 on that request, and the server
-// keeps serving.
+// Handler returns the routed handler. Every route lives under the /v1/
+// prefix and runs under the panic boundary: a panicking predictor turns
+// into a structured 500 on that request, and the server keeps serving.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", s.handleCreateSession)
@@ -168,10 +164,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs", s.handleRunJob)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	// Deprecated aliases, kept for pre-v1 clients.
-	mux.Handle("POST /v1/sessions/{id}/predict", deprecated("/v1/sessions/{id}/chunks", s.handlePredict))
-	mux.Handle("GET /metrics", deprecated("/v1/metrics", s.handleMetrics))
-	mux.Handle("GET /healthz", deprecated("/v1/healthz", s.handleHealthz))
 	h := s.recoverable(mux)
 	if s.mw != nil {
 		h = s.mw(h)
@@ -187,16 +179,6 @@ func (s *Server) SetMiddleware(mw func(http.Handler) http.Handler) { s.mw = mw }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// deprecated wraps a legacy route: same handler, same body, plus the
-// standard deprecation headers pointing at the v1 successor.
-func deprecated(successor string, h http.HandlerFunc) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
-	})
 }
 
 // recoverable is the per-request fault boundary: it counts the request

@@ -10,13 +10,16 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bpred"
 	"repro/internal/factory"
 	"repro/internal/obs"
+	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -93,12 +96,7 @@ func tryCreateSession(t testing.TB, baseURL, id, class, spec string) (SessionInf
 
 func postChunk(t testing.TB, baseURL, id string, chunk []byte, gz bool) (PredictResponse, int, Envelope) {
 	t.Helper()
-	return postChunkAt(t, baseURL+"/v1/sessions/"+id+"/chunks", chunk, gz)
-}
-
-func postChunkAt(t testing.TB, url string, chunk []byte, gz bool) (PredictResponse, int, Envelope) {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(chunk))
+	req, err := http.NewRequest(http.MethodPost, baseURL+"/v1/sessions/"+id+"/chunks", bytes.NewReader(chunk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,46 +192,86 @@ func TestSessionLifecycle(t *testing.T) {
 
 // TestServedRatesMatchBatch is the core invariant (DESIGN.md §10): a
 // session fed the trace in order, chunk by chunk, must end with exactly
-// the counts a single batch sim.RunCond produces — same integers, and
-// therefore the same rate float bit for bit.
+// the counts a single batch replay produces — same integers, and
+// therefore the same rate float bit for bit. The predictor's state,
+// path history included, carries across every chunk boundary; the
+// VLP cases cut the trace at an odd chunk size so path histories span
+// the splits at every alignment.
 func TestServedRatesMatchBatch(t *testing.T) {
 	_, ts := newTestServer(t, testLimits())
-	const specStr = "gshare:budget=16KB"
-	createSession(t, ts.URL, "batch", "cond", specStr)
-
+	bench, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	// profileFile profiles the benchmark's profiling input for a table
+	// of budget bytes and returns the saved profile's path.
+	profileFile := func(name string, budget int, indirect bool) string {
+		build, entryBits := profile.Cond, 2
+		if indirect {
+			build, entryBits = profile.Indirect, 32
+		}
+		p, _, err := build(bench.ProfileSource(20000), profile.Config{TableBits: bpred.MustLog2Entries(budget, entryBits)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := p.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
 	buf := testTrace(t, 30000)
-	const chunk = 4096
-	var last PredictResponse
-	for off := 0; off < buf.Len(); off += chunk {
-		end := off + chunk
-		if end > buf.Len() {
-			end = buf.Len()
+	for _, c := range []struct {
+		id, class, spec string
+		chunk           int
+	}{
+		{"gshare", "cond", "gshare:budget=16KB", 4096},
+		{"vlp-cond", "cond", "vlp:budget=4KB,profile=" + profileFile("cond.prof", 4096, false), 4097},
+		{"vlp-indirect", "indirect", "vlp:budget=8KB,profile=" + profileFile("ind.prof", 8192, true), 4097},
+	} {
+		createSession(t, ts.URL, c.id, c.class, c.spec)
+		var last PredictResponse
+		for off := 0; off < buf.Len(); off += c.chunk {
+			end := min(off+c.chunk, buf.Len())
+			pr, status, ae := postChunk(t, ts.URL, c.id, encodeRecords(t, buf.Records[off:end]), false)
+			if status != http.StatusOK {
+				t.Fatalf("%s: chunk at %d: status %d (%+v)", c.id, off, status, ae)
+			}
+			last = pr
 		}
-		pr, status, ae := postChunk(t, ts.URL, "batch", encodeRecords(t, buf.Records[off:end]), false)
-		if status != http.StatusOK {
-			t.Fatalf("chunk at %d: status %d (%+v)", off, status, ae)
-		}
-		last = pr
-	}
 
-	spec, err := factory.ParseSpec(specStr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := spec.Cond()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := sim.RunCond(context.Background(), p, trace.NewBuffer(buf.Records), sim.Options{})
-	if ref.Err != nil {
-		t.Fatal(ref.Err)
-	}
-	if last.TotalBranches != ref.Branches || last.TotalMispredicts != ref.Mispredicts {
-		t.Fatalf("served totals %d/%d != batch %d/%d",
-			last.TotalMispredicts, last.TotalBranches, ref.Mispredicts, ref.Branches)
-	}
-	if last.TotalMissRate != ref.Rate() {
-		t.Fatalf("served rate %v != batch rate %v (must be bit-identical)", last.TotalMissRate, ref.Rate())
+		spec, err := factory.ParseSpec(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ref sim.Result
+		if c.class == "indirect" {
+			p, err := spec.Indirect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref = sim.RunIndirect(context.Background(), p, trace.NewBuffer(buf.Records), sim.Options{})
+		} else {
+			p, err := spec.Cond()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref = sim.RunCond(context.Background(), p, trace.NewBuffer(buf.Records), sim.Options{})
+		}
+		if ref.Err != nil {
+			t.Fatal(ref.Err)
+		}
+		if ref.Branches == 0 {
+			t.Fatalf("%s: batch replay scored no branches", c.id)
+		}
+		if last.TotalBranches != ref.Branches || last.TotalMispredicts != ref.Mispredicts {
+			t.Fatalf("%s: served totals %d/%d != batch %d/%d", c.id,
+				last.TotalMispredicts, last.TotalBranches, ref.Mispredicts, ref.Branches)
+		}
+		if last.TotalMissRate != ref.Rate() {
+			t.Fatalf("%s: served rate %v != batch rate %v (must be bit-identical)", c.id, last.TotalMissRate, ref.Rate())
+		}
 	}
 }
 
@@ -755,72 +793,27 @@ func TestClassifyStatuses(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasParity asserts each deprecated pre-v1 route answers
-// byte-identically to its v1 successor (modulo the nondeterministic
-// metrics payload, where only validity is checked) and carries the
-// Deprecation + successor Link headers; the canonical routes carry
-// neither.
-func TestLegacyAliasParity(t *testing.T) {
+// TestPreV1PathsGone asserts the pre-versioning spellings of the chunk,
+// metrics and health routes are not mounted: every route lives under
+// /v1/ with its canonical name.
+func TestPreV1PathsGone(t *testing.T) {
 	_, ts := newTestServer(t, testLimits())
-	// Two fresh sessions, one per route: a session's predictor is
-	// stateful, so feeding one session twice would compare a cold chunk
-	// against a warm one.
 	createSession(t, ts.URL, "s1", "cond", "gshare:budget=16KB")
-	createSession(t, ts.URL, "s2", "cond", "gshare:budget=16KB")
 	chunk := encodeRecords(t, testTrace(t, 500).Records)
-
-	// predict (legacy) vs chunks (canonical): same counts.
-	legacy, status, _ := postChunkAt(t, ts.URL+"/v1/sessions/s1/predict", chunk, false)
-	if status != http.StatusOK {
-		t.Fatalf("legacy predict: status %d", status)
-	}
-	canonical, status, _ := postChunk(t, ts.URL, "s2", chunk, false)
-	if status != http.StatusOK {
-		t.Fatalf("canonical chunks: status %d", status)
-	}
-	if legacy.Branches != canonical.Branches || legacy.Mispredicts != canonical.Mispredicts {
-		t.Fatalf("alias decoded differently: %+v vs %+v", legacy, canonical)
-	}
-
-	for legacyPath, successor := range map[string]string{
-		"/metrics": "/v1/metrics",
-		"/healthz": "/v1/healthz",
+	for _, r := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/sessions/s1/predict"},
+		{http.MethodGet, "/metrics"},
+		{http.MethodGet, "/healthz"},
 	} {
-		resp, err := http.Get(ts.URL + legacyPath)
+		req, _ := http.NewRequest(r.method, ts.URL+r.path, bytes.NewReader(chunk))
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s: status %d", legacyPath, resp.StatusCode)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", r.method, r.path, resp.StatusCode)
 		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s: missing Deprecation header", legacyPath)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, successor) ||
-			!strings.Contains(link, `rel="successor-version"`) {
-			t.Errorf("%s: Link header %q does not name successor %s", legacyPath, link, successor)
-		}
-		canon, err := http.Get(ts.URL + successor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		canon.Body.Close()
-		if canon.StatusCode != http.StatusOK || canon.Header.Get("Deprecation") != "" {
-			t.Errorf("%s: status %d, Deprecation %q (want 200 and no header)",
-				successor, canon.StatusCode, canon.Header.Get("Deprecation"))
-		}
-	}
-
-	// The legacy predict alias is flagged too.
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/sessions/s1/predict", bytes.NewReader(chunk))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy predict alias missing Deprecation header")
 	}
 }
 

@@ -57,11 +57,26 @@ func TestBatchedRunMatchesGeneric(t *testing.T) {
 	}
 }
 
+// cancelAt is an update-only column entry that cancels the run's
+// context once it has seen n records.
+type cancelAt struct {
+	n, seen int
+	cancel  context.CancelFunc
+}
+
+func (c *cancelAt) Name() string   { return "cancel-at" }
+func (c *cancelAt) SizeBytes() int { return 0 }
+func (c *cancelAt) Update(trace.Record) {
+	if c.seen++; c.seen == c.n {
+		c.cancel()
+	}
+}
+
 // TestBatchedRunMatchesGenericOnCancellation: with an already-canceled
 // context both sources stop before record cancelStride, having scored
 // exactly the records before it and read exactly up to it; a context
-// canceled mid-run (here from a checkpoint hook) stops at the next
-// cancelStride boundary, not at the hook.
+// canceled mid-run (here by a column entry at record 3000) stops at the
+// next cancelStride boundary, not where it was canceled.
 func TestBatchedRunMatchesGenericOnCancellation(t *testing.T) {
 	recs := mixedRecords(2*cancelStride + 500)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -82,26 +97,23 @@ func TestBatchedRunMatchesGenericOnCancellation(t *testing.T) {
 		t.Errorf("canceled runs stopped at record %d (buffer) / %d (stream), want %d", b, s, cancelStride)
 	}
 
+	// One worker: the canceling entry must step every record before the
+	// other entries reach the boundary check.
+	withWorkers(t, 1)
 	for _, stream := range []bool{false, true} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var src trace.Source = trace.NewBuffer(recs)
 		if stream {
 			src = opaqueSource{src}
 		}
-		last := 0
-		res := RunManyCond(ctx, manyCondColumn(t), src, Options{PerPC: true, Stride: 1000,
-			Checkpoint: func(consumed int, _ []Result) error {
-				if consumed == 3000 {
-					cancel()
-				}
-				last = consumed
-				return nil
-			}})
-		cancel()
-		if want := cancelStride / 1000 * 1000; last != want {
-			t.Errorf("stream=%v: last checkpoint at %d, want %d (none after the stop)", stream, last, want)
+		var jobs []Job
+		for _, p := range manyCondColumn(t) {
+			jobs = append(jobs, CondJob(p))
 		}
-		for i := range res {
+		jobs = append(jobs, Job{Observer: &cancelAt{n: 3000, cancel: cancel}})
+		res := RunMany(ctx, jobs, src, Options{PerPC: true})
+		cancel()
+		for i := range prefix {
 			if !errors.Is(res[i].Err, context.Canceled) {
 				t.Fatalf("stream=%v: Err = %v, want context.Canceled", stream, res[i].Err)
 			}
@@ -112,18 +124,12 @@ func TestBatchedRunMatchesGenericOnCancellation(t *testing.T) {
 
 // TestBatchedRunMatchesTruncatedGeneric: a source that fails mid-stream
 // replays exactly the records before the failure, so its counts equal a
-// Buffer run over that prefix, and its Result carries the source error;
-// the end-of-run checkpoint is skipped, because the run did not finish.
+// Buffer run over that prefix, and its Result carries the source error.
 func TestBatchedRunMatchesTruncatedGeneric(t *testing.T) {
 	recs := mixedRecords(cancelStride + 3000)
 	cut := cancelStride + 1700
 	want := errors.New("record 67236: unexpected EOF")
-	var hooked []int
-	generic := RunManyCond(context.Background(), manyCondColumn(t), &recFailingSource{recs: recs[:cut], err: want},
-		Options{PerPC: true, Stride: 1 << 20, Checkpoint: func(consumed int, _ []Result) error {
-			hooked = append(hooked, consumed)
-			return nil
-		}})
+	generic := RunManyCond(context.Background(), manyCondColumn(t), &recFailingSource{recs: recs[:cut], err: want}, Options{PerPC: true})
 	batched := RunManyCond(context.Background(), manyCondColumn(t), trace.NewBuffer(recs[:cut]), Options{PerPC: true})
 	for i := range generic {
 		if !errors.Is(generic[i].Err, want) {
@@ -134,9 +140,6 @@ func TestBatchedRunMatchesTruncatedGeneric(t *testing.T) {
 		}
 		batched[i].Err = want
 		sameResult(t, "truncated", generic[i], batched[i])
-	}
-	if len(hooked) != 0 {
-		t.Errorf("truncated run called the checkpoint hook at %v", hooked)
 	}
 	p := manyCondColumn(t)[0]
 	if got := reference(context.Background(), p, &recFailingSource{recs: recs[:cut], err: want}, true); !errors.Is(got.Err, want) {

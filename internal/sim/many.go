@@ -96,8 +96,7 @@ type manyJob struct {
 // the jobs it serves advances shared state only after they have all
 // trained.
 //
-// The source is replayed in windows. A *trace.Buffer is one window (or
-// one per Options.Stride records when a Checkpoint hook is set); any
+// The source is replayed in windows. A *trace.Buffer is one window; any
 // other source is read into one reused window of at most cancelStride
 // records, so a streaming trace is never held in memory whole.
 // Contiguous tie-runs of jobs are sharded across the engine pool
@@ -125,26 +124,19 @@ func RunMany(ctx context.Context, jobs []Job, src trace.Source, opts Options) []
 	src.Reset()
 	buf, _ := src.(*trace.Buffer)
 	var win []trace.Record // a streaming source's reused window
-	segmented := opts.Checkpoint != nil && opts.Stride > 0
-	pos, hooked := 0, -1
+	pos := 0
 	for {
 		if pos > 0 && pos%cancelStride == 0 && ctx.Err() != nil {
 			setErr(results, ctx.Err())
 			break
 		}
-		n := cancelStride - pos%cancelStride
+		var recs []trace.Record
 		if buf != nil {
-			n = len(buf.Records) - pos
-		}
-		if segmented {
-			n = min(n, opts.Stride-pos%opts.Stride)
-		}
-		recs := win[:0]
-		if buf != nil {
-			recs = buf.Records[pos : pos+n]
+			recs = buf.Records[pos:]
 		} else {
+			recs = win[:0]
 			var r trace.Record
-			for len(recs) < n && src.Next(&r) {
+			for len(recs) < cancelStride && src.Next(&r) {
 				recs = append(recs, r)
 			}
 			win = recs
@@ -156,12 +148,6 @@ func RunMany(ctx context.Context, jobs []Job, src trace.Source, opts Options) []
 		pos += stepped
 		if stepped < len(recs) || failed(results) {
 			break // canceled inside the window
-		}
-		if segmented && pos%opts.Stride == 0 {
-			if !checkpoint(opts.Checkpoint, pos, results) {
-				break
-			}
-			hooked = pos
 		}
 	}
 	if buf != nil {
@@ -175,9 +161,6 @@ func RunMany(ctx context.Context, jobs []Job, src trace.Source, opts Options) []
 				}
 			}
 		}
-	}
-	if opts.Checkpoint != nil && pos != hooked && !failed(results) {
-		checkpoint(opts.Checkpoint, pos, results)
 	}
 	var scored int64
 	for i := range results {
@@ -221,17 +204,6 @@ func newRun(jobs []Job, results []Result, opts Options) []manyJob {
 		}
 	}
 	return run
-}
-
-// checkpoint runs the between-window hook and reports whether the run
-// may go on; a hook error aborts the run with the error on every
-// result.
-func checkpoint(hook func(int, []Result) error, consumed int, results []Result) bool {
-	if err := hook(consumed, results); err != nil {
-		setErr(results, err)
-		return false
-	}
-	return true
 }
 
 // failed reports whether any job's run has ended early.

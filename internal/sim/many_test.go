@@ -101,18 +101,16 @@ func withWorkers(t *testing.T, n int) {
 }
 
 // kernelModes are the ways a column can be run through RunMany: each
-// predictor alone (K=1), fused on one worker, fused and sharded across
-// workers, and segmented with a checkpoint hook between windows.
+// predictor alone (K=1), fused on one worker, and fused and sharded
+// across workers.
 var kernelModes = []struct {
 	name    string
 	workers int
 	k1      bool
-	stride  int
 }{
-	{"k1", 1, true, 0},
-	{"fused", 1, false, 0},
-	{"sharded", 3, false, 0},
-	{"segmented", 3, false, 999},
+	{"k1", 1, true},
+	{"fused", 1, false},
+	{"sharded", 3, false},
 }
 
 // TestRunManyCondMatchesSequential is the kernel's differential gate:
@@ -134,11 +132,7 @@ func TestRunManyCondMatchesSequential(t *testing.T) {
 			for _, src := range sources {
 				for _, perPC := range []bool{false, true} {
 					withWorkers(t, m.workers)
-					opts := Options{PerPC: perPC, Stride: m.stride}
-					hooks := 0
-					if m.stride > 0 {
-						opts.Checkpoint = func(int, []Result) error { hooks++; return nil }
-					}
+					opts := Options{PerPC: perPC}
 					jobs := jobsFor(col.build(t))
 					var got []Result
 					if m.k1 {
@@ -147,9 +141,6 @@ func TestRunManyCondMatchesSequential(t *testing.T) {
 						}
 					} else {
 						got = RunMany(context.Background(), jobs, src.source(), opts)
-					}
-					if m.stride > 0 && hooks != (len(recs)+m.stride-1)/m.stride {
-						t.Errorf("%s/%s/%s: %d checkpoints, want one per %d records", col.name, m.name, src.name, hooks, m.stride)
 					}
 					for i, p := range col.build(t) {
 						want := reference(context.Background(), p, src.source(), perPC)
@@ -236,17 +227,13 @@ func sharedColumn(t testing.TB) ([]Job, []bpred.CondPredictor) {
 // for history sharing: members of a shared HashSet group, trained
 // before the group's single per-record insert, must produce exactly the
 // counts of their solo reference runs with private HashSets — fused on
-// one worker, sharded, and segmented.
+// one worker and sharded.
 func TestRunManySharedHistoryMatchesSequential(t *testing.T) {
 	recs := mixedRecords(20000)
 	for _, m := range kernelModes[1:] {
 		withWorkers(t, m.workers)
 		jobs, preds := sharedColumn(t)
-		opts := Options{Stride: m.stride}
-		if m.stride > 0 {
-			opts.Checkpoint = func(int, []Result) error { return nil }
-		}
-		res := RunMany(context.Background(), jobs, trace.NewBuffer(recs), opts)
+		res := RunMany(context.Background(), jobs, trace.NewBuffer(recs), Options{})
 		// Job order is a permutation of cell order; match results by
 		// predictor identity instead of position.
 		resByPred := map[bpred.CondPredictor]Result{}
@@ -328,8 +315,8 @@ func TestShardJobs(t *testing.T) {
 }
 
 // TestRunManyCancellation: an already-canceled context stops every
-// column entry at the first cancelStride boundary — K=1, fused, sharded
-// and segmented alike, on a Buffer and a streaming source — with the
+// column entry at the first cancelStride boundary — K=1, fused and
+// sharded alike, on a Buffer and a streaming source — with the
 // context error on every Result and the counts the reference scores
 // before that boundary.
 func TestRunManyCancellation(t *testing.T) {
@@ -345,18 +332,14 @@ func TestRunManyCancellation(t *testing.T) {
 				}
 				return trace.NewBuffer(recs)
 			}
-			opts := Options{Stride: m.stride}
-			if m.stride > 0 {
-				opts.Checkpoint = func(int, []Result) error { return nil }
-			}
 			jobs := jobsFor(columns(t)[2].build(t))
 			var res []Result
 			if m.k1 {
 				for i := range jobs {
-					res = append(res, RunMany(ctx, jobs[i:i+1], src(), opts)...)
+					res = append(res, RunMany(ctx, jobs[i:i+1], src(), Options{})...)
 				}
 			} else {
-				res = RunMany(ctx, jobs, src(), opts)
+				res = RunMany(ctx, jobs, src(), Options{})
 			}
 			for i, p := range columns(t)[2].build(t) {
 				if !errors.Is(res[i].Err, context.Canceled) {
@@ -448,95 +431,5 @@ func TestRunManyObserverResult(t *testing.T) {
 	}
 	if !seenObserver {
 		t.Fatal("shared column has no observer jobs")
-	}
-}
-
-// TestRunManySegmentedMatchesSinglePass pins segmented replay to the
-// uninterrupted kernel: for a mixed column, a Buffer and a streaming
-// source, and several strides — including strides that don't divide
-// the trace, strides longer than a streaming window, and no stride (one
-// call at the end) — the counts and per-PC breakdowns must be
-// bit-identical to one unsegmented pass, and the hook must see
-// strictly increasing consumed positions, each with the counts of the
-// prefix replayed so far, ending at the trace length.
-func TestRunManySegmentedMatchesSinglePass(t *testing.T) {
-	recs := mixedRecords(cancelStride + 20000)
-	want := RunMany(context.Background(), jobsFor(columns(t)[2].build(t)), trace.NewBuffer(recs), Options{PerPC: true})
-	for _, stride := range []int{0, 17, 999, 40000, cancelStride + 20000, 1 << 20} {
-		for _, stream := range []bool{false, true} {
-			var src trace.Source = trace.NewBuffer(recs)
-			if stream {
-				src = opaqueSource{src}
-			}
-			last, calls := -1, 0
-			got := RunMany(context.Background(), jobsFor(columns(t)[2].build(t)), src, Options{PerPC: true, Stride: stride,
-				Checkpoint: func(consumed int, partial []Result) error {
-					calls++
-					if consumed <= last {
-						t.Fatalf("stride %d: consumed went %d -> %d", stride, last, consumed)
-					}
-					if stride > 0 && consumed%stride != 0 && consumed != len(recs) {
-						t.Fatalf("stride %d: checkpoint at %d, off the stride", stride, consumed)
-					}
-					if consumed == 40000 {
-						prefix := RunMany(context.Background(), jobsFor(columns(t)[2].build(t)), trace.NewBuffer(recs[:consumed]), Options{})
-						for i := range prefix {
-							if partial[i].Branches != prefix[i].Branches || partial[i].Mispredicts != prefix[i].Mispredicts {
-								t.Fatalf("stride %d: partial counts at %d differ from the prefix run", stride, consumed)
-							}
-						}
-					}
-					last = consumed
-					return nil
-				}})
-			if last != len(recs) {
-				t.Errorf("stride %d: final checkpoint at %d, want %d", stride, last, len(recs))
-			}
-			wantCalls := 1 // no stride: one call, at the end
-			if stride > 0 {
-				wantCalls = (len(recs) + stride - 1) / stride
-			}
-			if calls != wantCalls {
-				t.Errorf("stride %d: %d checkpoints, want %d", stride, calls, wantCalls)
-			}
-			for i := range want {
-				sameResult(t, want[i].Predictor, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestRunManySegmentedCheckpointError pins the abort contract: a
-// checkpoint hook error stops the replay at that window, is not
-// followed by another hook call, and surfaces on every result; the
-// counts are those of the replayed prefix.
-func TestRunManySegmentedCheckpointError(t *testing.T) {
-	recs := mixedRecords(5000)
-	boom := errors.New("spill failed")
-	for _, stream := range []bool{false, true} {
-		var src trace.Source = trace.NewBuffer(recs)
-		if stream {
-			src = opaqueSource{src}
-		}
-		calls := 0
-		got := RunManyCond(context.Background(), manyCondColumn(t), src, Options{Stride: 1000,
-			Checkpoint: func(consumed int, _ []Result) error {
-				calls++
-				if consumed >= 2000 {
-					return boom
-				}
-				return nil
-			}})
-		if calls != 2 {
-			t.Errorf("checkpoint called %d times, want 2", calls)
-		}
-		prefix := RunManyCond(context.Background(), manyCondColumn(t), trace.NewBuffer(recs[:2000]), Options{})
-		for i := range got {
-			if !errors.Is(got[i].Err, boom) {
-				t.Errorf("job %d: Err = %v, want checkpoint error", i, got[i].Err)
-			}
-			prefix[i].Err = boom
-			sameResult(t, "aborted/"+got[i].Predictor, got[i], prefix[i])
-		}
 	}
 }

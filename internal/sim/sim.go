@@ -68,17 +68,6 @@ type Options struct {
 	// PerPC enables the per-static-branch breakdown (costs a map lookup
 	// per branch).
 	PerPC bool
-	// Checkpoint, when set, runs between replay windows: after every
-	// Stride records (Stride <= 0: only once, at the end of the
-	// source) with the number of records consumed so far and the
-	// results accumulated up to that point. No replay is in flight
-	// while it runs, so it may read and persist every job predictor's
-	// state. A non-nil error aborts the run with every Result's Err set
-	// to it; a canceled, truncated, or aborted run does not call it
-	// again.
-	Checkpoint func(consumed int, results []Result) error
-	// Stride is the record distance between Checkpoint calls.
-	Stride int
 }
 
 // cancelStride is how many records the kernel replays between context

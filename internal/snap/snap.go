@@ -16,8 +16,8 @@
 //	uvarint               format version (1)
 //	string                branch class ("cond" / "indirect" / free-form)
 //	string                predictor spec (factory grammar, canonical)
-//	bytes                 meta — opaque caller payload (session totals,
-//	                      checkpoint positions); may be empty
+//	bytes                 meta — opaque caller payload (session
+//	                      totals); may be empty
 //	bytes                 state — the predictor's StateCodec output
 //	[32]byte              raw sha256 over all preceding bytes
 //
@@ -75,15 +75,13 @@ const maxStateLen = 1 << 30
 // Snapshot is a decoded (or to-be-encoded) predictor snapshot.
 type Snapshot struct {
 	// Class is the branch class the predictor serves, normally a
-	// factory.Class String ("cond" / "indirect"); composite callers
-	// (column checkpoints) may use their own class tokens.
+	// factory.Class String ("cond" / "indirect").
 	Class string
 	// Spec identifies the predictor configuration, normally the
 	// canonical factory spec string. Restore refuses a mismatch.
 	Spec string
 	// Meta is an opaque caller payload carried alongside the state:
-	// serve stores accumulated session totals, the experiment layer
-	// stores checkpoint positions. May be nil.
+	// serve stores accumulated session totals. May be nil.
 	Meta []byte
 	// State is the predictor's StateCodec output.
 	State []byte

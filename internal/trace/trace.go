@@ -121,25 +121,6 @@ func Collect(src Source) *Buffer {
 	return b
 }
 
-// FuncSource adapts a generator function to the Source interface. Calling
-// reset must return a fresh iterator function; each iterator call returns
-// the next record and true, or false at end of stream.
-type FuncSource struct {
-	reset func() func(*Record) bool
-	next  func(*Record) bool
-}
-
-// NewFuncSource builds a Source from a factory of iterator functions.
-func NewFuncSource(reset func() func(*Record) bool) *FuncSource {
-	return &FuncSource{reset: reset, next: reset()}
-}
-
-// Next implements Source.
-func (f *FuncSource) Next(r *Record) bool { return f.next(r) }
-
-// Reset implements Source.
-func (f *FuncSource) Reset() { f.next = f.reset() }
-
 // Limit wraps a Source, truncating it to at most n records per replay.
 type Limit struct {
 	Src Source
@@ -169,9 +150,9 @@ func (l *Limit) Reset() {
 }
 
 // Skip wraps a Source, discarding the first n records of each replay.
-// It is the resume-side counterpart of Limit: a replay checkpointed
-// after N records continues over NewSkip(src, N), so segmented runs
-// compose over any Source, not just in-memory buffers.
+// It is Limit's counterpart: together they cut a window out of a trace,
+// and a predictor state saved after n records continues over
+// NewSkip(src, n).
 type Skip struct {
 	Src     Source
 	N       int
@@ -200,29 +181,3 @@ func (s *Skip) Reset() {
 	s.Src.Reset()
 	s.skipped = false
 }
-
-// Filter wraps a Source, passing through only records for which keep
-// returns true.
-type Filter struct {
-	Src  Source
-	Keep func(Record) bool
-}
-
-// NewFilter returns a Source yielding only the records of src accepted by
-// keep.
-func NewFilter(src Source, keep func(Record) bool) *Filter {
-	return &Filter{Src: src, Keep: keep}
-}
-
-// Next implements Source.
-func (f *Filter) Next(r *Record) bool {
-	for f.Src.Next(r) {
-		if f.Keep(*r) {
-			return true
-		}
-	}
-	return false
-}
-
-// Reset implements Source.
-func (f *Filter) Reset() { f.Src.Reset() }

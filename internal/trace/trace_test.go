@@ -82,32 +82,6 @@ func TestCollect(t *testing.T) {
 	}
 }
 
-func TestFuncSource(t *testing.T) {
-	mk := func() func(*Record) bool {
-		i := 0
-		return func(r *Record) bool {
-			if i >= 3 {
-				return false
-			}
-			*r = rec(uint64(4+4*i), arch.Cond, true, 0x100)
-			i++
-			return true
-		}
-	}
-	src := NewFuncSource(mk)
-	for pass := 0; pass < 2; pass++ {
-		n := 0
-		var r Record
-		for src.Next(&r) {
-			n++
-		}
-		if n != 3 {
-			t.Fatalf("pass %d: drained %d records, want 3", pass, n)
-		}
-		src.Reset()
-	}
-}
-
 func TestLimit(t *testing.T) {
 	var recs []Record
 	for i := 0; i < 10; i++ {
@@ -141,32 +115,6 @@ func TestLimitLargerThanSource(t *testing.T) {
 	}
 	if n != 1 {
 		t.Errorf("Limit yielded %d records, want 1", n)
-	}
-}
-
-func TestFilter(t *testing.T) {
-	src := NewBuffer([]Record{
-		rec(4, arch.Cond, true, 0x100),
-		rec(8, arch.Return, true, 0x200),
-		rec(12, arch.Cond, false, 16),
-		rec(16, arch.Indirect, true, 0x300),
-	})
-	f := NewFilter(src, func(r Record) bool { return r.Kind.Conditional() })
-	var r Record
-	var pcs []arch.Addr
-	for f.Next(&r) {
-		pcs = append(pcs, r.PC)
-	}
-	if len(pcs) != 2 || pcs[0] != 4 || pcs[1] != 12 {
-		t.Errorf("Filter yielded %v, want [4 12]", pcs)
-	}
-	f.Reset()
-	n := 0
-	for f.Next(&r) {
-		n++
-	}
-	if n != 2 {
-		t.Errorf("after Reset Filter yielded %d, want 2", n)
 	}
 }
 
