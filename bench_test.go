@@ -447,11 +447,12 @@ func BenchmarkFusedSweep(b *testing.B) {
 // cross-experiment cell dedup is worth. Two plans share half their
 // cells — the fig7/table3 shape, where the SPEC and indirect-heavy
 // benchmark sets overlap — and each iteration executes both: with
-// dedup the shared cells replay once, under NoDedup every submission
-// replays (what independent execution surfaces did before the unified
-// engine). The wall-clock delta between the two sub-benchmarks is the
-// saving a suite run gets for free from the shared scheduler;
-// bench_compare.sh records it in BENCH_engine.json.
+// dedup both plans share one engine and the shared cells replay once;
+// nodedup gives each plan a fresh engine, so every submission replays
+// (what independent execution surfaces did before the unified engine).
+// The wall-clock delta between the two sub-benchmarks is the saving a
+// suite run gets for free from the shared scheduler; bench_compare.sh
+// records it in BENCH_engine.json.
 func BenchmarkEngineDedup(b *testing.B) {
 	buf := benchTrace(b)
 	benches := []string{"b0", "b1", "b2", "b3", "b4", "b5", "b6", "b7"}
@@ -472,7 +473,7 @@ func BenchmarkEngineDedup(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e := engine.New(engine.Config{Source: src, NoDedup: mode.noDedup})
+				e := engine.New(engine.Config{Source: src})
 				first, second := engine.NewPlan(), engine.NewPlan()
 				for _, t := range benches {
 					first.Cond(t, "compare", mkCells())
@@ -480,18 +481,23 @@ func BenchmarkEngineDedup(b *testing.B) {
 				for _, t := range sharedBenches {
 					second.Cond(t, "compare", mkCells())
 				}
-				if _, err := e.Execute(context.Background(), first); err != nil {
-					b.Fatal(err)
+				var executed int64
+				for pi, p := range []*engine.Plan{first, second} {
+					if pi > 0 && mode.noDedup {
+						executed += e.Counters().Executed
+						e = engine.New(engine.Config{Source: src})
+					}
+					if _, err := e.Execute(context.Background(), p); err != nil {
+						b.Fatal(err)
+					}
 				}
-				if _, err := e.Execute(context.Background(), second); err != nil {
-					b.Fatal(err)
-				}
+				executed += e.Counters().Executed
 				want := int64(len(benches))
 				if mode.noDedup {
 					want += int64(len(sharedBenches))
 				}
-				if c := e.Counters(); c.Executed != want {
-					b.Fatalf("executed %d cells, want %d", c.Executed, want)
+				if executed != want {
+					b.Fatalf("executed %d cells, want %d", executed, want)
 				}
 			}
 		})

@@ -72,7 +72,10 @@ echo "== bench smoke (emits $RESULTS/bench_*.json)"
 BENCH_JSON_DIR="$RESULTS" go test -run '^$' -bench 'BenchmarkHeadline|BenchmarkTable2' -benchtime 1x .
 go run ./cmd/obscheck -dir "$RESULTS"
 
-echo "== bench compare (micro subset vs recorded baseline)"
-COUNT=2 BENCHTIME=50ms ./scripts/bench_compare.sh
+# Run-only: a fresh checkout has no baseline to compare against, and a
+# timing diff cannot gate on a shared machine. `make bench-compare`
+# keeps the baseline diff for local use.
+echo "== micro-bench smoke (bench-compare subset, one iteration each)"
+SMOKE=1 ./scripts/bench_compare.sh
 
 echo "CI OK"

@@ -281,17 +281,22 @@ func run(ctx context.Context, opts options) error {
 	}
 	summary.Metrics = span.End()
 
-	// The engine's scheduling arithmetic: how many cells the experiments
-	// submitted, how many actually replayed, and how many were served
-	// from a column another experiment had already computed.
+	// What the run computed and what it reused: how many cells the
+	// experiments submitted, how many actually replayed, and how many
+	// were served from a column another experiment had already computed;
+	// then how many traces, step-1 sweeps and profiles were computed
+	// (each key once, however many experiments asked for it).
 	ec := suite.Engine().Counters()
+	traces, step1, profiles := suite.ComputeCounts()
 	summary.SetParam("engine_cells_submitted", ec.Submitted)
 	summary.SetParam("engine_cells_executed", ec.Executed)
 	summary.SetParam("engine_cells_deduped", ec.Deduped)
-	if ec.Submitted > 0 {
-		opts.log.Progressf("engine: %d cell(s) submitted, %d executed, %d served by dedup",
-			ec.Submitted, ec.Executed, ec.Deduped)
-	}
+	summary.SetParam("engine_traces_computed", traces)
+	summary.SetParam("engine_step1_computed", step1)
+	summary.SetParam("engine_profiles_computed", profiles)
+	opts.log.Progressf("engine: %d cell(s) submitted, %d executed, %d served by dedup; "+
+		"%d trace(s), %d step-1 sweep(s), %d profile(s) computed",
+		ec.Submitted, ec.Executed, ec.Deduped, traces, step1, profiles)
 
 	if opts.jsonDir != "" {
 		path, err := summary.WriteBench(opts.jsonDir)

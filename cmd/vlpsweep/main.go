@@ -47,7 +47,6 @@ func main() {
 		out      = flag.String("out", "", "write each cell's rendered report to <out>/<id>.txt")
 		jsonDir  = flag.String("json", "results", "write bench_<id>.json reports, the manifest, and bench_sweep.json to this directory (\"\" to disable)")
 		resume   = flag.Bool("resume", false, "skip cells whose bench reports are already present and valid (needs -json)")
-		warm     = flag.Bool("warmcells", false, "queue shared engine cells ahead of the experiments so workers compute them once")
 		timeout  = flag.Duration("timeout", 0, "abort the whole sweep after this long (0 = no deadline)")
 		jobTO    = flag.Duration("job-timeout", 0, "per-cell request deadline on each worker (0 = default 2m)")
 		chaosStr = flag.String("chaos", "", "client-side fault injection spec, e.g. chaos:seed=7,latency=50ms@0.2,reset=0.05,truncate=0.02,stall=0.01")
@@ -73,13 +72,13 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if err := run(ctx, *workers, *exp, *base, *profBase, *out, *jsonDir, *resume, *warm, inj, *jobTO, log); err != nil {
+	if err := run(ctx, *workers, *exp, *base, *profBase, *out, *jsonDir, *resume, inj, *jobTO, log); err != nil {
 		fmt.Fprintln(os.Stderr, "vlpsweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, workers, exp string, base, profBase int, out, jsonDir string, resume, warm bool, inj *chaos.Injector, jobTimeout time.Duration, log *obs.Logger) error {
+func run(ctx context.Context, workers, exp string, base, profBase int, out, jsonDir string, resume bool, inj *chaos.Injector, jobTimeout time.Duration, log *obs.Logger) error {
 	var urls []string
 	for _, w := range strings.Split(workers, ",") {
 		if w = strings.TrimSpace(w); w != "" {
@@ -97,7 +96,6 @@ func run(ctx context.Context, workers, exp string, base, profBase int, out, json
 		OutDir:         out,
 		JSONDir:        jsonDir,
 		Resume:         resume,
-		WarmCells:      warm,
 		JobTimeout:     jobTimeout,
 		Log:            log,
 	}
@@ -121,12 +119,8 @@ func printSummary(summary *obs.Report) {
 	if !ok {
 		return
 	}
-	warmed := ""
-	if data.WarmCells > 0 {
-		warmed = fmt.Sprintf(" (+%d warm)", data.WarmCells)
-	}
-	fmt.Printf("sweep: %d cell(s) dispatched%s, %d failed, %d skipped, %v wall\n",
-		data.Cells, warmed, len(data.Failed), len(summary.Skipped),
+	fmt.Printf("sweep: %d cell(s) dispatched, %d failed, %d skipped, %v wall\n",
+		data.Cells, len(data.Failed), len(summary.Skipped),
 		time.Duration(summary.Metrics.WallNanos).Round(time.Millisecond))
 	for _, w := range data.Workers {
 		state := "alive"

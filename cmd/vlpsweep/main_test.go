@@ -14,10 +14,10 @@ import (
 
 func TestRunRejectsBadInputs(t *testing.T) {
 	ctx := context.Background()
-	if err := run(ctx, "", "headline", 30000, 0, "", "", false, false, nil, 0, nil); err == nil {
+	if err := run(ctx, "", "headline", 30000, 0, "", "", false, nil, 0, nil); err == nil {
 		t.Error("no workers accepted")
 	}
-	if err := run(ctx, " , ,", "headline", 30000, 0, "", "", false, false, nil, 0, nil); err == nil {
+	if err := run(ctx, " , ,", "headline", 30000, 0, "", "", false, nil, 0, nil); err == nil {
 		t.Error("blank worker list accepted")
 	}
 }
@@ -39,7 +39,7 @@ func TestRunSweepsOneWorker(t *testing.T) {
 	outDir, jsonDir := t.TempDir(), t.TempDir()
 	// Trailing slash and whitespace in the worker list are tolerated.
 	if err := run(context.Background(), " "+ts.URL+"/ ", "headline", 30000, 15000,
-		outDir, jsonDir, false, false, nil, 0, nil); err != nil {
+		outDir, jsonDir, false, nil, 0, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(outDir, "headline.txt")); err != nil {

@@ -38,14 +38,6 @@ type Options struct {
 	// Resume skips cells whose manifest entry points at a bench report
 	// that still reads back clean (needs JSONDir).
 	Resume bool
-	// WarmCells queues engine-cell jobs for every column two or more
-	// selected experiments share (experiments.GridKeys) ahead of the
-	// experiment jobs, so workers compute shared columns once, early,
-	// and the experiment jobs that land on them find the cell already
-	// memoized. Warming is best-effort: a failed warm cell is logged and
-	// dropped — the experiment that needs the column recomputes it — and
-	// warm results merge no artifacts.
-	WarmCells bool
 	// HealthInterval is the worker health-probe period; 0 means 500ms.
 	HealthInterval time.Duration
 	// Backoff shapes per-worker retries of saturated/transient cells;
@@ -110,23 +102,17 @@ type SweepData struct {
 	// Cells is how many experiment cells the sweep dispatched (after
 	// resume skips).
 	Cells int `json:"cells"`
-	// WarmCells is how many shared-column warm jobs the sweep queued
-	// ahead of the experiment cells (Options.WarmCells).
-	WarmCells int `json:"warm_cells,omitempty"`
 	// Failed lists cells that terminally failed.
 	Failed []string `json:"failed,omitempty"`
 }
 
-// cell is one queued unit: the experiment (or warm engine cell) plus
-// the wire request that reproduces it, and the strikes it has
-// accumulated from transport requeues.
+// cell is one queued unit: the experiment plus the wire request that
+// reproduces it, and the strikes it has accumulated from transport
+// requeues.
 type cell struct {
 	id      string
 	req     serve.JobRequest
 	strikes int
-	// warm marks a best-effort pre-warming job: no artifact merge, no
-	// manifest entry, and a failure is logged rather than recorded.
-	warm bool
 }
 
 // worker is the coordinator's view of one vlpserve process.
@@ -216,38 +202,6 @@ func Sweep(ctx context.Context, opts Options) (*obs.Report, error) {
 	summary.SetParam("workers", len(opts.Workers))
 
 	var cells []cell
-	var warmCount int
-	if opts.WarmCells {
-		// A column key named by two or more selected experiments will be
-		// replayed once per worker it lands on; queueing it as its own
-		// cell job ahead of the experiments computes it once, early, and
-		// the experiment jobs find it memoized in the worker's engine.
-		keyCount := map[string]int{}
-		var order []string
-		for _, e := range entries {
-			for _, k := range experiments.GridKeys(e.ID) {
-				ks := k.String()
-				if keyCount[ks] == 0 {
-					order = append(order, ks)
-				}
-				keyCount[ks]++
-			}
-		}
-		for _, ks := range order {
-			if keyCount[ks] < 2 {
-				continue
-			}
-			cells = append(cells, cell{id: "cell:" + ks, warm: true, req: serve.JobRequest{
-				Cell:           ks,
-				BaseRecords:    opts.BaseRecords,
-				ProfileRecords: opts.ProfileRecords,
-			}})
-			warmCount++
-		}
-		if warmCount > 0 {
-			log.Progressf("dist: pre-warming %d shared cell(s)", warmCount)
-		}
-	}
 	for _, e := range entries {
 		if opts.Resume && manifest.Satisfied(e.ID, validReport) {
 			log.Progressf("dist: %s already complete, skipping", e.ID)
@@ -343,18 +297,6 @@ func Sweep(ctx context.Context, opts Options) (*obs.Report, error) {
 			go func(w *worker) {
 				defer pullWG.Done()
 				w.pull(ctx, queue, sweepDone, backoff, log, func(c cell, res serve.JobResponse, err error) {
-					if c.warm {
-						// Warming is best-effort: nothing to merge, nothing
-						// to checkpoint, and a failure costs only the
-						// saved replay.
-						if err != nil {
-							log.Logf("dist: warm %s failed (ignored): %v", c.id, err)
-						} else {
-							log.Progressf("dist: %s warmed on %s", c.id, w.url)
-						}
-						done()
-						return
-					}
 					if err != nil {
 						recordFailure(c.id, err)
 						return
@@ -394,10 +336,6 @@ func Sweep(ctx context.Context, opts Options) (*obs.Report, error) {
 			canceled := ctx.Err() != nil
 			for i := 0; i < remaining; i++ {
 				c := <-queue
-				if c.warm {
-					done()
-					continue
-				}
 				if canceled {
 					summary.AddSkip(c.id, "canceled before completion")
 				} else {
@@ -421,7 +359,7 @@ func Sweep(ctx context.Context, opts Options) (*obs.Report, error) {
 			Latency:      w.hist.Summary(),
 		}
 	}
-	summary.Data = SweepData{Workers: stats, Cells: len(cells) - warmCount, WarmCells: warmCount, Failed: failed}
+	summary.Data = SweepData{Workers: stats, Cells: len(cells), Failed: failed}
 
 	if opts.JSONDir != "" {
 		path, err := summary.WriteBench(opts.JSONDir)

@@ -3,9 +3,9 @@
 // processes, and the worker-side job runner that vlpserve mounts on
 // POST /v1/jobs.
 //
-// The unit of distribution is a cell — one registry experiment at one
-// suite scale. Cells are independent and deterministic: every worker
-// given the same cell renders the same artifact text, so the
+// A job is one registry experiment at one suite scale (the coordinator
+// calls its queued jobs cells). Jobs are independent and deterministic:
+// every worker given the same job renders the same artifact text, so the
 // coordinator can merge worker responses into the same
 // <out>/<id>.txt + <json>/bench_<id>.json files the in-process
 // cmd/paperrepro run writes, byte-identical for the rendered text (the
@@ -28,8 +28,6 @@ package dist
 import (
 	"context"
 	"errors"
-	"sync"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
@@ -38,28 +36,20 @@ import (
 )
 
 // Runner is the worker-side serve.JobRunner: it executes one experiment
-// cell per request against a per-scale cached suite, so consecutive
-// cells at the same scale share generated traces and profiles exactly
-// as an in-process suite run does.
+// per request against a per-scale cached suite, so consecutive jobs at
+// the same scale share generated traces, profiles and replayed columns
+// exactly as an in-process suite run does.
 type Runner struct {
 	traceDir string
 	log      *obs.Logger
-
-	mu     sync.Mutex
-	suites map[suiteKey]*suiteCell
+	// suites memoizes one suite per scale. A build cut short by one
+	// request's deadline is dropped by the memo, so it cannot fail
+	// every later job at that scale.
+	suites engine.Memo[suiteKey, *experiments.Suite]
 }
 
 type suiteKey struct {
 	base, profBase int
-}
-
-// suiteCell is a once-guarded suite build: the first cell at a scale
-// constructs and ingests the suite, concurrent cells at the same scale
-// block on (and share) it.
-type suiteCell struct {
-	once  sync.Once
-	suite *experiments.Suite
-	err   error
 }
 
 // NewRunner builds a runner. traceDir, when non-empty, is handed to
@@ -69,24 +59,13 @@ func NewRunner(traceDir string, log *obs.Logger) *Runner {
 	if log == nil {
 		log = obs.Discard
 	}
-	return &Runner{
-		traceDir: traceDir,
-		log:      log,
-		suites:   map[suiteKey]*suiteCell{},
-	}
+	return &Runner{traceDir: traceDir, log: log}
 }
 
 // suite returns the cached suite for a scale, building and ingesting it
 // on first use.
 func (r *Runner) suite(ctx context.Context, key suiteKey) (*experiments.Suite, error) {
-	r.mu.Lock()
-	cell, ok := r.suites[key]
-	if !ok {
-		cell = &suiteCell{}
-		r.suites[key] = cell
-	}
-	r.mu.Unlock()
-	cell.once.Do(func() {
+	return r.suites.Do(key, func() (*experiments.Suite, error) {
 		s := experiments.NewSuite(experiments.Config{
 			BaseRecords:    key.base,
 			ProfileRecords: key.profBase,
@@ -94,38 +73,21 @@ func (r *Runner) suite(ctx context.Context, key suiteKey) (*experiments.Suite, e
 		})
 		skipped, err := s.IngestTraces(ctx)
 		if err != nil {
-			cell.err = err
-			return
+			return nil, err
 		}
 		for bench, reason := range skipped {
 			r.log.Progressf("dist: worker skipping benchmark %s: %s", bench, reason)
 		}
-		cell.suite = s
+		return s, nil
 	})
-	if cell.err != nil && (errors.Is(cell.err, context.Canceled) || errors.Is(cell.err, context.DeadlineExceeded)) {
-		// A build cut short by one request's deadline says nothing about
-		// the scale itself; caching it would poison every later cell at
-		// this scale with a permanent failure. Evict so the next request
-		// rebuilds.
-		r.mu.Lock()
-		if r.suites[key] == cell {
-			delete(r.suites, key)
-		}
-		r.mu.Unlock()
-	}
-	return cell.suite, cell.err
 }
 
-// RunJob executes one job and renders it as the wire response: for an
-// experiment job, the artifact text plus the marshalled bench report;
-// for a cell job, the column's raw rates. A failing job comes back as a
-// *serve.JobFailedError so the endpoint classifies it as a
-// non-retryable job-failed 500; a canceled context surfaces as the
+// RunJob executes one experiment and renders it as the wire response:
+// the artifact text plus the marshalled bench report. A failing job
+// comes back as a *serve.JobFailedError so the endpoint classifies it
+// as a non-retryable job-failed 500; a canceled context surfaces as the
 // context error (retryable elsewhere).
 func (r *Runner) RunJob(ctx context.Context, req serve.JobRequest) (serve.JobResponse, error) {
-	if req.Cell != "" {
-		return r.runCellJob(ctx, req)
-	}
 	entry, err := experiments.Find(req.Exp)
 	if err != nil {
 		return serve.JobResponse{}, err
@@ -134,7 +96,7 @@ func (r *Runner) RunJob(ctx context.Context, req serve.JobRequest) (serve.JobRes
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// The requester's deadline cut the build; answer retryable
-			// (503) rather than branding the cell job-failed.
+			// (503) rather than branding the job failed.
 			return serve.JobResponse{}, err
 		}
 		return serve.JobResponse{}, &serve.JobFailedError{Exp: req.Exp, Err: err}
@@ -157,41 +119,4 @@ func (r *Runner) RunJob(ctx context.Context, req serve.JobRequest) (serve.JobRes
 		Bench:     blob,
 		WallNanos: rep.Metrics.WallNanos,
 	}, nil
-}
-
-// runCellJob executes one engine cell: parse the canonical key, resolve
-// it through the suite's grid registry, and submit it to the suite's
-// engine. The engine memoizes by key, so a cell job that lands on a
-// worker before (or while) an experiment job needs the same column
-// shares one replay with it — the mechanism behind the coordinator's
-// pre-warming.
-func (r *Runner) runCellJob(ctx context.Context, req serve.JobRequest) (serve.JobResponse, error) {
-	key, err := engine.ParseKey(req.Cell)
-	if err != nil {
-		return serve.JobResponse{}, &serve.JobFailedError{Exp: req.Cell, Err: err}
-	}
-	suite, err := r.suite(ctx, suiteKey{base: req.BaseRecords, profBase: req.ProfileRecords})
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return serve.JobResponse{}, err
-		}
-		return serve.JobResponse{}, &serve.JobFailedError{Exp: req.Cell, Err: err}
-	}
-	start := time.Now()
-	cell, err := suite.ColumnCell(ctx, key)
-	if err == nil {
-		var rates []float64
-		rates, err = suite.Engine().Column(ctx, cell)
-		if err == nil {
-			return serve.JobResponse{
-				Cell:      req.Cell,
-				Rates:     rates,
-				WallNanos: time.Since(start).Nanoseconds(),
-			}, nil
-		}
-	}
-	if ctx.Err() != nil {
-		return serve.JobResponse{}, ctx.Err()
-	}
-	return serve.JobResponse{}, &serve.JobFailedError{Exp: req.Cell, Err: err}
 }

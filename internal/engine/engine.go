@@ -13,7 +13,7 @@
 //   - a Plan is an ordered list of cells, built declaratively by the
 //     experiment grid builders (internal/experiments);
 //   - scheduling dedups cells by their canonical Key within and across
-//     plans (singleflight per key), so two experiments sharing a
+//     plans (one Memo keyed by cell), so two experiments sharing a
 //     (trace, column) cell replay it once, and fans unique cells out
 //     over the engine's worker pool (engine/pool);
 //   - execution replays each cell through the one kernel, sim.RunMany:
@@ -25,8 +25,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bpred"
@@ -59,7 +57,7 @@ func (c Class) String() string {
 // CondCell builds one conditional predictor of a column. Cells must
 // return fresh predictors on every call: the column builder may rebind
 // their path history for sharing, and a cell may run more than once
-// (the per-cell reference, a NoDedup benchmark loop).
+// (the per-cell reference, a replay cut short by a cancellation).
 type CondCell func() (bpred.CondPredictor, error)
 
 // IndirectCell builds one indirect predictor of a column.
@@ -77,28 +75,10 @@ type Key struct {
 	ColumnID string
 }
 
-// String renders the key's wire form, "class|trace|column-id", the
-// format cell jobs carry over the sweep service's /v1/jobs API.
+// String renders the key as "class|trace|column-id": the form errors
+// name a cell by, and the bytes perfbench's recorded grid digests hash.
 func (k Key) String() string {
 	return k.Class.String() + "|" + k.Trace + "|" + k.ColumnID
-}
-
-// ParseKey parses the wire form back into a Key.
-func ParseKey(s string) (Key, error) {
-	parts := strings.SplitN(s, "|", 3)
-	if len(parts) != 3 || parts[1] == "" || parts[2] == "" {
-		return Key{}, fmt.Errorf("engine: malformed cell key %q, want class|trace|column-id", s)
-	}
-	k := Key{Trace: parts[1], ColumnID: parts[2]}
-	switch parts[0] {
-	case "cond":
-		k.Class = ClassCond
-	case "indirect":
-		k.Class = ClassIndirect
-	default:
-		return Key{}, fmt.Errorf("engine: unknown cell class %q in key %q", parts[0], s)
-	}
-	return k, nil
 }
 
 // Cell is the plan IR's unit: one benchmark trace replayed through one
@@ -143,24 +123,6 @@ type Config struct {
 	// per column. The rates are byte-identical either way; it is the
 	// reference the fused columns are checked against.
 	PerCell bool
-	// NoDedup disables the per-key singleflight so every submission
-	// replays, even for a key already computed. Only the dedup
-	// benchmark uses it; production surfaces always dedup.
-	NoDedup bool
-}
-
-// flight is a once-guarded computation cell: the first caller runs the
-// work, every concurrent or later caller blocks on (and shares) the
-// same result.
-type flight struct {
-	once sync.Once
-	val  []float64
-	err  error
-}
-
-func (f *flight) do(fn func() ([]float64, error)) ([]float64, error) {
-	f.once.Do(func() { f.val, f.err = fn() })
-	return f.val, f.err
 }
 
 // Counters is a snapshot of the engine's scheduling arithmetic.
@@ -168,9 +130,9 @@ type Counters struct {
 	// Submitted counts every cell submission (Column calls plus plan
 	// cells), including duplicates.
 	Submitted int64
-	// Executed counts cells that actually replayed (singleflight
-	// misses). Submitted - Executed cells were served from a prior or
-	// in-flight replay.
+	// Executed counts cells that actually ran (memo misses), a replay
+	// cut short by a cancellation included. Submitted - Executed
+	// cells were served from a prior or in-flight replay.
 	Executed int64
 	// Deduped counts submissions served without a replay because the
 	// cell's key was already scheduled — the work the unified engine
@@ -178,66 +140,46 @@ type Counters struct {
 	Deduped int64
 }
 
-// Engine schedules and executes cells: one singleflight per cell key,
+// Engine schedules and executes cells: one Memo entry per cell key,
 // one bounded worker pool (engine/pool) for plan fan-out, one replay
 // path per cell.
 type Engine struct {
-	cfg Config
-
-	mu   sync.Mutex
-	cols map[Key]*flight
+	cfg  Config
+	cols Memo[Key, []float64]
 
 	submitted atomic.Int64
-	executed  atomic.Int64
-	deduped   atomic.Int64
+	// planDups counts within-plan duplicates Execute collapsed before
+	// they reached the memo.
+	planDups atomic.Int64
 }
 
-// New returns an engine with empty caches.
+// New returns an engine with an empty memo.
 func New(cfg Config) *Engine {
-	return &Engine{cfg: cfg, cols: map[Key]*flight{}}
+	return &Engine{cfg: cfg}
 }
 
 // Counters returns a snapshot of the scheduling counters.
 func (e *Engine) Counters() Counters {
 	return Counters{
 		Submitted: e.submitted.Load(),
-		Executed:  e.executed.Load(),
-		Deduped:   e.deduped.Load(),
+		Executed:  e.cols.Computed(),
+		Deduped:   e.cols.Shared() + e.planDups.Load(),
 	}
-}
-
-// flightFor returns the singleflight cell for a key and whether it
-// already existed (a duplicate submission).
-func (e *Engine) flightFor(k Key) (f *flight, existed bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	f, existed = e.cols[k]
-	if !existed {
-		f = &flight{}
-		e.cols[k] = f
-	}
-	return f, existed
 }
 
 // Column schedules one cell and returns each predictor's misprediction
-// percentage in cell order. Results are memoized per canonical Key
-// under the engine's singleflight discipline, so every surface that
-// submits the same cell — an experiment grid, the sweep service's job
-// workers, tests — shares one replay. A partial replay (canceled
-// context, failed source) is refused as a measurement.
+// percentage in cell order. Results are memoized per canonical Key, so
+// every surface that submits the same cell — the experiment grids, the
+// sweep worker's experiments, tests — shares one replay. A partial
+// replay (canceled context, failed source) is refused as a
+// measurement; one cut short by a cancellation is also not memoized,
+// so the next submission of the key replays it again.
 func (e *Engine) Column(ctx context.Context, c Cell) ([]float64, error) {
 	e.submitted.Add(1)
 	if (len(c.Cond) > 0) == (len(c.Indirect) > 0) {
 		return nil, fmt.Errorf("engine: cell %s must set exactly one of Cond/Indirect", c.Key())
 	}
-	if e.cfg.NoDedup {
-		return e.runCell(ctx, c)
-	}
-	f, existed := e.flightFor(c.Key())
-	if existed {
-		e.deduped.Add(1)
-	}
-	return f.do(func() ([]float64, error) {
+	return e.cols.Do(c.Key(), func() ([]float64, error) {
 		return e.runCell(ctx, c)
 	})
 }
@@ -271,7 +213,6 @@ func (e *Engine) runCell(ctx context.Context, c Cell) ([]float64, error) {
 		}
 		jobs, order = e.condJobs(preds)
 	}
-	e.executed.Add(1)
 	results, err := e.replay(ctx, jobs, order, src)
 	if err != nil {
 		return nil, err
@@ -366,15 +307,8 @@ func percents(results []sim.Result) []float64 {
 	return out
 }
 
-// noteDuplicate books a within-plan duplicate submission that the
-// scheduler collapsed before reaching Column.
-func (e *Engine) noteDuplicate() {
-	e.submitted.Add(1)
-	e.deduped.Add(1)
-}
-
 // Execute schedules a plan: cells are deduped by Key within the plan
-// (and, via the singleflight cache, across every previous submission),
+// (and, via the memo, across every previous submission),
 // the unique cells fan out over the engine's worker pool, and each
 // plan position receives its cell's rates in plan order. A failing
 // cell fails alone; the aggregated *runx.SweepError (via pool.ForEach)
@@ -396,7 +330,8 @@ func (e *Engine) Execute(ctx context.Context, p *Plan) ([][]float64, error) {
 			uniq[k] = s
 			order = append(order, k)
 		} else {
-			e.noteDuplicate()
+			e.submitted.Add(1)
+			e.planDups.Add(1)
 		}
 		s.idxs = append(s.idxs, i)
 	}

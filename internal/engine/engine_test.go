@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -47,19 +48,21 @@ func condCellGshare(budget int) CondCell {
 	return func() (bpred.CondPredictor, error) { return gshare.New(budget) }
 }
 
+// TestKeyRoundTrip pins Key.String's "class|trace|column-id" form: the
+// rendered key carries every field back out, so errors name a cell
+// unambiguously and the grid digests hash the whole identity.
 func TestKeyRoundTrip(t *testing.T) {
-	for _, k := range []Key{
-		{Class: ClassCond, Trace: "gcc", ColumnID: "fig9"},
-		{Class: ClassIndirect, Trace: "perl", ColumnID: "compare-ind-2048"},
+	for k, want := range map[Key]string{
+		{Class: ClassCond, Trace: "gcc", ColumnID: "fig9"}:                  "cond|gcc|fig9",
+		{Class: ClassIndirect, Trace: "perl", ColumnID: "compare-ind-2048"}: "indirect|perl|compare-ind-2048",
 	} {
-		got, err := ParseKey(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseKey(%q) = %+v, %v; want %+v", k.String(), got, err, k)
+		s := k.String()
+		if s != want {
+			t.Errorf("%+v.String() = %q, want %q", k, s, want)
 		}
-	}
-	for _, bad := range []string{"", "cond|gcc", "weird|gcc|fig9", "cond||fig9", "cond|gcc|"} {
-		if _, err := ParseKey(bad); err == nil {
-			t.Errorf("ParseKey(%q) accepted", bad)
+		parts := strings.SplitN(s, "|", 3)
+		if len(parts) != 3 || parts[0] != k.Class.String() || parts[1] != k.Trace || parts[2] != k.ColumnID {
+			t.Errorf("%q does not split back into %+v", s, k)
 		}
 	}
 }
@@ -143,19 +146,26 @@ func TestExecuteFailingCellFailsAlone(t *testing.T) {
 	}
 }
 
-// TestNoDedupReplaysEverySubmission covers the benchmark escape hatch.
-func TestNoDedupReplaysEverySubmission(t *testing.T) {
-	e := syntheticEngine(Config{NoDedup: true})
-	ctx := context.Background()
-	cell := Cell{Trace: "gcc", ColumnID: "dup", Cond: []CondCell{condCellGshare(1024)}}
-	for i := 0; i < 3; i++ {
-		if _, err := e.Column(ctx, cell); err != nil {
-			t.Fatal(err)
-		}
+// TestColumnReplaysAfterCanceledRun: a replay cut short by a canceled
+// context is refused and not memoized, so the next live submission of
+// the same key replays and returns rates — a missed deadline must not
+// fail every later experiment that shares the column.
+func TestColumnReplaysAfterCanceledRun(t *testing.T) {
+	// Long enough to cross the kernel's first cancellation check.
+	recs := syntheticRecords(40000)
+	e := New(Config{Source: func(string) (trace.Source, error) { return trace.NewBuffer(recs), nil }})
+	cell := Cell{Trace: "gcc", ColumnID: "cut", Cond: []CondCell{condCellGshare(1024)}}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if rates, err := e.Column(ctx, cell); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Column = %v, %v; want context.Canceled", rates, err)
 	}
-	c := e.Counters()
-	if c.Submitted != 3 || c.Executed != 3 || c.Deduped != 0 {
-		t.Errorf("counters = %+v, want 3 executions under NoDedup", c)
+	rates, err := e.Column(context.Background(), cell)
+	if err != nil || len(rates) != 1 {
+		t.Fatalf("live Column after a canceled one = %v, %v; want one rate", rates, err)
+	}
+	if c := e.Counters(); c.Submitted != 2 || c.Executed != 2 || c.Deduped != 0 {
+		t.Errorf("counters = %+v, want submitted 2 / executed 2 / deduped 0", c)
 	}
 }
 

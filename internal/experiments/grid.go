@@ -31,11 +31,11 @@ import (
 // buys two things:
 //
 //   - ColumnCell can rebuild any column from its canonical engine.Key,
-//     which is what lets the sweep service's /v1/jobs workers execute
-//     single cells (finer work-stealing than whole experiments);
+//     so a caller can replay one cell of the grid without running the
+//     experiment around it (perfbench's paper-suite stages and
+//     replay-grid workload do);
 //   - GridKeys can enumerate an experiment's cells statically, without
-//     executing anything, which the distributed coordinator uses to
-//     pre-warm shared cells before fanning out experiment jobs.
+//     executing anything, which is how perfbench lays out those cells.
 //
 // The invariant carried over from the engine's memoization contract:
 // a column id names the column's CONTENT, so the cells built here for
@@ -350,12 +350,12 @@ func compareBudget(id, prefix string) (int, bool) {
 	return n, true
 }
 
-// ColumnCell rebuilds the engine cell for a canonical key: the
-// server-side half of cell jobs. Any column id an experiment memoizes —
-// a variants grid, a parameterized comparison, a figure sweep — resolves
-// here to cells identical to the ones the experiment itself would
-// build, so a cell executed for a remote job and the same cell executed
-// locally share one replay and one result.
+// ColumnCell rebuilds the engine cell for a canonical key. Any column
+// id an experiment memoizes — a variants grid, a parameterized
+// comparison, a figure sweep — resolves here to cells identical to the
+// ones the experiment itself would build, so a cell executed on its own
+// and the same cell executed by its experiment share one replay and one
+// result.
 func (s *Suite) ColumnCell(ctx context.Context, key engine.Key) (engine.Cell, error) {
 	id := key.ColumnID
 	if key.Class == engine.ClassCond {
@@ -410,10 +410,9 @@ func (s *Suite) ColumnCell(ctx context.Context, key engine.Key) (engine.Cell, er
 
 // GridKeys enumerates the engine cells an experiment's plan will
 // contain, without executing anything — benchmarks come from the static
-// workload lists, so no suite (and no trace generation) is needed. The
-// distributed coordinator uses it to pre-warm cells shared between
-// experiments; experiments whose work is not cell-shaped (workload
-// summaries, pipeline models, instrumented predictors) return nil.
+// workload lists, so no suite (and no trace generation) is needed.
+// Experiments whose work is not cell-shaped (workload summaries,
+// pipeline models, instrumented predictors) return nil.
 func GridKeys(expID string) []engine.Key {
 	condOver := func(id string, benchNames []string) []engine.Key {
 		out := make([]engine.Key, len(benchNames))

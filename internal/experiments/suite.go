@@ -12,7 +12,6 @@ package experiments
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bpred"
 	"repro/internal/engine"
@@ -62,48 +61,9 @@ func (c Config) profBase() int {
 	return c.ProfileRecords
 }
 
-// flight is a once-guarded computation cell: the first caller runs the
-// work, every concurrent or later caller blocks on (and shares) the same
-// result. The suite's caches used to generate outside the lock and
-// discard duplicates, so concurrent sweep cells asking for the same
-// artifact could each burn a full profiling pass; with per-key flights
-// the work runs exactly once.
-type flight[V any] struct {
-	once sync.Once
-	val  V
-	err  error
-}
-
-func (f *flight[V]) do(fn func() (V, error)) (V, error) {
-	f.once.Do(func() { f.val, f.err = fn() })
-	return f.val, f.err
-}
-
-// doneFlight returns a flight already resolved to v, for priming caches
-// with externally produced artifacts (trace ingestion).
-func doneFlight[V any](v V) *flight[V] {
-	f := &flight[V]{}
-	f.once.Do(func() { f.val = v })
-	return f
-}
-
-// getFlight returns the flight cell for key, creating it under mu if this
-// is the first request. The lock covers only the map access; the
-// computation itself runs outside it, serialised per key by the cell.
-func getFlight[K comparable, V any](mu *sync.Mutex, m map[K]*flight[V], key K) *flight[V] {
-	mu.Lock()
-	defer mu.Unlock()
-	f, ok := m[key]
-	if !ok {
-		f = &flight[V]{}
-		m[key] = f
-	}
-	return f
-}
-
 // Suite carries the configuration and memoises the expensive artifacts:
-// generated traces, step-1 sweeps, and two-step profiles. Each cache is
-// singleflighted: no matter how many sweep cells race for the same key,
+// generated traces, step-1 sweeps, and two-step profiles (and the
+// Benchmark instances behind them). Each lives in an engine.Memo: no matter how many goroutines race for the same key,
 // the artifact is computed once and latecomers block on the result.
 type Suite struct {
 	Cfg Config
@@ -113,25 +73,24 @@ type Suite struct {
 	// memoization, replay, and the worker pool for plan fan-out.
 	eng *engine.Engine
 
-	mu        sync.Mutex
-	profBufs  map[string]*flight[[]trace.Record]
-	testBufs  map[string]*flight[[]trace.Record]
-	step1     map[cacheKey]*flight[*profile.Step1]
-	profiles  map[profileKey]*flight[*profile.Profile]
-	patterns  map[cacheKey]*flight[*profile.PatternProfile]
-	benchmark map[string]*workload.Benchmark
+	benchmarks engine.Memo[string, *workload.Benchmark]
+	traces     engine.Memo[traceKey, []trace.Record]
+	step1      engine.Memo[cacheKey, *profile.Step1]
+	profiles   engine.Memo[profileKey, *profile.Profile]
+	patterns   engine.Memo[cacheKey, *profile.PatternProfile]
+
+	mu sync.Mutex
 	// skipped maps benchmark name → why its trace could not be
 	// ingested. Sweep experiments drop skipped benchmarks (benches);
 	// benchmark-specific experiments fail with the reason (bench).
 	skipped map[string]string
+}
 
-	// Cache-miss counters: how many times each artifact class was
-	// actually computed rather than served from a flight. The
-	// singleflight concurrency tests pin these to one per key.
-	// (Column replays are counted by the engine, see ComputedColumns.)
-	computedRecords  atomic.Int64
-	computedStep1    atomic.Int64
-	computedProfiles atomic.Int64
+// traceKey names one benchmark input trace: the test input, or the
+// profile input when profile is set.
+type traceKey struct {
+	bench   string
+	profile bool
 }
 
 // cacheKey names one step-1 sweep: the benchmark's profile input, the
@@ -146,7 +105,7 @@ type cacheKey struct {
 
 // profileKey names one two-step profile: its step 1 plus the step-2
 // settings, defaults resolved, so equal configurations spelled
-// differently share one flight.
+// differently share one memo entry.
 type profileKey struct {
 	cacheKey
 	candidates, iterations int
@@ -158,47 +117,27 @@ func step1Key(name string, indirect bool, cfg profile.Config) cacheKey {
 
 // NewSuite returns an empty-cached suite.
 func NewSuite(cfg Config) *Suite {
-	s := &Suite{
-		Cfg:       cfg,
-		profBufs:  map[string]*flight[[]trace.Record]{},
-		testBufs:  map[string]*flight[[]trace.Record]{},
-		step1:     map[cacheKey]*flight[*profile.Step1]{},
-		profiles:  map[profileKey]*flight[*profile.Profile]{},
-		patterns:  map[cacheKey]*flight[*profile.PatternProfile]{},
-		benchmark: map[string]*workload.Benchmark{},
-		skipped:   map[string]string{},
-	}
+	s := &Suite{Cfg: cfg, skipped: map[string]string{}}
 	s.eng = engine.New(engine.Config{Source: s.TestSource})
 	return s
 }
 
-// Engine exposes the suite's execution engine, the submission surface
-// for cell jobs (the sweep service's /v1/jobs cell path) and for the
-// CLI's scheduling counters.
+// Engine exposes the suite's execution engine: the submission surface
+// for column cells and the source of the CLI's scheduling counters.
 func (s *Suite) Engine() *engine.Engine { return s.eng }
 
 // ComputeCounts reports how many trace generations, step-1 sweeps, and
 // profiles (two-step and pattern-history) the suite has actually
-// executed (cache misses, not lookups). Under the singleflight caches
-// each key computes exactly once however many goroutines ask for it.
+// executed (memo misses, not lookups). Each key computes exactly once
+// however many goroutines ask for it.
 func (s *Suite) ComputeCounts() (records, step1, profiles int64) {
-	return s.computedRecords.Load(), s.computedStep1.Load(), s.computedProfiles.Load()
-}
-
-// ComputedColumns reports how many column replays the engine has
-// actually executed (cache misses, not lookups). Experiments that ask
-// for the same (benchmark, column id) — the CLI rendering an artifact a
-// service job already computed, say — share one replay.
-func (s *Suite) ComputedColumns() int64 {
-	return s.eng.Counters().Executed
+	return s.traces.Computed(), s.step1.Computed(), s.profiles.Computed() + s.patterns.Computed()
 }
 
 // primeTestRecords installs pre-ingested test-trace records for a
 // benchmark, so later TestSource calls are served without generation.
 func (s *Suite) primeTestRecords(name string, recs []trace.Record) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.testBufs[name] = doneFlight(recs)
+	s.traces.Put(traceKey{bench: name}, recs)
 }
 
 // Skip records that a benchmark is excluded from this run and why.
@@ -233,17 +172,7 @@ func (s *Suite) bench(name string) (*workload.Benchmark, error) {
 	if reason, ok := s.skipReason(name); ok {
 		return nil, fmt.Errorf("experiments: benchmark %s skipped: %s", name, reason)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b, ok := s.benchmark[name]; ok {
-		return b, nil
-	}
-	b, err := workload.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	s.benchmark[name] = b
-	return b, nil
+	return s.benchmarks.Do(name, func() (*workload.Benchmark, error) { return workload.ByName(name) })
 }
 
 // benches resolves a list of workload benchmarks through the suite
@@ -289,17 +218,11 @@ func (s *Suite) TestSource(name string) (trace.Source, error) {
 }
 
 func (s *Suite) records(name string, profileInput bool) ([]trace.Record, error) {
-	cache := s.testBufs
-	if profileInput {
-		cache = s.profBufs
-	}
-	f := getFlight(&s.mu, cache, name)
-	return f.do(func() ([]trace.Record, error) {
+	return s.traces.Do(traceKey{name, profileInput}, func() ([]trace.Record, error) {
 		b, err := s.bench(name)
 		if err != nil {
 			return nil, err
 		}
-		s.computedRecords.Add(1)
 		var src trace.Source
 		if profileInput {
 			src = b.ProfileSource(s.Cfg.profBase())
@@ -321,13 +244,11 @@ func (s *Suite) Step1(name string, indirect bool, k uint) (*profile.Step1, error
 
 // step1For is Step1 for any candidate set; cfg must be resolved.
 func (s *Suite) step1For(name string, indirect bool, cfg profile.Config) (*profile.Step1, error) {
-	f := getFlight(&s.mu, s.step1, step1Key(name, indirect, cfg))
-	return f.do(func() (*profile.Step1, error) {
+	return s.step1.Do(step1Key(name, indirect, cfg), func() (*profile.Step1, error) {
 		src, err := s.ProfileSource(name)
 		if err != nil {
 			return nil, err
 		}
-		s.computedStep1.Add(1)
 		return profile.RunStep1(src, cfg, indirect)
 	})
 }
@@ -348,8 +269,7 @@ func (s *Suite) Profile(name string, indirect bool, k uint) (*profile.Profile, e
 func (s *Suite) profileFor(name string, indirect bool, cfg profile.Config) (*profile.Profile, error) {
 	cfg = cfg.Resolved()
 	key := profileKey{step1Key(name, indirect, cfg), cfg.Candidates, cfg.Iterations}
-	f := getFlight(&s.mu, s.profiles, key)
-	return f.do(func() (*profile.Profile, error) {
+	return s.profiles.Do(key, func() (*profile.Profile, error) {
 		s1, err := s.step1For(name, indirect, cfg)
 		if err != nil {
 			return nil, err
@@ -358,7 +278,6 @@ func (s *Suite) profileFor(name string, indirect bool, cfg profile.Config) (*pro
 		if err != nil {
 			return nil, err
 		}
-		s.computedProfiles.Add(1)
 		return profile.RunStep2(src, cfg, indirect, s1)
 	})
 }
@@ -367,13 +286,11 @@ func (s *Suite) profileFor(name string, indirect bool, cfg profile.Config) (*pro
 // profile of one benchmark at index width k; ComputeCounts counts it
 // with the two-step profiles.
 func (s *Suite) patternProfile(name string, k uint) (*profile.PatternProfile, error) {
-	f := getFlight(&s.mu, s.patterns, cacheKey{bench: name, k: k})
-	return f.do(func() (*profile.PatternProfile, error) {
+	return s.patterns.Do(cacheKey{bench: name, k: k}, func() (*profile.PatternProfile, error) {
 		src, err := s.ProfileSource(name)
 		if err != nil {
 			return nil, err
 		}
-		s.computedProfiles.Add(1)
 		p, _, err := profile.PatternCond(src, profile.Config{TableBits: k})
 		return p, err
 	})

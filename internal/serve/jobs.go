@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,44 +10,25 @@ import (
 	"time"
 )
 
-// JobRequest is the body of POST /v1/jobs: one unit of a distributed
-// sweep at a given suite scale. The unit is either a whole experiment
-// (Exp) or a single engine cell (Cell, the canonical
-// "class|trace|column-id" key) — exactly one must be set. The scale
-// fields pin the deterministic workload, so every worker given the same
-// job produces the same artifact (the property the dist coordinator's
-// byte-identity assertion rests on).
+// JobRequest is the body of POST /v1/jobs: one experiment of a
+// distributed sweep at a given suite scale. The scale fields pin the
+// deterministic workload, so every worker given the same job produces
+// the same artifact (the property the dist coordinator's byte-identity
+// assertion rests on). A body with any other field is rejected.
 type JobRequest struct {
 	// Exp is the experiment ID ("headline", "fig9", "ablation-ras", ...).
 	Exp string `json:"exp,omitempty"`
-	// Cell is an engine cell key ("cond|gcc|fig9"): one (trace, column)
-	// replay instead of a whole experiment. The worker resolves it
-	// through the experiment grid registry and answers with the raw
-	// rates; the coordinator uses cell jobs to pre-warm columns shared
-	// between experiments.
-	Cell string `json:"cell,omitempty"`
 	// BaseRecords is the suite base trace length (0 = suite default).
 	BaseRecords int `json:"base_records,omitempty"`
 	// ProfileRecords is the profile input length (0 = BaseRecords).
 	ProfileRecords int `json:"profile_records,omitempty"`
 }
 
-// Unit names the job's unit of work (the experiment id or the cell
-// key) for logs and error envelopes.
-func (r JobRequest) Unit() string {
-	if r.Cell != "" {
-		return r.Cell
-	}
-	return r.Exp
-}
-
 // Validate rejects jobs the runner cannot address.
 func (r JobRequest) Validate() error {
 	switch {
-	case r.Exp == "" && r.Cell == "":
-		return fmt.Errorf("serve: job has neither an experiment id nor a cell key")
-	case r.Exp != "" && r.Cell != "":
-		return fmt.Errorf("serve: job must set exactly one of exp and cell, got both %q and %q", r.Exp, r.Cell)
+	case r.Exp == "":
+		return fmt.Errorf("serve: job has no experiment id")
 	case r.BaseRecords < 0 || r.ProfileRecords < 0:
 		return fmt.Errorf("serve: job scale must not be negative (base=%d profile=%d)",
 			r.BaseRecords, r.ProfileRecords)
@@ -54,19 +36,13 @@ func (r JobRequest) Validate() error {
 	return nil
 }
 
-// JobResponse is the finished job. An experiment job carries the
-// rendered text artifact and the repro-bench/v1 report blob, exactly
-// the two files the in-process paperrepro path writes for the same
-// experiment — the coordinator merges these verbatim into the sweep's
-// results directory. A cell job instead answers with the echoed key
-// and the column's raw rates.
+// JobResponse is the finished job: the rendered text artifact and the
+// repro-bench/v1 report blob, exactly the two files the in-process
+// paperrepro path writes for the same experiment — the coordinator
+// merges these verbatim into the sweep's results directory.
 type JobResponse struct {
 	Exp   string `json:"exp,omitempty"`
 	Title string `json:"title,omitempty"`
-	// Cell echoes a cell job's key; Rates is its column's per-predictor
-	// misprediction percentages, in column order.
-	Cell  string    `json:"cell,omitempty"`
-	Rates []float64 `json:"rates,omitempty"`
 	// Text is the rendered table/chart — the deterministic artifact the
 	// dist smoke compares byte-for-byte against the batch path.
 	Text string `json:"text"`
@@ -138,7 +114,9 @@ func (s *Server) handleRunJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JobRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		s.writeError(w, fmt.Errorf("serve: bad job request: %w", err))
 		return
 	}
@@ -154,6 +132,6 @@ func (s *Server) handleRunJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.jobsRun.Add(1)
-	s.log.Progressf("serve: job %s done in %v", req.Unit(), time.Since(start).Round(time.Millisecond))
+	s.log.Progressf("serve: job %s done in %v", req.Exp, time.Since(start).Round(time.Millisecond))
 	writeJSON(w, http.StatusOK, res)
 }

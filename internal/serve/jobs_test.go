@@ -82,9 +82,8 @@ func TestJobsEndpoint(t *testing.T) {
 	}
 }
 
-// TestJobRequestValidate pins the unit contract: a job addresses
-// exactly one of an experiment or an engine cell, at a non-negative
-// scale.
+// TestJobRequestValidate pins the unit contract: a job names an
+// experiment, at a non-negative scale.
 func TestJobRequestValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -92,65 +91,13 @@ func TestJobRequestValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"exp only", JobRequest{Exp: "headline"}, true},
-		{"cell only", JobRequest{Cell: "cond|gcc|fig9"}, true},
-		{"both exp and cell", JobRequest{Exp: "headline", Cell: "cond|gcc|fig9"}, false},
-		{"neither", JobRequest{}, false},
+		{"no exp", JobRequest{}, false},
 		{"negative scale", JobRequest{Exp: "headline", BaseRecords: -1}, false},
 	}
 	for _, c := range cases {
 		if err := c.req.Validate(); (err == nil) != c.ok {
 			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
 		}
-	}
-	if u := (JobRequest{Exp: "headline"}).Unit(); u != "headline" {
-		t.Errorf("exp job unit = %q", u)
-	}
-	if u := (JobRequest{Cell: "cond|gcc|fig9"}).Unit(); u != "cond|gcc|fig9" {
-		t.Errorf("cell job unit = %q", u)
-	}
-}
-
-// TestCellJobEndpoint drives a cell job through the endpoint: the
-// runner sees the key, and its echoed key and raw rates reach the
-// client intact.
-func TestCellJobEndpoint(t *testing.T) {
-	s, err := New(testLimits(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const key = "indirect|gcc|compare-ind-2048"
-	var got JobRequest
-	s.SetJobRunner(stubRunner{run: func(_ context.Context, req JobRequest) (JobResponse, error) {
-		got = req
-		return JobResponse{Cell: req.Cell, Rates: []float64{1.5, 2.25}, WallNanos: 1}, nil
-	}})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	body, _ := json.Marshal(JobRequest{Cell: key, BaseRecords: 12000})
-	resp, raw := postJob(t, ts.URL, body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cell job: status %d (%s)", resp.StatusCode, raw)
-	}
-	if got.Cell != key || got.Exp != "" || got.BaseRecords != 12000 {
-		t.Fatalf("runner saw %+v", got)
-	}
-	var res JobResponse
-	if err := json.Unmarshal(raw, &res); err != nil {
-		t.Fatalf("bad cell response %q: %v", raw, err)
-	}
-	if res.Cell != key || len(res.Rates) != 2 || res.Rates[0] != 1.5 || res.Rates[1] != 2.25 {
-		t.Fatalf("cell response %+v lost content", res)
-	}
-
-	// A job naming both an experiment and a cell is invalid, not routed.
-	body, _ = json.Marshal(JobRequest{Exp: "headline", Cell: key})
-	resp, raw = postJob(t, ts.URL, body)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("both-units job: status %d (%s), want 400", resp.StatusCode, raw)
-	}
-	if env, ok := DecodeEnvelope(raw); !ok || env.Code != CodeInvalid || env.Retryable {
-		t.Fatalf("both-units body %q decoded to %+v", raw, env)
 	}
 }
 
@@ -171,7 +118,8 @@ func TestJobsDisabled(t *testing.T) {
 }
 
 // TestJobsBadRequests covers the request-validation failures: broken
-// JSON and cells the runner cannot address.
+// JSON, jobs the runner cannot address, and fields the job shape does
+// not have — a single engine cell is not a job.
 func TestJobsBadRequests(t *testing.T) {
 	s, err := New(testLimits(), nil)
 	if err != nil {
@@ -187,6 +135,8 @@ func TestJobsBadRequests(t *testing.T) {
 		"broken json":    []byte("{nope"),
 		"no experiment":  []byte(`{}`),
 		"negative scale": []byte(`{"exp":"headline","base_records":-1}`),
+		"cell key":       []byte(`{"cell":"indirect|gcc|compare-ind-2048","base_records":30000}`),
+		"exp and cell":   []byte(`{"exp":"headline","cell":"cond|gcc|fig9"}`),
 	} {
 		resp, raw := postJob(t, ts.URL, body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -107,7 +107,8 @@ type manyJob struct {
 // The context is checked before every record whose index is a positive
 // multiple of cancelStride; a canceled run stops there, on every source
 // alike, with Result.Err set to the context's error, and a Buffer is
-// left consumed up to the stop record. A source that fails mid-stream
+// left consumed up to the stop record. A Buffer replayed to its last
+// record is complete even if the context is canceled after it. A source that fails mid-stream
 // (trace.Reader.Err) marks every Result with the failure, because each
 // predictor's run covered only the truncated prefix. Each Result's
 // Metrics carries the whole pass's wall time with the job's own branch
@@ -126,7 +127,11 @@ func RunMany(ctx context.Context, jobs []Job, src trace.Source, opts Options) []
 	var win []trace.Record // a streaming source's reused window
 	pos := 0
 	for {
-		if pos > 0 && pos%cancelStride == 0 && ctx.Err() != nil {
+		// A Buffer reaches the top of the loop again only once it is fully
+		// replayed: a complete run, whatever the context says by then. A
+		// stream's end is unknown until it is read, so a stream stops at
+		// every boundary.
+		if buf == nil && pos > 0 && pos%cancelStride == 0 && ctx.Err() != nil {
 			setErr(results, ctx.Err())
 			break
 		}

@@ -378,7 +378,9 @@ func TestRunManyTruncatedSource(t *testing.T) {
 }
 
 // TestRunManyEdgeCases: the K=0 column returns no results without
-// touching the source, and an empty source gives clean zero counts.
+// touching the source, an empty source gives clean zero counts, and a
+// Buffer whose last record sits on a cancelStride boundary is complete
+// when the context is canceled after that record.
 func TestRunManyEdgeCases(t *testing.T) {
 	buf := trace.NewBuffer(mixedRecords(100))
 	res := RunMany(context.Background(), nil, buf, Options{})
@@ -395,6 +397,19 @@ func TestRunManyEdgeCases(t *testing.T) {
 				t.Errorf("empty source: %+v", got)
 			}
 		}
+	}
+	// A Buffer of exactly cancelStride records, with an update-only
+	// entry that cancels the context at the last record.
+	recs := mixedRecords(cancelStride)
+	ctx, cancel := context.WithCancel(context.Background())
+	jobs := append(jobsFor(columns(t)[2].build(t)), Job{Observer: &cancelAt{n: cancelStride, cancel: cancel}})
+	res = RunMany(ctx, jobs, trace.NewBuffer(recs), Options{})
+	cancel()
+	for i, p := range columns(t)[2].build(t) {
+		if res[i].Err != nil {
+			t.Fatalf("canceled after the last record: job %d Err = %v, want a complete run", i, res[i].Err)
+		}
+		sameResult(t, "canceled-after-end/"+p.Name(), res[i], reference(context.Background(), p, trace.NewBuffer(recs), false))
 	}
 }
 

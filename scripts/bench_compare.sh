@@ -4,6 +4,11 @@
 #
 # Usage:
 #   scripts/bench_compare.sh [baseline-file]
+#   SMOKE=1 scripts/bench_compare.sh
+#
+# SMOKE=1 runs every benchmark of the subset once (-benchtime 1x) and
+# exits with go test's status: it checks that the subset still runs,
+# writes nothing and compares nothing. ci.sh runs it that way.
 #
 # The subset (predictor kernels, the §4.1 hash update, the two-step
 # profiling pipeline, the end-to-end simulation loop, the served
@@ -13,8 +18,7 @@
 # $RESULTS/bench_micro.txt; with BENCH_JSON_DIR exported the artifact
 # benchmarks in the subset also emit repro-bench/v1 JSON reports there.
 # The committed BENCH_*.json points are rewritten only at the default
-# COUNT and BENCHTIME, so a quicker run (ci.sh's smoke) leaves the tree
-# clean.
+# COUNT and BENCHTIME, so a quicker run leaves the tree clean.
 #
 # Comparison: benchstat when it is on PATH (statistically sound), else a
 # plain per-benchmark mean-ns/op delta table. If the baseline file does
@@ -31,6 +35,10 @@ COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-100ms}"
 baseline="${1:-$RESULTS/bench_micro_baseline.txt}"
 current="$RESULTS/bench_micro.txt"
+
+if [ "${SMOKE:-}" = 1 ]; then
+	exec go test -run '^$' -bench "$BENCHES" -benchtime 1x . ./internal/serve
+fi
 
 mkdir -p "$RESULTS"
 echo "== bench-compare: go test -bench (count=$COUNT, benchtime=$BENCHTIME)"
