@@ -97,9 +97,6 @@ func (p *Predictor) Name() string { return p.name }
 // SizeBytes implements bpred.CondPredictor.
 func (p *Predictor) SizeBytes() int { return p.pht.SizeBytes() }
 
-// MaxBits returns the widest usable history length (the index width).
-func (p *Predictor) MaxBits() int { return int(p.k) }
-
 func (p *Predictor) indexAt(pc arch.Addr, bits int) int {
 	if bits < 0 {
 		bits = 0
@@ -116,18 +113,6 @@ func (p *Predictor) indexAt(pc arch.Addr, bits int) int {
 
 func (p *Predictor) index(pc arch.Addr) int { return p.indexAt(pc, p.sel.Bits(pc)) }
 
-// PredictAt returns the table's prediction using the given history length
-// (profiling support).
-func (p *Predictor) PredictAt(pc arch.Addr, bits int) bool {
-	return p.pht.Taken(p.indexAt(pc, bits))
-}
-
-// TrainAt trains the counter selected by the given history length
-// (profiling support).
-func (p *Predictor) TrainAt(pc arch.Addr, bits int, taken bool) {
-	p.pht.Train(p.indexAt(pc, bits), taken)
-}
-
 // Predict implements bpred.CondPredictor.
 func (p *Predictor) Predict(pc arch.Addr) bool { return p.pht.Taken(p.index(pc)) }
 
@@ -139,7 +124,3 @@ func (p *Predictor) Update(r trace.Record) {
 	p.pht.Train(p.index(r.PC), r.Taken)
 	p.hist.Push(r.Taken)
 }
-
-// ObserveOutcome extends the global history without training (profiling
-// support).
-func (p *Predictor) ObserveOutcome(taken bool) { p.hist.Push(taken) }

@@ -32,8 +32,8 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.SizeBytes() != 4096 || p.MaxBits() != 14 {
-		t.Errorf("SizeBytes/MaxBits = %d/%d", p.SizeBytes(), p.MaxBits())
+	if p.SizeBytes() != 4096 {
+		t.Errorf("SizeBytes = %d", p.SizeBytes())
 	}
 }
 
@@ -110,14 +110,29 @@ func TestPerBranchLengths(t *testing.T) {
 	}
 }
 
-func TestPredictTrainAtClamp(t *testing.T) {
-	p, err := NewBits(8, Fixed{N: 4})
+// TestSelectedBitsClamp: a selector may name any history length, and the
+// predictor clamps it into 0..k rather than panicking, so selecting -5
+// and 99 bits behaves exactly like selecting 0 and k.
+func TestSelectedBitsClamp(t *testing.T) {
+	const k = 8
+	out, err := NewBits(k, &PerBranch{Bits_: map[arch.Addr]int{0x1004: -5, 0x1008: 99}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Out-of-range lengths clamp rather than panic (profiling probes).
-	_ = p.PredictAt(0x1004, -5)
-	_ = p.PredictAt(0x1004, 99)
-	p.TrainAt(0x1004, 99, true)
-	p.ObserveOutcome(true)
+	in, err := NewBits(k, &PerBranch{Bits_: map[arch.Addr]int{0x1004: 0, 0x1008: k}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(7)
+	for i := 0; i < 5000; i++ {
+		r := condRec(0x1004, rng.Bool(0.7))
+		if rng.Bool(0.5) {
+			r = condRec(0x1008, i%3 == 0)
+		}
+		if out.Predict(r.PC) != in.Predict(r.PC) {
+			t.Fatalf("step %d: branch %v with out-of-range bits disagrees with its clamped length", i, r.PC)
+		}
+		out.Update(r)
+		in.Update(r)
+	}
 }

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/bpred"
 	"repro/internal/bpred/counter"
+	"repro/internal/bpred/varhist"
 	"repro/internal/engine/pool"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -174,7 +176,7 @@ func TestInputIndicesMatchHashSet(t *testing.T) {
 	for _, k := range []uint{1, 9, 17, 32} {
 		for _, n := range []int{1, 8, 32} {
 			for _, indirect := range []bool{false, true} {
-				in, err := newInput(recs, indirect, k, n)
+				in, err := newInput(recs, pathClass(indirect), k, n)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -219,7 +221,7 @@ func TestStep1FlatMatchesMapReference(t *testing.T) {
 		{"indirect", true, refStep1Indirect},
 	} {
 		for _, cfg := range step1Configs {
-			lengths := cfg.lengths()
+			lengths := cfg.lengths(condPath)
 			wantPerPC, wantCorrect, wantTotal := class.ref(buf, cfg.TableBits, cfg.maxPath(), lengths)
 			for _, workers := range poolCaps {
 				name := fmt.Sprintf("%s/k=%d/lengths=%v/workers=%d", class.name, cfg.TableBits, lengths, workers)
@@ -231,8 +233,8 @@ func TestStep1FlatMatchesMapReference(t *testing.T) {
 				if s1.Total != wantTotal {
 					t.Errorf("%s: scored %d branches, reference scored %d", name, s1.Total, wantTotal)
 				}
-				if !reflect.DeepEqual(s1.Lengths, lengths) || s1.TableBits != cfg.TableBits || s1.Indirect != class.indirect {
-					t.Errorf("%s: step 1 labelled lengths %v k=%d indirect=%v", name, s1.Lengths, s1.TableBits, s1.Indirect)
+				if !reflect.DeepEqual(s1.Lengths, lengths) || s1.TableBits != cfg.TableBits || s1.class != pathClass(class.indirect) {
+					t.Errorf("%s: step 1 labelled lengths %v k=%d class %s", name, s1.Lengths, s1.TableBits, s1.class)
 				}
 				if !reflect.DeepEqual(s1.Correct, wantCorrect) {
 					t.Errorf("%s: aggregate correct counts diverge:\n flat %v\n ref  %v", name, s1.Correct, wantCorrect)
@@ -258,7 +260,7 @@ func TestStep1FlatMatchesMapReference(t *testing.T) {
 // selector through sim.RunCond and read per-PC mispredictions off the
 // Result. The production twoStep must produce the identical Profile.
 func refTwoStepCond(src trace.Source, cfg Config) (*Profile, error) {
-	lengths := cfg.lengths()
+	lengths := cfg.lengths(condPath)
 	k, n := cfg.TableBits, cfg.maxPath()
 	perPC, correct, _ := refStep1Cond(src, k, n, lengths)
 
@@ -308,7 +310,7 @@ func refTwoStepCond(src trace.Source, cfg Config) (*Profile, error) {
 // refTwoStepIndirect is the indirect counterpart, driving vlp.Indirect
 // through sim.RunIndirect.
 func refTwoStepIndirect(src trace.Source, cfg Config) (*Profile, error) {
-	lengths := cfg.lengths()
+	lengths := cfg.lengths(condPath)
 	k, n := cfg.TableBits, cfg.maxPath()
 	perPC, correct, _ := refStep1Indirect(src, k, n, lengths)
 
@@ -431,6 +433,169 @@ func TestTwoStepMatchesReference(t *testing.T) {
 	} {
 		if _, err := RunStep2(bad.src, bad.cfg, bad.indirect, s1); err == nil {
 			t.Errorf("RunStep2 accepted a step 1 with the wrong %s", bad.name)
+		}
+	}
+}
+
+// patternFixture builds conditionals whose best history length differs
+// by branch — periodic ones, one repeating the outcome two conditionals
+// back, and biased-random ones — interleaved with calls and indirect
+// jumps, which are not scored and must not shift the outcome history.
+func patternFixture(seed uint64, n int) *trace.Buffer {
+	rng := xrand.New(seed)
+	buf := &trace.Buffer{}
+	var prev, prev2 bool
+	for i := 0; i < n; i++ {
+		slot := rng.Intn(10)
+		pc := arch.Addr(0x1000 + 4*slot)
+		var taken bool
+		switch {
+		case slot < 4:
+			taken = i%(slot+2) == 0
+		case slot < 6:
+			taken = prev2
+		default:
+			taken = rng.Bool(0.15 * float64(slot-4))
+		}
+		next := pc.FallThrough()
+		if taken {
+			next = arch.Addr(0x8000 + 16*slot)
+		}
+		buf.Append(trace.Record{PC: pc, Kind: arch.Cond, Taken: taken, Next: next})
+		prev, prev2 = taken, prev
+		switch rng.Uint64() % 5 {
+		case 0:
+			buf.Append(trace.Record{PC: 0x4010, Kind: arch.Indirect, Taken: true, Next: 0x5004})
+		case 1:
+			buf.Append(trace.Record{PC: 0x9004, Kind: arch.Call, Taken: true, Next: 0xa000})
+		}
+	}
+	return buf
+}
+
+// refPatternCond is the map-based elastic-history heuristic, kept as the
+// reference semantics for the pattern class: step 1 keeps one private
+// gshare-style table per candidate bit count and per-PC correct counts
+// in a map; each step-2 iteration replays a real varhist.Predictor built
+// from a PerBranch selector and reads per-PC mispredictions off a map.
+// PatternCond must produce the identical profile and step-1 aggregate.
+func refPatternCond(src trace.Source, cfg Config) (*PatternProfile, Step1Result) {
+	k := cfg.TableBits
+	lengths := cfg.Lengths
+	if lengths == nil {
+		for bits := 0; bits <= int(k); bits++ {
+			lengths = append(lengths, bits)
+		}
+	}
+
+	// Step 1: one table per candidate history length.
+	tables := make([]*counter.Array, len(lengths))
+	for i := range tables {
+		tables[i] = counter.NewArray(1<<k, 2, 1)
+	}
+	hist := counter.NewShiftReg(k)
+	mask := uint64(1<<k - 1)
+	perPC := map[arch.Addr][]int64{}
+	agg := Step1Result{Lengths: append([]int(nil), lengths...), Correct: make([]int64, len(lengths))}
+	src.Reset()
+	var r trace.Record
+	for src.Next(&r) {
+		if r.Kind != arch.Cond {
+			continue
+		}
+		counts := perPC[r.PC]
+		if counts == nil {
+			counts = make([]int64, len(lengths))
+			perPC[r.PC] = counts
+		}
+		agg.Total++
+		for i, bits := range lengths {
+			h := hist.Value() & (1<<uint(bits) - 1)
+			idx := int((bpred.PCBits(r.PC) ^ h) & mask)
+			if tables[i].Taken(idx) == r.Taken {
+				counts[i]++
+				agg.Correct[i]++
+			}
+			tables[i].Train(idx, r.Taken)
+		}
+		hist.Push(r.Taken)
+	}
+	cands := map[arch.Addr][]int{}
+	for pc, counts := range perPC {
+		cands[pc] = topCandidates(lengths, counts, cfg.candidates())
+	}
+	def := agg.BestLength()
+
+	// Step 2: iterate the shared-table varhist simulation.
+	record := map[arch.Addr][]int64{}
+	for pc, cs := range cands {
+		record[pc] = make([]int64, len(cs))
+	}
+	for iter := 0; iter < cfg.iterations(); iter++ {
+		assign := map[arch.Addr]int{}
+		chosen := map[arch.Addr]int{}
+		for pc, cs := range cands {
+			ci := argmin(record[pc])
+			chosen[pc] = ci
+			assign[pc] = cs[ci]
+		}
+		p, err := varhist.NewBits(k, &varhist.PerBranch{Bits_: assign, Default: def})
+		if err != nil {
+			panic(err)
+		}
+		misses := map[arch.Addr]int64{}
+		src.Reset()
+		for src.Next(&r) {
+			if r.Kind == arch.Cond && p.Predict(r.PC) != r.Taken {
+				misses[r.PC]++
+			}
+			p.Update(r)
+		}
+		for pc, ci := range chosen {
+			record[pc][ci] = misses[pc]
+		}
+	}
+	final := make(map[arch.Addr]int, len(cands))
+	for pc, cs := range cands {
+		final[pc] = cs[argmin(record[pc])]
+	}
+	return &PatternProfile{TableBits: k, Bits: final, Default: def}, agg
+}
+
+// TestPatternCondMatchesReference is the pattern class's differential:
+// PatternCond — the shared input, drivers and ranking with the pattern
+// kernels — must emit exactly the profile and step-1 aggregate of the
+// map-based reference, across table widths, candidate sets,
+// candidate/iteration settings and pool sizes.
+func TestPatternCondMatchesReference(t *testing.T) {
+	buf := patternFixture(31, 5000)
+	var configs []Config
+	for _, k := range []uint{1, 9, 17} {
+		sets := [][]int{nil}
+		if k >= 8 {
+			sets = append(sets, []int{0, 2, 4, 8})
+		}
+		for _, lengths := range sets {
+			for _, ci := range [][2]int{{1, 1}, {3, 7}, {5, 7}} {
+				configs = append(configs, Config{TableBits: k, Lengths: lengths, Candidates: ci[0], Iterations: ci[1]})
+			}
+		}
+	}
+	for _, cfg := range configs {
+		want, wantAgg := refPatternCond(buf, cfg)
+		for _, workers := range poolCaps {
+			name := fmt.Sprintf("%+v/workers=%d", cfg, workers)
+			withPoolCap(t, workers)
+			got, agg, err := PatternCond(buf, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: profiles diverge:\n flat %+v\n ref  %+v", name, got, want)
+			}
+			if !reflect.DeepEqual(agg, wantAgg) {
+				t.Errorf("%s: step-1 aggregates diverge:\n flat %+v\n ref  %+v", name, agg, wantAgg)
+			}
 		}
 	}
 }

@@ -56,13 +56,25 @@ func (c Config) maxPath() int {
 	return c.MaxPath
 }
 
-func (c Config) lengths() []int {
+// span returns the candidate range of cls: path lengths 1..MaxPath, or
+// pattern history bit counts 0..TableBits (0 is bimodal).
+func (c Config) span(cls class) (lo, hi int) {
+	if cls == condPattern {
+		return 0, int(c.TableBits)
+	}
+	return 1, c.maxPath()
+}
+
+// lengths returns the candidate set of cls; nil Lengths means the whole
+// span.
+func (c Config) lengths(cls class) []int {
 	if c.Lengths != nil {
 		return c.Lengths
 	}
-	ls := make([]int, c.maxPath())
+	lo, hi := c.span(cls)
+	ls := make([]int, hi-lo+1)
 	for i := range ls {
-		ls[i] = i + 1
+		ls[i] = lo + i
 	}
 	return ls
 }
@@ -81,29 +93,40 @@ func (c Config) iterations() int {
 	return c.Iterations
 }
 
-// Resolved returns c with every default filled in, so two spellings of
-// one configuration compare equal (callers key memoized profiles by it).
+// Resolved returns c with every path-class default filled in, so two
+// spellings of one configuration compare equal (callers key memoized
+// profiles by it).
 func (c Config) Resolved() Config {
 	return Config{
 		TableBits:  c.TableBits,
 		MaxPath:    c.maxPath(),
-		Lengths:    c.lengths(),
+		Lengths:    c.lengths(condPath),
 		Candidates: c.candidates(),
 		Iterations: c.iterations(),
 	}
 }
 
-func (c Config) validate() error {
-	if c.TableBits < 1 || c.TableBits > 32 {
-		return fmt.Errorf("profile: table bits %d out of range 1..32", c.TableBits)
+// validate checks c for the class cls. The pattern class indexes a
+// varhist table, whose history register is at most 30 bits wide here.
+func (c Config) validate(cls class) error {
+	maxK := uint(32)
+	if cls == condPattern {
+		maxK = 30
 	}
-	mp := c.maxPath()
-	if n := len(c.lengths()); n == 0 || n > maxLengths {
+	if c.TableBits < 1 || c.TableBits > maxK {
+		return fmt.Errorf("profile: table bits %d out of range 1..%d", c.TableBits, maxK)
+	}
+	ls := c.lengths(cls)
+	if n := len(ls); n == 0 || n > maxLengths {
 		return fmt.Errorf("profile: %d candidate lengths, want 1..%d", n, maxLengths)
 	}
-	for _, l := range c.lengths() {
-		if l < 1 || l > mp {
-			return fmt.Errorf("profile: candidate length %d out of range 1..%d", l, mp)
+	lo, hi := c.span(cls)
+	for i, l := range ls {
+		if l < lo || l > hi {
+			return fmt.Errorf("profile: candidate length %d out of range %d..%d", l, lo, hi)
+		}
+		if i > 0 && l <= ls[i-1] {
+			return fmt.Errorf("profile: candidate lengths %v not strictly ascending", ls)
 		}
 	}
 	if c.candidates() < 1 {
@@ -194,6 +217,28 @@ func topCandidates(lengths []int, correct []int64, n int) []int {
 	return rankedLengths(lengths, rank, n)
 }
 
+// class is what one profiling call scores: a branch class and the history
+// its predictor indexes with.
+type class uint8
+
+const (
+	condPath     class = iota // conditionals on path history (vlp.Cond)
+	indirectPath              // indirect targets on path history (vlp.Indirect)
+	condPattern               // conditionals on pattern history (varhist)
+)
+
+// pathClass returns the path class RunStep1 and RunStep2 name by a bool.
+func pathClass(indirect bool) class {
+	if indirect {
+		return indirectPath
+	}
+	return condPath
+}
+
+// String returns the class name, which is Profile.Kind for the path
+// classes.
+func (c class) String() string { return [...]string{"cond", "indirect", "pattern"}[c] }
+
 // Step1 is step 1's whole output on one profile input: the aggregate
 // per-length accuracy plus each branch's candidates ranked by its correct
 // counts, which is all step 2 reads of them. It holds no table indices
@@ -202,8 +247,8 @@ func topCandidates(lengths []int, correct []int64, n int) []int {
 // settings run step 1 once and pass it to RunStep2.
 type Step1 struct {
 	Step1Result
-	// Indirect reports the branch class the sweep scored.
-	Indirect bool
+	// class is what the sweep scored.
+	class class
 	// TableBits is the index width k the sweep ran at.
 	TableBits uint
 	// PCs are the scored static branches in first-sight order.
@@ -219,25 +264,27 @@ type Step1 struct {
 // profile input and returns the per-branch assignment together with the
 // step-1 aggregate.
 func Cond(src trace.Source, cfg Config) (*Profile, Step1Result, error) {
-	return twoStep(src, cfg, false)
+	return pathProfile(src, cfg, condPath)
 }
 
 // Indirect runs the full two-step heuristic for indirect branches.
 func Indirect(src trace.Source, cfg Config) (*Profile, Step1Result, error) {
-	return twoStep(src, cfg, true)
+	return pathProfile(src, cfg, indirectPath)
+}
+
+func pathProfile(src trace.Source, cfg Config, cls class) (*Profile, Step1Result, error) {
+	lengths, agg, err := twoStep(src, cfg, cls)
+	if err != nil {
+		return nil, Step1Result{}, err
+	}
+	return &Profile{Kind: cls.String(), TableBits: cfg.TableBits, Lengths: lengths, Default: agg.BestLength()}, agg, nil
 }
 
 // RunStep1 runs step 1 alone: one fixed length path predictor per
 // candidate length, each with a private table, over the profile input.
 func RunStep1(src trace.Source, cfg Config, indirect bool) (*Step1, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	in, err := newInput(asRecords(src), indirect, cfg.TableBits, slices.Max(cfg.lengths()))
-	if err != nil {
-		return nil, err
-	}
-	return in.step1(cfg.lengths()), nil
+	_, s1, err := sweep(src, cfg, pathClass(indirect))
+	return s1, err
 }
 
 // RunStep2 runs step 2 on the profile input from a step 1 already
@@ -245,46 +292,51 @@ func RunStep1(src trace.Source, cfg Config, indirect bool) (*Step1, error) {
 // s1 must match the class, TableBits and candidate lengths of cfg; a
 // mismatch, or a step 1 computed on a different input, is an error.
 func RunStep2(src trace.Source, cfg Config, indirect bool, s1 *Step1) (*Profile, error) {
-	if err := cfg.validate(); err != nil {
+	cls := pathClass(indirect)
+	if err := cfg.validate(cls); err != nil {
 		return nil, err
 	}
-	if s1.Indirect != indirect || s1.TableBits != cfg.TableBits || !slices.Equal(s1.Lengths, cfg.lengths()) {
+	if s1.class != cls || s1.TableBits != cfg.TableBits || !slices.Equal(s1.Lengths, cfg.lengths(cls)) {
 		return nil, fmt.Errorf("profile: step 1 (%s, k=%d, lengths %v) does not match the step-2 config (%s, k=%d, lengths %v)",
-			kindName(s1.Indirect), s1.TableBits, s1.Lengths, kindName(indirect), cfg.TableBits, cfg.lengths())
+			s1.class, s1.TableBits, s1.Lengths, cls, cfg.TableBits, cfg.lengths(cls))
 	}
 	if len(s1.Ranks) != len(s1.PCs)*len(s1.Lengths) {
 		return nil, fmt.Errorf("profile: step 1 holds %d ranks for %d branches × %d lengths",
 			len(s1.Ranks), len(s1.PCs), len(s1.Lengths))
 	}
-	in, err := newInput(asRecords(src), indirect, cfg.TableBits, slices.Max(s1.Lengths))
+	in, err := newInput(asRecords(src), cls, cfg.TableBits, slices.Max(s1.Lengths))
 	if err != nil {
 		return nil, err
 	}
 	if int64(len(in.branches)) != s1.Total || !slices.Equal(in.pcs, s1.PCs) {
 		return nil, fmt.Errorf("profile: step 1 was computed on a different profile input")
 	}
-	return in.step2(cfg, s1, s1.candidates(cfg.candidates())), nil
+	lengths := in.step2(cfg, s1.candidates(cfg.candidates()))
+	return &Profile{Kind: cls.String(), TableBits: cfg.TableBits, Lengths: lengths, Default: s1.BestLength()}, nil
 }
 
-// twoStep is the shared driver behind Cond and Indirect: one input
-// feeds both steps.
-func twoStep(src trace.Source, cfg Config, indirect bool) (*Profile, Step1Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, Step1Result{}, err
-	}
-	in, err := newInput(asRecords(src), indirect, cfg.TableBits, slices.Max(cfg.lengths()))
+// twoStep is the shared driver behind Cond, Indirect and PatternCond: one
+// input feeds both steps. It returns the per-branch assignment and the
+// step-1 aggregate, whose BestLength is the default.
+func twoStep(src trace.Source, cfg Config, cls class) (map[arch.Addr]int, Step1Result, error) {
+	in, s1, err := sweep(src, cfg, cls)
 	if err != nil {
 		return nil, Step1Result{}, err
 	}
-	s1 := in.step1(cfg.lengths())
-	return in.step2(cfg, s1, s1.candidates(cfg.candidates())), s1.Step1Result, nil
+	return in.step2(cfg, s1.candidates(cfg.candidates())), s1.Step1Result, nil
 }
 
-func kindName(indirect bool) string {
-	if indirect {
-		return "indirect"
+// sweep validates cfg for cls, builds the input and runs step 1 on it.
+func sweep(src trace.Source, cfg Config, cls class) (*input, *Step1, error) {
+	if err := cfg.validate(cls); err != nil {
+		return nil, nil, err
 	}
-	return "cond"
+	lengths := cfg.lengths(cls)
+	in, err := newInput(asRecords(src), cls, cfg.TableBits, slices.Max(lengths))
+	if err != nil {
+		return nil, nil, err
+	}
+	return in, in.step1(lengths), nil
 }
 
 // candidates returns every branch's top n candidate lengths, by dense id.
@@ -305,8 +357,11 @@ func (s *Step1) candidates(n int) [][]int {
 // on the input and on k, not on which predictor reads it — the paper's
 // hardware shares one THB across all N hash functions (§3.1, §4.1) — and
 // in vlp.Frame's rotating frame any I_L is one XOR and one rotation of
-// two prefix XORs. So each profiling call runs the THB once, into one
-// prefix array, and every pass computes the indices it reads inline:
+// two prefix XORs. So each path profiling call runs the THB once, into
+// one prefix array, and every pass computes the indices it reads inline.
+// The pattern class does the same with the global outcome history: one
+// k-bit history value per scored record, masked to each candidate's bit
+// count inline.
 //
 //   - static branches are interned into dense ids up front, so every
 //     pass indexes flat arrays instead of touching a map per branch;
@@ -358,17 +413,18 @@ func internPCs(recs []trace.Record, indirect bool) (recIDs []int32, pcs []arch.A
 }
 
 // input is the profile input as the predictors see it: one branch per
-// scored record, and pre, the prefix XOR after every THB insert of the
-// input behind maxL leading zeros, so index reaches back any candidate
-// length with no bounds special case. Memory is one entry per scored
-// record and per THB insert, whatever the number of candidate lengths;
-// the input lives only for the profiling call that built it and is
-// never cached.
+// scored record, and for the path classes pre, the prefix XOR after
+// every THB insert of the input behind maxL leading zeros, so index
+// reaches back any candidate length with no bounds special case. Memory
+// is one entry per scored record and per THB insert, whatever the number
+// of candidate lengths; the input lives only for the profiling call that
+// built it and is never cached.
 type input struct {
-	indirect bool
+	class    class
 	frame    vlp.Frame
 	branches []branch
 	next     []arch.Addr // indirect outcomes, by scored record
+	hist     []uint32    // pattern class: the k-bit outcome history before each scored record
 	pre      []uint32
 	pcs      []arch.Addr
 }
@@ -388,29 +444,40 @@ func index(f vlp.Frame, pre []uint32, b branch, l int) uint32 {
 	return f.Index(pre[b.at], pre[int(b.at)-l], uint(b.phase))
 }
 
-// newInput interns the scored branches of recs and runs the THB over
-// recs once, for candidate lengths up to maxL.
-func newInput(recs []trace.Record, indirect bool, k uint, maxL int) (*input, error) {
+// newInput interns the scored branches of recs and runs their history
+// over recs once: for the path classes the THB, for candidate lengths up
+// to maxL; for the pattern class the global outcome history register,
+// which every conditional shifts, as varhist.Predictor.Update does.
+func newInput(recs []trace.Record, cls class, k uint, maxL int) (*input, error) {
 	f, err := vlp.NewFrame(k)
 	if err != nil {
 		return nil, err
 	}
-	recIDs, pcs, scored := internPCs(recs, indirect)
+	recIDs, pcs, scored := internPCs(recs, cls == indirectPath)
+	n := int(scored)
+	in := &input{class: cls, frame: f, branches: make([]branch, n), pcs: pcs}
+	if cls == condPattern {
+		in.hist = make([]uint32, n)
+		h, mask, s := uint32(0), uint32(1)<<k-1, 0
+		for j, id := range recIDs {
+			if id >= 0 {
+				taken := recs[j].Taken
+				in.branches[s] = branch{id: id, taken: taken}
+				in.hist[s] = h
+				h = (h<<1 | uint32(one(taken))) & mask
+				s++
+			}
+		}
+		return in, nil
+	}
 	inserts := 0
 	for j := range recs {
 		if recs[j].Kind.RecordsInTHB() {
 			inserts++
 		}
 	}
-	n := int(scored)
-	in := &input{
-		indirect: indirect,
-		frame:    f,
-		branches: make([]branch, n),
-		pre:      make([]uint32, maxL+1+inserts),
-		pcs:      pcs,
-	}
-	if indirect {
+	in.pre = make([]uint32, maxL+1+inserts)
+	if cls == indirectPath {
 		in.next = make([]arch.Addr, n)
 	}
 	at, phase, s := maxL, uint(0), 0
@@ -418,7 +485,7 @@ func newInput(recs []trace.Record, indirect bool, k uint, maxL int) (*input, err
 		r := &recs[j]
 		if id := recIDs[j]; id >= 0 {
 			in.branches[s] = branch{at: int32(at), id: id, phase: uint8(phase), taken: r.Taken}
-			if indirect {
+			if in.next != nil {
 				in.next[s] = r.Next
 			}
 			s++
@@ -433,13 +500,22 @@ func newInput(recs []trace.Record, indirect bool, k uint, maxL int) (*input, err
 
 func (in *input) k() uint { return in.frame.K() }
 
-// step1 runs one FLP predictor per candidate length, each on a table of
-// 2^k entries. The candidates are sharded into contiguous chunks across
-// the worker pool; a worker reuses one table and one count column for
-// every candidate of its chunk and copies each finished column into its
-// own cells of the count matrix, so the result is bit-identical to a
-// sequential sweep at any pool size. The matrix is then reduced to each
-// branch's ranking.
+// table returns one fresh table of the class: a 2-bit counter array,
+// or the indirect class's target registers.
+func (in *input) table() (*counter.Array, []uint32) {
+	if in.class == indirectPath {
+		return nil, make([]uint32, 1<<in.k())
+	}
+	return counter.NewArray(1<<in.k(), 2, 1), nil
+}
+
+// step1 runs one fixed-length predictor per candidate length, each on a
+// table of 2^k entries. The candidates are sharded into contiguous
+// chunks across the worker pool; a worker reuses one table and one count
+// column for every candidate of its chunk and copies each finished
+// column into its own cells of the count matrix, so the result is
+// bit-identical to a sequential sweep at any pool size. The matrix is
+// then reduced to each branch's ranking.
 func (in *input) step1(lengths []int) *Step1 {
 	w := len(lengths)
 	s1 := &Step1{
@@ -448,7 +524,7 @@ func (in *input) step1(lengths []int) *Step1 {
 			Correct: make([]int64, w),
 			Total:   int64(len(in.branches)),
 		},
-		Indirect:  in.indirect,
+		class:     in.class,
 		TableBits: in.k(),
 		PCs:       in.pcs,
 		Ranks:     make([]uint8, len(in.pcs)*w),
@@ -458,23 +534,19 @@ func (in *input) step1(lengths []int) *Step1 {
 	pool.Fan(workers, workers, func(shard int) {
 		lo, hi := shard*w/workers, (shard+1)*w/workers
 		col := make([]int64, len(in.pcs))
-		var (
-			pht *counter.Array
-			reg []uint32
-		)
-		if in.indirect {
-			reg = make([]uint32, 1<<in.k())
-		} else {
-			pht = counter.NewArray(1<<in.k(), 2, 1)
-		}
+		pht, reg := in.table()
 		for i := lo; i < hi; i++ {
 			clear(col)
-			if in.indirect {
-				clear(reg)
-				flpIndirect(in, lengths[i], reg, col)
-			} else {
+			switch in.class {
+			case condPath:
 				pht.Reset(1)
 				flpCond(in, lengths[i], pht, col)
+			case indirectPath:
+				clear(reg)
+				flpIndirect(in, lengths[i], reg, col)
+			case condPattern:
+				pht.Reset(1)
+				fixedPattern(in, lengths[i], pht, col)
 			}
 			for id, c := range col {
 				counts[id*w+i] = c
@@ -520,13 +592,26 @@ func flpIndirect(in *input, l int, reg []uint32, col []int64) {
 	}
 }
 
-// step2 iterates the shared-table VLP simulation over the input. The
-// test input of each pass is the profile input itself, so every profiled
-// branch executes in every pass: the candidate chosen for a branch
-// always has its misprediction count written back (untested candidates
-// keep their implicit zero, matching the paper's initialisation, so they
-// are tried first in candidate rank order).
-func (in *input) step2(cfg Config, s1 *Step1, cands [][]int) *Profile {
+// fixedPattern is flpCond for the pattern class: a gshare-style table
+// whose index XORs the PC bits with the newest bits outcomes of the
+// global history (0 bits is bimodal, k bits is gshare).
+func fixedPattern(in *input, bits int, pht *counter.Array, col []int64) {
+	pcs, hist := in.pcs, in.hist[:len(in.branches)]
+	low, mask := uint32(1)<<bits-1, uint64(1)<<in.k()-1
+	for s, b := range in.branches {
+		i := (bpred.PCBits(pcs[b.id]) ^ uint64(hist[s]&low)) & mask
+		col[b.id] += one(pht.Step(int(i), b.taken))
+	}
+}
+
+// step2 iterates the shared-table simulation over the input and returns
+// the final per-branch assignment. The test input of each pass is the
+// profile input itself, so every profiled branch executes in every pass:
+// the candidate chosen for a branch always has its misprediction count
+// written back (untested candidates keep their implicit zero, matching
+// the paper's initialisation, so they are tried first in candidate rank
+// order).
+func (in *input) step2(cfg Config, cands [][]int) map[arch.Addr]int {
 	record := make([][]int64, len(cands)) // per branch, per candidate: fewest misses seen
 	for id := range record {
 		record[id] = make([]int64, len(cands[id]))
@@ -534,15 +619,7 @@ func (in *input) step2(cfg Config, s1 *Step1, cands [][]int) *Profile {
 	chosen := make([]int, len(cands))
 	assigned := make([]int32, len(cands)) // each branch's assigned length
 	misses := make([]int64, len(cands))
-	var (
-		pht *counter.Array
-		reg []uint32
-	)
-	if in.indirect {
-		reg = make([]uint32, 1<<in.k())
-	} else {
-		pht = counter.NewArray(1<<in.k(), 2, 1)
-	}
+	pht, reg := in.table()
 	for iter := 0; iter < cfg.iterations(); iter++ {
 		for id := range cands {
 			ci := argmin(record[id])
@@ -550,12 +627,16 @@ func (in *input) step2(cfg Config, s1 *Step1, cands [][]int) *Profile {
 			assigned[id] = int32(cands[id][ci])
 		}
 		clear(misses)
-		if in.indirect {
-			clear(reg)
-			vlpIndirect(in, assigned, reg, misses)
-		} else {
+		switch in.class {
+		case condPath:
 			pht.Reset(1)
 			vlpCond(in, assigned, pht, misses)
+		case indirectPath:
+			clear(reg)
+			vlpIndirect(in, assigned, reg, misses)
+		case condPattern:
+			pht.Reset(1)
+			elasticPattern(in, assigned, pht, misses)
 		}
 		obs.CountBranches(int64(len(in.branches)))
 		for id, ci := range chosen {
@@ -566,7 +647,7 @@ func (in *input) step2(cfg Config, s1 *Step1, cands [][]int) *Profile {
 	for id, pc := range in.pcs {
 		final[pc] = cands[id][argmin(record[id])]
 	}
-	return &Profile{Kind: kindName(in.indirect), TableBits: in.k(), Lengths: final, Default: s1.BestLength()}
+	return final
 }
 
 // vlpCond is one shared-table VLP pass for conditionals: the same table
@@ -593,6 +674,19 @@ func vlpIndirect(in *input, assigned []int32, reg []uint32, misses []int64) {
 	}
 }
 
+// elasticPattern is vlpCond for the pattern class: the same table and
+// update order as replaying a varhist.Predictor built from a PerBranch
+// selector, with each branch's index at its assigned history bits.
+func elasticPattern(in *input, assigned []int32, pht *counter.Array, misses []int64) {
+	pcs, hist := in.pcs, in.hist[:len(in.branches)]
+	mask := uint64(1)<<in.k() - 1
+	for s, b := range in.branches {
+		low := uint32(1)<<uint(assigned[b.id]) - 1
+		i := (bpred.PCBits(pcs[b.id]) ^ uint64(hist[s]&low)) & mask
+		misses[b.id] += 1 - one(pht.Step(int(i), b.taken))
+	}
+}
+
 // argmin returns the index of the smallest value (first on ties, which
 // makes untested zero-entries win in candidate rank order, §3.5).
 func argmin(v []int64) int {
@@ -603,20 +697,6 @@ func argmin(v []int64) int {
 		}
 	}
 	return best
-}
-
-// BestFixedLength runs only step 1 and returns the single path length with
-// the highest aggregate accuracy — how the paper tunes its fixed length
-// path predictors ("the length used was that for which the average
-// misprediction rate for all the benchmarks was the lowest", §5.1, and
-// the per-benchmark "tuned" variant of §5.2.3). For multi-benchmark
-// averages, sum the returned Step1Results with MergeStep1.
-func BestFixedLength(src trace.Source, cfg Config, indirect bool) (int, Step1Result, error) {
-	s1, err := RunStep1(src, cfg, indirect)
-	if err != nil {
-		return 0, Step1Result{}, err
-	}
-	return s1.BestLength(), s1.Step1Result, nil
 }
 
 // BestAverageLength returns the length minimising the *unweighted mean* of
@@ -656,32 +736,6 @@ func BestAverageLength(results []Step1Result) (int, error) {
 		}
 	}
 	return lengths[best], nil
-}
-
-// MergeStep1 sums step-1 aggregates from several benchmarks; the result's
-// BestLength is the dynamic-count-weighted cross-benchmark fixed length
-// (BestAverageLength implements the paper's unweighted Table 2 criterion).
-func MergeStep1(results []Step1Result) (Step1Result, error) {
-	if len(results) == 0 {
-		return Step1Result{}, fmt.Errorf("profile: merging no results")
-	}
-	out := Step1Result{
-		Lengths: append([]int(nil), results[0].Lengths...),
-		Correct: make([]int64, len(results[0].Correct)),
-	}
-	for _, r := range results {
-		if len(r.Lengths) != len(out.Lengths) {
-			return Step1Result{}, fmt.Errorf("profile: merging mismatched length sets")
-		}
-		for i := range r.Lengths {
-			if r.Lengths[i] != out.Lengths[i] {
-				return Step1Result{}, fmt.Errorf("profile: merging mismatched length sets")
-			}
-			out.Correct[i] += r.Correct[i]
-		}
-		out.Total += r.Total
-	}
-	return out, nil
 }
 
 // Ensure bpred's interfaces stay implemented by the predictors this

@@ -3,6 +3,7 @@ package profile
 import (
 	"context"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -59,12 +60,22 @@ func TestConfigValidation(t *testing.T) {
 	if _, _, err := Cond(src, Config{TableBits: 10, Lengths: []int{}}); err == nil {
 		t.Error("empty candidate set accepted")
 	}
-	ones := make([]int, 257)
-	for i := range ones {
-		ones[i] = 1
+	// Strictly ascending and in range, so only the count bound rejects it.
+	many := make([]int, 257)
+	for i := range many {
+		many[i] = i + 1
 	}
-	if _, _, err := Cond(src, Config{TableBits: 10, Lengths: ones}); err == nil {
-		t.Error("candidate set beyond 256 lengths accepted")
+	if _, _, err := Cond(src, Config{TableBits: 10, MaxPath: 257, Lengths: many}); err == nil ||
+		!strings.Contains(err.Error(), "257 candidate lengths") {
+		t.Errorf("candidate set beyond 256 lengths: err = %v, want the count bound", err)
+	}
+	for _, lengths := range [][]int{{8, 4}, {8, 4, 8}, {4, 4}} {
+		if _, _, err := Cond(src, Config{TableBits: 10, Lengths: lengths}); err == nil {
+			t.Errorf("candidate lengths %v not strictly ascending accepted", lengths)
+		}
+		if _, err := RunStep1(src, Config{TableBits: 10, Lengths: lengths}, true); err == nil {
+			t.Errorf("indirect step 1 accepted candidate lengths %v", lengths)
+		}
 	}
 	if _, _, err := Cond(src, Config{TableBits: 10, Lengths: []int{40}}); err == nil {
 		t.Error("candidate length beyond THB accepted")
@@ -168,34 +179,6 @@ func TestIndirectAssignsDeepLength(t *testing.T) {
 	}
 	if agg.BestLength() < 2 {
 		t.Errorf("aggregate best length %d, want >= 2", agg.BestLength())
-	}
-}
-
-func TestBestFixedLengthAndMerge(t *testing.T) {
-	src := mixedCondTrace(3, 400)
-	l, agg, err := BestFixedLength(src, Config{TableBits: 10}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l < 1 || l > 32 {
-		t.Errorf("BestFixedLength = %d", l)
-	}
-	merged, err := MergeStep1([]Step1Result{agg, agg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Total != 2*agg.Total {
-		t.Errorf("merged total = %d, want %d", merged.Total, 2*agg.Total)
-	}
-	if merged.BestLength() != agg.BestLength() {
-		t.Errorf("merging identical results changed the best length")
-	}
-	if _, err := MergeStep1(nil); err == nil {
-		t.Error("merging nothing did not error")
-	}
-	other := Step1Result{Lengths: []int{1, 2}, Correct: []int64{0, 0}}
-	if _, err := MergeStep1([]Step1Result{agg, other}); err == nil {
-		t.Error("merging mismatched length sets did not error")
 	}
 }
 
@@ -317,6 +300,14 @@ func TestPatternCondValidation(t *testing.T) {
 	}
 	if _, _, err := PatternCond(src, Config{TableBits: 10, Lengths: make([]int, 257)}); err == nil {
 		t.Error("candidate set beyond 256 history lengths accepted")
+	}
+	if _, _, err := PatternCond(src, Config{TableBits: 31}); err == nil {
+		t.Error("table bits beyond 30 accepted")
+	}
+	for _, lengths := range [][]int{{5, 5, 2}, {2, 5, 5}, {4, 0}} {
+		if _, _, err := PatternCond(src, Config{TableBits: 10, Lengths: lengths}); err == nil {
+			t.Errorf("history lengths %v not strictly ascending accepted", lengths)
+		}
 	}
 }
 

@@ -72,11 +72,13 @@ func readErr(what string, err error) error {
 // retryable I/O to the ingestion layer.
 var errVarintOverflow = &corruptError{err: errors.New("varint overflows a 64-bit integer")}
 
-// varintErr is the failure behind binary.Uvarint's n <= 0: overflow,
-// or end, the reason its input ends where it does (io.EOF for a
-// complete payload).
-func varintErr(n int, end error) error {
-	if n < 0 {
+// varintErr is the failure behind binary.Uvarint(buf)'s n <= 0:
+// overflow, or end, the reason buf ends where it does (io.EOF for a
+// complete payload). Uvarint reports ten bytes that all continue as a
+// short buffer (n == 0) when they are all of buf, but no valid varint
+// has them, whatever follows: that is overflow too.
+func varintErr(buf []byte, n int, end error) error {
+	if n < 0 || len(buf) >= binary.MaxVarintLen64 {
 		return errVarintOverflow
 	}
 	return end
@@ -107,7 +109,7 @@ func parseHeader(p []byte, end error) (count uint64, n int, err error) {
 	n = len(fileMagic)
 	version, m := binary.Uvarint(p[n:])
 	if m <= 0 {
-		return 0, 0, corruptf("trace: reading version: %w", varintErr(m, end))
+		return 0, 0, corruptf("trace: reading version: %w", varintErr(p[n:], m, end))
 	}
 	if version != fileVersion {
 		return 0, 0, corruptf("trace: unsupported version %d", version)
@@ -115,7 +117,7 @@ func parseHeader(p []byte, end error) (count uint64, n int, err error) {
 	n += m
 	count, m = binary.Uvarint(p[n:])
 	if m <= 0 {
-		err = varintErr(m, end)
+		err = varintErr(p[n:], m, end)
 	} else if count > math.MaxInt {
 		// Count() reports int; a count that cannot even be represented
 		// is a scrambled header, not a plausible trace.
@@ -147,7 +149,7 @@ func decodeRecord(p []byte, end error, prevPC arch.Addr, i uint64) (Record, int,
 	if len(p) > n && p[n] < 0x80 {
 		ux = uint64(p[n])
 	} else if ux, m = binary.Uvarint(p[n:]); m <= 0 {
-		return Record{}, 0, readErr(fmt.Sprintf("record %d pc delta", i), varintErr(m, end))
+		return Record{}, 0, readErr(fmt.Sprintf("record %d pc delta", i), varintErr(p[n:], m, end))
 	}
 	n += m
 	delta := int64(ux >> 1)
@@ -161,7 +163,7 @@ func decodeRecord(p []byte, end error, prevPC arch.Addr, i uint64) (Record, int,
 		if len(p) > n && p[n] < 0x80 {
 			u = uint64(p[n])
 		} else if u, m = binary.Uvarint(p[n:]); m <= 0 {
-			return Record{}, 0, readErr(fmt.Sprintf("record %d next", i), varintErr(m, end))
+			return Record{}, 0, readErr(fmt.Sprintf("record %d next", i), varintErr(p[n:], m, end))
 		}
 		next, n = arch.Addr(u*arch.InstrBytes), n+m
 	}

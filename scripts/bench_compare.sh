@@ -24,7 +24,8 @@
 # plain per-benchmark mean-ns/op delta table. If the baseline file does
 # not exist yet, the current run is recorded as the baseline and the
 # script exits cleanly — so the first run on a machine seeds the baseline
-# and later runs diff against it.
+# and later runs diff against it. A failing go test run exits 1 before
+# any JSON is emitted or any baseline recorded.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -42,7 +43,14 @@ fi
 
 mkdir -p "$RESULTS"
 echo "== bench-compare: go test -bench (count=$COUNT, benchtime=$BENCHTIME)"
-go test -run '^$' -bench "$BENCHES" -benchtime "$BENCHTIME" -count "$COUNT" . ./internal/serve | tee "$current"
+# The run goes to the file first, so go test's own exit status decides
+# whether anything is emitted or recorded as a baseline.
+if ! go test -run '^$' -bench "$BENCHES" -benchtime "$BENCHTIME" -count "$COUNT" . ./internal/serve >"$current"; then
+	cat "$current"
+	echo "== bench-compare: go test failed; nothing emitted, no baseline recorded" >&2
+	exit 1
+fi
+cat "$current"
 
 # emit PREFIX OUT UNITS [SAVINGS] records one benchmark family of the
 # run as a committed JSON artifact: every benchmark whose name starts
