@@ -294,6 +294,27 @@ func BenchmarkProfilingPipeline(b *testing.B) {
 	}
 }
 
+// suiteColdBase is the base scale of BenchmarkSuiteCold: the scale
+// perfbench's paper-suite workload runs and records its digests at.
+const suiteColdBase = 40000
+
+// BenchmarkSuiteCold runs every registry experiment on one fresh Suite
+// per iteration at base 40000, as a cold paperrepro run pays it: trace
+// generation, profiling, replay and rendering. Its B/op is what one cold
+// pass allocates.
+func BenchmarkSuiteCold(b *testing.B) {
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := experiments.NewSuite(experiments.Config{BaseRecords: suiteColdBase})
+		for _, e := range experiments.Registry() {
+			if _, err := e.RunMeasured(ctx, s); err != nil {
+				b.Fatalf("%s: %v", e.ID, err)
+			}
+		}
+	}
+}
+
 // BenchmarkTraceGeneration measures the synthetic substrate's execution
 // speed (records generated per op).
 func BenchmarkTraceGeneration(b *testing.B) {

@@ -29,21 +29,21 @@ import (
 func buildInterpreter() *cfg.Program {
 	b := cfg.NewBuilder("interp", 0x10000, nil)
 
-	outer := b.Cond("outer", cfg.AlwaysTaken{})
-	inner := b.Cond("inner", cfg.LoopMix{Trips: []int{150, 250}})
-	dispatch := b.IndirectBlock("dispatch", cfg.MarkovTargets{Order: 2, Salt: 0xbeef, Noise: 0.02})
-	exitJump := b.Jump("exit")
+	outer := b.Cond(cfg.AlwaysTaken{})
+	inner := b.Cond(cfg.LoopMix{Trips: []int{150, 250}})
+	dispatch := b.IndirectBlock(cfg.MarkovTargets{Order: 2, Salt: 0xbeef, Noise: 0.02})
+	exitJump := b.Jump()
 
 	const handlers = 12
 	for i := 0; i < handlers; i++ {
 		if i%2 == 0 {
-			h := b.Cond(fmt.Sprintf("op%d", i), cfg.Bias{P: 0.95})
-			j := b.Jump(fmt.Sprintf("op%d.join", i))
+			h := b.Cond(cfg.Bias{P: 0.95})
+			j := b.Jump()
 			h.TakenTo, h.FallTo = j.ID, j.ID
 			j.TakenTo = inner.ID
 			dispatch.Targets = append(dispatch.Targets, h.ID)
 		} else {
-			h := b.Jump(fmt.Sprintf("op%d", i))
+			h := b.Jump()
 			h.TakenTo = inner.ID
 			dispatch.Targets = append(dispatch.Targets, h.ID)
 		}

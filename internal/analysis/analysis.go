@@ -51,11 +51,10 @@ func (c Config) minExec() int64 {
 
 // BranchCurve is one static branch's predictability-by-depth curve.
 type BranchCurve struct {
-	PC        arch.Addr
-	Executed  int64
-	Correct   []int64 // per configured depth
-	Contexts  []int64 // distinct (branch, path) contexts seen per depth
-	bestCache int
+	PC       arch.Addr
+	Executed int64
+	Correct  []int64 // per configured depth
+	Contexts []int64 // distinct (branch, path) contexts seen per depth
 }
 
 // Accuracy returns the ideal accuracy at depth index i.
@@ -96,53 +95,43 @@ func Analyze(src trace.Source, cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	type slot struct{ counters map[uint64]uint8 }
-	perPC := map[arch.Addr]*struct {
-		curve *BranchCurve
-		slots []slot
-	}{}
+	// Curves and their per-depth counts are laid out flat by dense
+	// branch id, in first-sight order; each depth's contexts live in
+	// one table keyed by (id, path key).
+	ids := map[arch.Addr]int32{}
+	var curves []BranchCurve
+	var counts []int64 // per branch: Correct then Contexts, one per depth
+	tables := make([]ctxTable, len(depths))
+	w := len(depths)
 
 	src.Reset()
 	var r trace.Record
 	var total int64
 	for src.Next(&r) {
 		if r.Kind == arch.Cond {
-			st := perPC[r.PC]
-			if st == nil {
-				st = &struct {
-					curve *BranchCurve
-					slots []slot
-				}{
-					curve: &BranchCurve{
-						PC:       r.PC,
-						Correct:  make([]int64, len(depths)),
-						Contexts: make([]int64, len(depths)),
-					},
-					slots: make([]slot, len(depths)),
-				}
-				for i := range st.slots {
-					st.slots[i].counters = map[uint64]uint8{}
-				}
-				perPC[r.PC] = st
+			id, ok := ids[r.PC]
+			if !ok {
+				id = int32(len(curves))
+				ids[r.PC] = id
+				curves = append(curves, BranchCurve{PC: r.PC})
+				counts = append(counts, make([]int64, 2*w)...)
 			}
-			st.curve.Executed++
+			curves[id].Executed++
 			total++
+			row := counts[int(id)*2*w : (int(id)+1)*2*w]
 			for i, d := range depths {
-				key := pathKey(hs, d)
-				ctr, seen := st.slots[i].counters[key]
-				if !seen {
-					st.curve.Contexts[i]++
-					ctr = 1 // weakly not-taken, matching the predictors
+				ctr, fresh := tables[i].lookup(id, pathKey(hs, d))
+				if fresh {
+					row[w+i]++
 				}
-				if (ctr >= 2) == r.Taken {
-					st.curve.Correct[i]++
+				if (*ctr >= 2) == r.Taken {
+					row[i]++
 				}
-				if r.Taken && ctr < 3 {
-					ctr++
-				} else if !r.Taken && ctr > 0 {
-					ctr--
+				if r.Taken && *ctr < 3 {
+					*ctr++
+				} else if !r.Taken && *ctr > 0 {
+					*ctr--
 				}
-				st.slots[i].counters[key] = ctr
 			}
 		}
 		if r.Kind.RecordsInTHB() {
@@ -151,13 +140,75 @@ func Analyze(src trace.Source, cfg Config) (*Report, error) {
 	}
 
 	rep := &Report{Depths: depths, TotalExecuted: total}
-	for _, st := range perPC {
-		if st.curve.Executed >= cfg.minExec() {
-			rep.Branches = append(rep.Branches, st.curve)
+	for id := range curves {
+		c := &curves[id]
+		if c.Executed >= cfg.minExec() {
+			row := counts[id*2*w : (id+1)*2*w]
+			c.Correct, c.Contexts = row[:w:w], row[w:2*w:2*w]
+			rep.Branches = append(rep.Branches, c)
 		}
 	}
 	sort.Slice(rep.Branches, func(i, j int) bool { return rep.Branches[i].PC < rep.Branches[j].PC })
 	return rep, nil
+}
+
+// ctxTable holds the ideal predictor's 2-bit counters at one depth, one
+// per (branch id, path key) context seen: an open-addressed table with
+// linear probing, doubled when half full.
+type ctxTable struct {
+	slots []ctxSlot
+	used  int
+}
+
+// ctxSlot is one context; id is the branch id plus one, so the zero
+// slot is empty.
+type ctxSlot struct {
+	key uint64
+	id  int32
+	ctr uint8
+}
+
+// lookup returns the counter of context (id, key), inserting it weakly
+// not-taken, as the predictors start, when fresh.
+func (t *ctxTable) lookup(id int32, key uint64) (ctr *uint8, fresh bool) {
+	if 2*(t.used+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := ctxHash(id, key) & mask; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.id == id+1 && s.key == key {
+			return &s.ctr, false
+		}
+		if s.id == 0 {
+			*s = ctxSlot{key: key, id: id + 1, ctr: 1}
+			t.used++
+			return &s.ctr, true
+		}
+	}
+}
+
+func (t *ctxTable) grow() {
+	old := t.slots
+	t.slots = make([]ctxSlot, max(1024, 2*len(old)))
+	mask := uint64(len(t.slots) - 1)
+	for _, s := range old {
+		if s.id == 0 {
+			continue
+		}
+		i := ctxHash(s.id-1, s.key) & mask
+		for t.slots[i].id != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
+}
+
+// ctxHash spreads a context over the table: the path key is already
+// mixed, and an odd multiple of the id keeps ids apart at depth 0,
+// where every branch shares one key.
+func ctxHash(id int32, key uint64) uint64 {
+	return key ^ uint64(id)*0x9e3779b97f4a7c15
 }
 
 // pathKey combines the exact (uncompressed 30-bit-per-target) path prefix

@@ -1,10 +1,14 @@
 package analysis
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/trace"
+	"repro/internal/vlp"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
@@ -149,5 +153,135 @@ func TestSuiteBranchesMostlyShallow(t *testing.T) {
 	}
 	if shallow < 50 {
 		t.Errorf("only %.1f%% of dynamic weight satisfied by depth <= 4", shallow)
+	}
+}
+
+// refAnalyze is the map-based ideal-predictor sweep: one map of
+// counters per (branch, depth), keyed by the path key alone. Analyze
+// must match it exactly.
+func refAnalyze(src trace.Source, cfg Config) (*Report, error) {
+	depths := cfg.depths()
+	maxDepth := 0
+	for _, d := range depths {
+		if d < 0 || d > vlp.DefaultMaxPath {
+			return nil, fmt.Errorf("analysis: depth %d out of range 0..%d", d, vlp.DefaultMaxPath)
+		}
+		if d > maxDepth {
+			maxDepth = d
+		}
+	}
+	if maxDepth == 0 {
+		maxDepth = 1
+	}
+	// One uncompressed path hash per depth; 64-bit mixing makes
+	// collisions negligible at trace scale.
+	hs, err := vlp.NewHashSet(32, maxDepth)
+	if err != nil {
+		return nil, err
+	}
+
+	type slot struct{ counters map[uint64]uint8 }
+	perPC := map[arch.Addr]*struct {
+		curve *BranchCurve
+		slots []slot
+	}{}
+
+	src.Reset()
+	var r trace.Record
+	var total int64
+	for src.Next(&r) {
+		if r.Kind == arch.Cond {
+			st := perPC[r.PC]
+			if st == nil {
+				st = &struct {
+					curve *BranchCurve
+					slots []slot
+				}{
+					curve: &BranchCurve{
+						PC:       r.PC,
+						Correct:  make([]int64, len(depths)),
+						Contexts: make([]int64, len(depths)),
+					},
+					slots: make([]slot, len(depths)),
+				}
+				for i := range st.slots {
+					st.slots[i].counters = map[uint64]uint8{}
+				}
+				perPC[r.PC] = st
+			}
+			st.curve.Executed++
+			total++
+			for i, d := range depths {
+				key := pathKey(hs, d)
+				ctr, seen := st.slots[i].counters[key]
+				if !seen {
+					st.curve.Contexts[i]++
+					ctr = 1 // weakly not-taken, matching the predictors
+				}
+				if (ctr >= 2) == r.Taken {
+					st.curve.Correct[i]++
+				}
+				if r.Taken && ctr < 3 {
+					ctr++
+				} else if !r.Taken && ctr > 0 {
+					ctr--
+				}
+				st.slots[i].counters[key] = ctr
+			}
+		}
+		if r.Kind.RecordsInTHB() {
+			hs.Insert(r.Next)
+		}
+	}
+
+	rep := &Report{Depths: depths, TotalExecuted: total}
+	for _, st := range perPC {
+		if st.curve.Executed >= cfg.minExec() {
+			rep.Branches = append(rep.Branches, st.curve)
+		}
+	}
+	sort.Slice(rep.Branches, func(i, j int) bool { return rep.Branches[i].PC < rep.Branches[j].PC })
+	return rep, nil
+}
+
+// analyzeTraces are the benchmark traces the differential runs on.
+func analyzeTraces(t *testing.T) map[string]*trace.Buffer {
+	t.Helper()
+	out := map[string]*trace.Buffer{}
+	for _, name := range []string{"gcc", "li", "perl", "go"} {
+		b, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = trace.Collect(b.ProfileSource(6000))
+	}
+	return out
+}
+
+// TestAnalyzeMatchesMapReference pins the flat per-depth context tables
+// to the per-branch maps: every BranchCurve field and TotalExecuted,
+// over several benchmarks, depth sets (the default, the shallowest and
+// deepest alone, and an unsorted set) and execution floors.
+func TestAnalyzeMatchesMapReference(t *testing.T) {
+	for name, buf := range analyzeTraces(t) {
+		for _, depths := range [][]int{nil, {0}, {32}, {8, 0, 32, 2, 1}} {
+			for _, minExec := range []int64{1, 0} {
+				cfg := Config{Depths: depths, MinExecutions: minExec}
+				got, err := Analyze(trace.NewBuffer(buf.Records), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := refAnalyze(trace.NewBuffer(buf.Records), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want.Branches) == 0 {
+					t.Fatalf("%s %+v: the reference scored no branch", name, cfg)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s depths=%v minExec=%d: flat analysis diverges from the map reference", name, depths, minExec)
+				}
+			}
+		}
 	}
 }

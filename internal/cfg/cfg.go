@@ -49,8 +49,6 @@ type Block struct {
 	Cond CondBehavior
 	// Ind selects the target of an indirect branch.
 	Ind IndirectBehavior
-	// Label is an optional name for debugging and dumps.
-	Label string
 }
 
 // BranchPC returns the address of the block's terminating branch
@@ -103,15 +101,15 @@ func (p *Program) Validate() error {
 		prevEnd = b.Addr + arch.Addr(b.NumInstrs*arch.InstrBytes)
 		check := func(role string, id BlockID) error {
 			if p.Block(id) == nil {
-				return fmt.Errorf("cfg: %s: block %d (%s) has invalid %s successor %d",
-					p.Name, i, b.Label, role, id)
+				return fmt.Errorf("cfg: %s: %v block %d has invalid %s successor %d",
+					p.Name, b.Kind, i, role, id)
 			}
 			return nil
 		}
 		switch b.Kind {
 		case arch.Cond:
 			if b.Cond == nil {
-				return fmt.Errorf("cfg: %s: conditional block %d (%s) has no behaviour", p.Name, i, b.Label)
+				return fmt.Errorf("cfg: %s: %v block %d has no behaviour", p.Name, b.Kind, i)
 			}
 			if err := check("taken", b.TakenTo); err != nil {
 				return err
@@ -132,10 +130,10 @@ func (p *Program) Validate() error {
 			}
 		case arch.Indirect, arch.IndirectCall:
 			if b.Ind == nil {
-				return fmt.Errorf("cfg: %s: indirect block %d (%s) has no behaviour", p.Name, i, b.Label)
+				return fmt.Errorf("cfg: %s: %v block %d has no behaviour", p.Name, b.Kind, i)
 			}
 			if len(b.Targets) == 0 {
-				return fmt.Errorf("cfg: %s: indirect block %d (%s) has no targets", p.Name, i, b.Label)
+				return fmt.Errorf("cfg: %s: %v block %d has no targets", p.Name, b.Kind, i)
 			}
 			for _, tid := range b.Targets {
 				if err := check("indirect target", tid); err != nil {
@@ -157,11 +155,17 @@ func (p *Program) Validate() error {
 }
 
 // Builder incrementally constructs a Program, assigning block addresses.
+// Blocks are carved from slabs, each one allocation, so a program of
+// thousands of blocks is a few dozen heap objects.
 type Builder struct {
 	prog *Program
 	next arch.Addr
 	rng  *xrand.RNG
+	slab []Block
 }
+
+// maxSlab bounds the blocks of one slab; slabs double up to it.
+const maxSlab = 1024
 
 // NewBuilder returns a Builder for a program with the given name. Blocks
 // are laid out from base upward; sizeRNG (optional) draws block sizes so
@@ -171,23 +175,26 @@ func NewBuilder(name string, base arch.Addr, sizeRNG *xrand.RNG) *Builder {
 	return &Builder{prog: &Program{Name: name}, next: base, rng: sizeRNG}
 }
 
-// NewBlock appends a block with the given label and kind and returns it.
-// Successors and behaviours are filled in by the caller or by the wiring
-// helpers below.
-func (bl *Builder) NewBlock(label string, kind arch.BranchKind) *Block {
+// NewBlock appends a block of the given kind and returns it. Successors
+// and behaviours are filled in by the caller or by the wiring helpers
+// below.
+func (bl *Builder) NewBlock(kind arch.BranchKind) *Block {
 	n := 4
 	if bl.rng != nil {
 		n = bl.rng.IntnRange(1, 12)
 	}
-	b := &Block{
+	if len(bl.slab) == cap(bl.slab) {
+		bl.slab = make([]Block, 0, min(max(16, len(bl.prog.Blocks)), maxSlab))
+	}
+	bl.slab = append(bl.slab, Block{
 		ID:        BlockID(len(bl.prog.Blocks)),
 		Addr:      bl.next,
 		NumInstrs: n,
 		Kind:      kind,
 		TakenTo:   NoBlock,
 		FallTo:    NoBlock,
-		Label:     label,
-	}
+	})
+	b := &bl.slab[len(bl.slab)-1]
 	bl.next += arch.Addr(n * arch.InstrBytes)
 	// Leave a gap between blocks so fall-through addresses (branch PC+4)
 	// never equal another block's start; trace consumers treat them as
@@ -198,34 +205,34 @@ func (bl *Builder) NewBlock(label string, kind arch.BranchKind) *Block {
 }
 
 // Cond appends a conditional block.
-func (bl *Builder) Cond(label string, behaviour CondBehavior) *Block {
-	b := bl.NewBlock(label, arch.Cond)
+func (bl *Builder) Cond(behaviour CondBehavior) *Block {
+	b := bl.NewBlock(arch.Cond)
 	b.Cond = behaviour
 	return b
 }
 
 // Jump appends an unconditional block.
-func (bl *Builder) Jump(label string) *Block { return bl.NewBlock(label, arch.Uncond) }
+func (bl *Builder) Jump() *Block { return bl.NewBlock(arch.Uncond) }
 
 // CallBlock appends a direct-call block.
-func (bl *Builder) CallBlock(label string) *Block { return bl.NewBlock(label, arch.Call) }
+func (bl *Builder) CallBlock() *Block { return bl.NewBlock(arch.Call) }
 
 // IndirectBlock appends a computed-jump block.
-func (bl *Builder) IndirectBlock(label string, behaviour IndirectBehavior) *Block {
-	b := bl.NewBlock(label, arch.Indirect)
+func (bl *Builder) IndirectBlock(behaviour IndirectBehavior) *Block {
+	b := bl.NewBlock(arch.Indirect)
 	b.Ind = behaviour
 	return b
 }
 
 // IndirectCallBlock appends an indirect-call block.
-func (bl *Builder) IndirectCallBlock(label string, behaviour IndirectBehavior) *Block {
-	b := bl.NewBlock(label, arch.IndirectCall)
+func (bl *Builder) IndirectCallBlock(behaviour IndirectBehavior) *Block {
+	b := bl.NewBlock(arch.IndirectCall)
 	b.Ind = behaviour
 	return b
 }
 
 // ReturnBlock appends a return block.
-func (bl *Builder) ReturnBlock(label string) *Block { return bl.NewBlock(label, arch.Return) }
+func (bl *Builder) ReturnBlock() *Block { return bl.NewBlock(arch.Return) }
 
 // Finish sets the entry block, validates, and returns the program.
 func (bl *Builder) Finish(entry *Block) (*Program, error) {

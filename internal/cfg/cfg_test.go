@@ -13,9 +13,9 @@ import (
 func loopProgram(t *testing.T, trip int) *Program {
 	t.Helper()
 	b := NewBuilder("loop", 0x1000, nil)
-	head := b.Cond("head", Loop{Trip: trip})
-	body := b.Jump("body")
-	exit := b.Jump("exit")
+	head := b.Cond(Loop{Trip: trip})
+	body := b.Jump()
+	exit := b.Jump()
 	head.TakenTo = body.ID
 	head.FallTo = exit.ID
 	body.TakenTo = head.ID
@@ -29,8 +29,8 @@ func loopProgram(t *testing.T, trip int) *Program {
 
 func TestBuilderAddresses(t *testing.T) {
 	b := NewBuilder("p", 0x1000, nil)
-	b1 := b.Jump("a")
-	b2 := b.Jump("b")
+	b1 := b.Jump()
+	b2 := b.Jump()
 	if b1.Addr != 0x1000 {
 		t.Errorf("first block at %v, want 0x1000", b1.Addr)
 	}
@@ -51,7 +51,7 @@ func TestBuilderRandomSizes(t *testing.T) {
 	sizes := map[int]bool{}
 	var prevEnd arch.Addr
 	for i := 0; i < 50; i++ {
-		blk := b.Jump("x")
+		blk := b.Jump()
 		sizes[blk.NumInstrs] = true
 		if blk.Addr < prevEnd {
 			t.Fatalf("block %d overlaps previous", i)
@@ -66,7 +66,7 @@ func TestBuilderRandomSizes(t *testing.T) {
 func TestValidateCatchesErrors(t *testing.T) {
 	mk := func() (*Builder, *Block) {
 		b := NewBuilder("bad", 0x1000, nil)
-		head := b.Cond("head", AlwaysTaken{})
+		head := b.Cond(AlwaysTaken{})
 		return b, head
 	}
 
@@ -85,14 +85,14 @@ func TestValidateCatchesErrors(t *testing.T) {
 	}
 
 	b = NewBuilder("bad", 0x1000, nil)
-	ind := b.NewBlock("ind", arch.Indirect)
+	ind := b.NewBlock(arch.Indirect)
 	ind.Ind = UniformTargets{}
 	if _, err := b.Finish(ind); err == nil {
 		t.Error("indirect with no targets accepted")
 	}
 
 	b = NewBuilder("bad", 0x1000, nil)
-	ind = b.IndirectBlock("ind", nil)
+	ind = b.IndirectBlock(nil)
 	ind.Targets = []BlockID{ind.ID}
 	ind.Ind = nil
 	if _, err := b.Finish(ind); err == nil {
@@ -100,7 +100,7 @@ func TestValidateCatchesErrors(t *testing.T) {
 	}
 
 	b = NewBuilder("bad", 0x1000, nil)
-	c := b.NewBlock("c", arch.Cond)
+	c := b.NewBlock(arch.Cond)
 	c.TakenTo, c.FallTo = c.ID, c.ID
 	if _, err := b.Finish(c); err == nil {
 		t.Error("conditional with no behaviour accepted")
@@ -135,9 +135,9 @@ func TestExecutorLoopTrace(t *testing.T) {
 
 func TestExecutorDeterminismAndReset(t *testing.T) {
 	b := NewBuilder("rand", 0x1000, nil)
-	head := b.Cond("head", Bias{P: 0.5})
-	l := b.Jump("l")
-	r := b.Jump("r")
+	head := b.Cond(Bias{P: 0.5})
+	l := b.Jump()
+	r := b.Jump()
 	head.TakenTo, head.FallTo = l.ID, r.ID
 	l.TakenTo = head.ID
 	r.TakenTo = head.ID
@@ -178,9 +178,9 @@ func TestExecutorDeterminismAndReset(t *testing.T) {
 
 func TestCallReturn(t *testing.T) {
 	b := NewBuilder("call", 0x1000, nil)
-	caller := b.CallBlock("caller")
-	callee := b.ReturnBlock("callee")
-	cont := b.Jump("cont")
+	caller := b.CallBlock()
+	callee := b.ReturnBlock()
+	cont := b.Jump()
 	caller.TakenTo = callee.ID
 	caller.FallTo = cont.ID
 	cont.TakenTo = caller.ID
@@ -211,7 +211,7 @@ func TestCallReturn(t *testing.T) {
 
 func TestReturnWithEmptyStackWraps(t *testing.T) {
 	b := NewBuilder("wrap", 0x1000, nil)
-	ret := b.ReturnBlock("ret")
+	ret := b.ReturnBlock()
 	p := b.MustFinish(ret)
 	src := NewSource(p, 1, 10)
 	var r trace.Record
@@ -227,10 +227,10 @@ func TestReturnWithEmptyStackWraps(t *testing.T) {
 
 func TestIndirectDispatch(t *testing.T) {
 	b := NewBuilder("dispatch", 0x1000, nil)
-	sw := b.IndirectBlock("sw", SeqTargets{})
-	h1 := b.Jump("h1")
-	h2 := b.Jump("h2")
-	h3 := b.Jump("h3")
+	sw := b.IndirectBlock(SeqTargets{})
+	h1 := b.Jump()
+	h2 := b.Jump()
+	h3 := b.Jump()
 	sw.Targets = []BlockID{h1.ID, h2.ID, h3.ID}
 	for _, h := range []*Block{h1, h2, h3} {
 		h.TakenTo = sw.ID
@@ -260,5 +260,66 @@ func TestProgramBlockOutOfRange(t *testing.T) {
 	}
 	if p.Block(0) == nil {
 		t.Error("in-range Block lookup returned nil")
+	}
+}
+
+// dispatchProgram is an indirect dispatch over n random conditionals,
+// each of which jumps back to the dispatch: n+1 blocks with behaviours,
+// spread over several builder slabs.
+func dispatchProgram(n int) *Program {
+	b := NewBuilder("slabs", 0x1000, xrand.New(7))
+	sw := b.IndirectBlock(UniformTargets{})
+	for i := 0; i < n; i++ {
+		c := b.Cond(Bias{P: 0.3})
+		c.TakenTo, c.FallTo = sw.ID, sw.ID
+		sw.Targets = append(sw.Targets, c.ID)
+	}
+	return b.MustFinish(sw)
+}
+
+func TestSourceMatchesExecutor(t *testing.T) {
+	p := dispatchProgram(300)
+	for i, blk := range p.Blocks {
+		if blk.ID != BlockID(i) || p.Block(blk.ID) != blk {
+			t.Fatalf("block %d: id %d", i, blk.ID)
+		}
+	}
+	const n = 4000
+	e := NewExecutor(p, 9)
+	want := make([]trace.Record, n)
+	for i := range want {
+		e.Step(&want[i])
+	}
+	src := NewSource(p, 9, n)
+	for replay := 0; replay < 2; replay++ {
+		got := trace.Collect(src)
+		if got.Len() != n || cap(got.Records) != n {
+			t.Fatalf("replay %d: len %d cap %d, want %d", replay, got.Len(), cap(got.Records), n)
+		}
+		for i := range want {
+			if got.Records[i] != want[i] {
+				t.Fatalf("replay %d: record %d = %v, executor gave %v", replay, i, got.Records[i], want[i])
+			}
+		}
+	}
+	// A source read partway and reset restarts from the first record.
+	src.Reset()
+	var r trace.Record
+	for i := 0; i < 10; i++ {
+		src.Next(&r)
+	}
+	src.Reset()
+	if !src.Next(&r) || r != want[0] {
+		t.Errorf("after a mid-stream Reset: first record %v, want %v", r, want[0])
+	}
+}
+
+func TestCollectLimitExactSize(t *testing.T) {
+	p := dispatchProgram(20)
+	for _, limit := range []int{0, 7, 500, 2000} {
+		got := trace.Collect(trace.NewLimit(NewSource(p, 3, 500), limit))
+		if want := min(limit, 500); got.Len() != want || cap(got.Records) != want {
+			t.Errorf("Limit(%d): len %d cap %d, want %d", limit, got.Len(), cap(got.Records), want)
+		}
 	}
 }

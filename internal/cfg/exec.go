@@ -50,24 +50,27 @@ func NewExecutor(prog *Program, seed uint64) *Executor {
 		conds: make([]CondFunc, len(prog.Blocks)),
 		inds:  make([]IndirectFunc, len(prog.Blocks)),
 	}
+	rngs := make([]xrand.RNG, len(prog.Blocks)) // one allocation for every branch's stream
 	for i, b := range prog.Blocks {
-		rng := branchRNG(seed, b.ID)
+		rng := &rngs[i]
 		switch {
 		case b.Cond != nil:
+			rng.Seed(branchSeed(seed, b.ID))
 			e.conds[i] = b.Cond.NewCond(rng)
 		case b.Ind != nil:
+			rng.Seed(branchSeed(seed, b.ID))
 			e.inds[i] = b.Ind.NewIndirect(rng, len(b.Targets))
 		}
 	}
 	return e
 }
 
-// branchRNG derives the run-time random stream for one static branch. The
-// derivation depends only on (seed, id), never on instantiation order, so
-// adding a block to a workload does not perturb the streams of existing
-// blocks.
-func branchRNG(seed uint64, id BlockID) *xrand.RNG {
-	return xrand.New(xrand.Mix64(seed) ^ xrand.Mix64(0x5b1ce1d1<<32|uint64(uint32(id))))
+// branchSeed derives the seed of the run-time random stream of one
+// static branch. The derivation depends only on (seed, id), never on
+// instantiation order, so adding a block to a workload does not perturb
+// the streams of existing blocks.
+func branchSeed(seed uint64, id BlockID) uint64 {
+	return xrand.Mix64(seed) ^ xrand.Mix64(0x5b1ce1d1<<32|uint64(uint32(id)))
 }
 
 // Wraps reports how many times execution fell off the end of the program
@@ -158,7 +161,9 @@ func (e *Executor) chooseTarget(b *Block) BlockID {
 // Source adapts a (Program, seed) pair to trace.Source, emitting n records
 // per replay. Reset restarts execution from scratch with the same seed, so
 // every replay yields the identical stream — the property the profiling
-// pipeline's multi-pass algorithm (§3.5) relies on.
+// pipeline's multi-pass algorithm (§3.5) relies on. The executor is built
+// on the first Next after construction or Reset, so a source that is
+// reset before it is read builds one.
 type Source struct {
 	prog *Program
 	seed uint64
@@ -170,13 +175,16 @@ type Source struct {
 // NewSource returns a replayable n-record trace of prog under the given
 // input seed.
 func NewSource(prog *Program, seed uint64, n int) *Source {
-	return &Source{prog: prog, seed: seed, n: n, exec: NewExecutor(prog, seed)}
+	return &Source{prog: prog, seed: seed, n: n}
 }
 
 // Next implements trace.Source.
 func (s *Source) Next(r *trace.Record) bool {
 	if s.cnt >= s.n {
 		return false
+	}
+	if s.exec == nil {
+		s.exec = NewExecutor(s.prog, s.seed)
 	}
 	s.exec.Step(r)
 	s.cnt++
@@ -185,6 +193,9 @@ func (s *Source) Next(r *trace.Record) bool {
 
 // Reset implements trace.Source.
 func (s *Source) Reset() {
-	s.exec = NewExecutor(s.prog, s.seed)
+	s.exec = nil
 	s.cnt = 0
 }
+
+// Len implements trace.Sized: every replay yields n records.
+func (s *Source) Len() int { return s.n }

@@ -70,7 +70,7 @@ func TestSingleflightStep1AndProfile(t *testing.T) {
 	if _, err := s.Step1(name, true, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.records(name, false); err != nil {
+	if _, err := s.input(name, false); err != nil {
 		t.Fatal(err)
 	}
 	records, step1, _ = s.ComputeCounts()
@@ -119,12 +119,12 @@ func TestSingleflightPrimedRecordsSkipGeneration(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			recs, err := s.records(name, false)
+			in, err := s.input(name, false)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if len(recs) != 1 || recs[0].PC != 0x1004 {
+			if recs := in.Records; len(recs) != 1 || recs[0].PC != 0x1004 {
 				t.Error("primed records not served")
 			}
 		}()

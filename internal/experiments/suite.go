@@ -74,7 +74,7 @@ type Suite struct {
 	eng *engine.Engine
 
 	benchmarks engine.Memo[string, *workload.Benchmark]
-	traces     engine.Memo[traceKey, []trace.Record]
+	traces     engine.Memo[traceKey, *profile.Input]
 	step1      engine.Memo[cacheKey, *profile.Step1]
 	profiles   engine.Memo[profileKey, *profile.Profile]
 	patterns   engine.Memo[cacheKey, *profile.PatternProfile]
@@ -87,7 +87,9 @@ type Suite struct {
 }
 
 // traceKey names one benchmark input trace: the test input, or the
-// profile input when profile is set.
+// profile input when profile is set. Each trace is memoized as a
+// profile.Input, so its static branches are interned once per class
+// however many sweeps and profiles read it.
 type traceKey struct {
 	bench   string
 	profile bool
@@ -137,7 +139,7 @@ func (s *Suite) ComputeCounts() (records, step1, profiles int64) {
 // primeTestRecords installs pre-ingested test-trace records for a
 // benchmark, so later TestSource calls are served without generation.
 func (s *Suite) primeTestRecords(name string, recs []trace.Record) {
-	s.traces.Put(traceKey{bench: name}, recs)
+	s.traces.Put(traceKey{bench: name}, profile.NewInput(recs))
 }
 
 // Skip records that a benchmark is excluded from this run and why.
@@ -200,25 +202,26 @@ func (s *Suite) benches(bs []*workload.Benchmark) ([]*workload.Benchmark, error)
 // trace, generated once and shared. Views are independent (separate read
 // positions over the same records), so they may be used concurrently.
 func (s *Suite) ProfileSource(name string) (trace.Source, error) {
-	recs, err := s.records(name, true)
+	in, err := s.input(name, true)
 	if err != nil {
 		return nil, err
 	}
-	return trace.NewBuffer(recs), nil
+	return trace.NewBuffer(in.Records), nil
 }
 
 // TestSource returns a replayable view of the benchmark's test-input
 // trace.
 func (s *Suite) TestSource(name string) (trace.Source, error) {
-	recs, err := s.records(name, false)
+	in, err := s.input(name, false)
 	if err != nil {
 		return nil, err
 	}
-	return trace.NewBuffer(recs), nil
+	return trace.NewBuffer(in.Records), nil
 }
 
-func (s *Suite) records(name string, profileInput bool) ([]trace.Record, error) {
-	return s.traces.Do(traceKey{name, profileInput}, func() ([]trace.Record, error) {
+// input returns the memoized trace of one benchmark input.
+func (s *Suite) input(name string, profileInput bool) (*profile.Input, error) {
+	return s.traces.Do(traceKey{name, profileInput}, func() (*profile.Input, error) {
 		b, err := s.bench(name)
 		if err != nil {
 			return nil, err
@@ -229,7 +232,7 @@ func (s *Suite) records(name string, profileInput bool) ([]trace.Record, error) 
 		} else {
 			src = b.TestSource(s.Cfg.base())
 		}
-		return trace.Collect(src).Records, nil
+		return profile.NewInput(trace.Collect(src).Records), nil
 	})
 }
 
@@ -245,11 +248,11 @@ func (s *Suite) Step1(name string, indirect bool, k uint) (*profile.Step1, error
 // step1For is Step1 for any candidate set; cfg must be resolved.
 func (s *Suite) step1For(name string, indirect bool, cfg profile.Config) (*profile.Step1, error) {
 	return s.step1.Do(step1Key(name, indirect, cfg), func() (*profile.Step1, error) {
-		src, err := s.ProfileSource(name)
+		in, err := s.input(name, true)
 		if err != nil {
 			return nil, err
 		}
-		return profile.RunStep1(src, cfg, indirect)
+		return in.Step1(cfg, indirect)
 	})
 }
 
@@ -274,11 +277,11 @@ func (s *Suite) profileFor(name string, indirect bool, cfg profile.Config) (*pro
 		if err != nil {
 			return nil, err
 		}
-		src, err := s.ProfileSource(name)
+		in, err := s.input(name, true)
 		if err != nil {
 			return nil, err
 		}
-		return profile.RunStep2(src, cfg, indirect, s1)
+		return in.Step2(cfg, indirect, s1)
 	})
 }
 
@@ -287,11 +290,11 @@ func (s *Suite) profileFor(name string, indirect bool, cfg profile.Config) (*pro
 // with the two-step profiles.
 func (s *Suite) patternProfile(name string, k uint) (*profile.PatternProfile, error) {
 	return s.patterns.Do(cacheKey{bench: name, k: k}, func() (*profile.PatternProfile, error) {
-		src, err := s.ProfileSource(name)
+		in, err := s.input(name, true)
 		if err != nil {
 			return nil, err
 		}
-		p, _, err := profile.PatternCond(src, profile.Config{TableBits: k})
+		p, _, err := in.PatternCond(profile.Config{TableBits: k})
 		return p, err
 	})
 }

@@ -176,7 +176,7 @@ func TestInputIndicesMatchHashSet(t *testing.T) {
 	for _, k := range []uint{1, 9, 17, 32} {
 		for _, n := range []int{1, 8, 32} {
 			for _, indirect := range []bool{false, true} {
-				in, err := newInput(recs, pathClass(indirect), k, n)
+				x, err := NewInput(recs).index(pathClass(indirect), k, n)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,12 +184,11 @@ func TestInputIndicesMatchHashSet(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				recIDs, _, _ := internPCs(recs, indirect)
 				s := 0
 				for j, r := range recs {
-					if recIDs[j] >= 0 {
+					if scores(r.Kind, indirect) {
 						for l := 1; l <= n; l++ {
-							if got, want := index(in.frame, in.pre, in.branches[s], l), hs.Index(l); got != want {
+							if got, want := index(x.frame, x.pre, x.branches[s], l), hs.Index(l); got != want {
 								t.Fatalf("k=%d n=%d indirect=%v: record %d: I_%d = %#x, HashSet %#x",
 									k, n, indirect, j, l, got, want)
 							}
@@ -601,7 +600,9 @@ func TestPatternCondMatchesReference(t *testing.T) {
 }
 
 // TestInternPCs pins the dense-id contract the kernels rely on:
-// first-sight order, -1 for unscored records, per-class filtering.
+// first-sight order, one id per scored record, per-class filtering, the
+// THB insert count, and one table per class however often it is asked
+// for.
 func TestInternPCs(t *testing.T) {
 	recs := []trace.Record{
 		{PC: 0x2008, Kind: arch.Cond, Taken: true, Next: 0x3000},
@@ -610,18 +611,71 @@ func TestInternPCs(t *testing.T) {
 		{PC: 0x2008, Kind: arch.Cond, Taken: true, Next: 0x3000},
 		{PC: 0x4010, Kind: arch.Indirect, Taken: true, Next: 0x5000},
 	}
-	recIDs, pcs, scored := internPCs(recs, false)
-	if scored != 3 {
-		t.Errorf("scored = %d, want 3 conditionals", scored)
+	in := NewInput(recs)
+	ct := in.table(false)
+	if !reflect.DeepEqual(ct.pcs, []arch.Addr{0x2008, 0x1004}) {
+		t.Errorf("pcs = %v, want first-sight order [0x2008 0x1004]", ct.pcs)
 	}
-	if !reflect.DeepEqual(pcs, []arch.Addr{0x2008, 0x1004}) {
-		t.Errorf("pcs = %v, want first-sight order [0x2008 0x1004]", pcs)
+	if !reflect.DeepEqual(ct.ids, []int32{0, 1, 0}) {
+		t.Errorf("ids = %v, want [0 1 0] for the 3 conditionals", ct.ids)
 	}
-	if !reflect.DeepEqual(recIDs, []int32{0, -1, 1, 0, -1}) {
-		t.Errorf("recIDs = %v", recIDs)
+	it := in.table(true)
+	if len(it.ids) != 1 || len(it.pcs) != 1 || it.pcs[0] != 0x4010 {
+		t.Errorf("indirect interning = %v (%d scored)", it.pcs, len(it.ids))
 	}
-	_, ipcs, iscored := internPCs(recs, true)
-	if iscored != 1 || len(ipcs) != 1 || ipcs[0] != 0x4010 {
-		t.Errorf("indirect interning = %v (%d scored)", ipcs, iscored)
+	if ct.inserts != it.inserts || ct.inserts != 4 {
+		t.Errorf("inserts = %d, %d, want 4 (the call is not a THB insert)", ct.inserts, it.inserts)
+	}
+	if in.table(false) != ct || in.table(true) != it {
+		t.Error("a second request rebuilt a branch table")
+	}
+}
+
+// TestInputSharedAcrossCalls checks that every profiling call on one
+// Input reuses its branch tables, and that its results equal the
+// source-taking entry points', which build an Input per call.
+func TestInputSharedAcrossCalls(t *testing.T) {
+	buf := profileFixture(3, 4000)
+	in := NewInput(buf.Records)
+	for _, indirect := range []bool{false, true} {
+		for _, k := range []uint{6, 11} {
+			cfg := Config{TableBits: k}
+			s1, err := in.Step1(cfg, indirect)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := RunStep1(trace.NewBuffer(buf.Records), cfg, indirect)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(s1, want) {
+				t.Errorf("indirect=%v k=%d: Input.Step1 differs from RunStep1", indirect, k)
+			}
+			if &s1.PCs[0] != &in.table(indirect).pcs[0] {
+				t.Errorf("indirect=%v k=%d: step 1 does not share the input's branch table", indirect, k)
+			}
+			p, err := in.Step2(cfg, indirect, s1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantP, err := RunStep2(trace.NewBuffer(buf.Records), cfg, indirect, s1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(p, wantP) {
+				t.Errorf("indirect=%v k=%d: Input.Step2 differs from RunStep2", indirect, k)
+			}
+		}
+	}
+	pp, agg, err := in.PatternCond(Config{TableBits: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPP, wantAgg, err := PatternCond(trace.NewBuffer(buf.Records), Config{TableBits: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pp, wantPP) || !reflect.DeepEqual(agg, wantAgg) {
+		t.Error("Input.PatternCond differs from PatternCond")
 	}
 }

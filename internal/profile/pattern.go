@@ -21,7 +21,12 @@ import (
 // 0..TableBits (0 = bimodal); nil means 0..TableBits. TableBits is at
 // most 30. cfg.MaxPath is ignored.
 func PatternCond(src trace.Source, cfg Config) (*PatternProfile, Step1Result, error) {
-	bits, agg, err := twoStep(src, cfg, condPattern)
+	return newInputOf(src).PatternCond(cfg)
+}
+
+// PatternCond is the package-level PatternCond on the input.
+func (in *Input) PatternCond(cfg Config) (*PatternProfile, Step1Result, error) {
+	bits, agg, err := in.twoStep(cfg, condPattern)
 	if err != nil {
 		return nil, Step1Result{}, err
 	}

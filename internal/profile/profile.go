@@ -19,6 +19,7 @@ package profile
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/bpred"
@@ -200,21 +201,16 @@ func rankCandidates(correct []int64, rank []uint8) {
 	}
 }
 
-// rankedLengths returns the lengths of the first n ranked candidates.
-func rankedLengths(lengths []int, rank []uint8, n int) []int {
-	out := make([]int, min(n, len(rank)))
-	for i := range out {
-		out[i] = lengths[rank[i]]
-	}
-	return out
-}
-
 // topCandidates returns, for one branch's per-length correct counts, the
 // candidate lengths ranked by correctness (ties to shorter), at most n.
 func topCandidates(lengths []int, correct []int64, n int) []int {
 	rank := make([]uint8, len(lengths))
 	rankCandidates(correct, rank)
-	return rankedLengths(lengths, rank, n)
+	out := make([]int, min(n, len(rank)))
+	for i := range out {
+		out[i] = lengths[rank[i]]
+	}
+	return out
 }
 
 // class is what one profiling call scores: a branch class and the history
@@ -264,16 +260,16 @@ type Step1 struct {
 // profile input and returns the per-branch assignment together with the
 // step-1 aggregate.
 func Cond(src trace.Source, cfg Config) (*Profile, Step1Result, error) {
-	return pathProfile(src, cfg, condPath)
+	return newInputOf(src).pathProfile(cfg, condPath)
 }
 
 // Indirect runs the full two-step heuristic for indirect branches.
 func Indirect(src trace.Source, cfg Config) (*Profile, Step1Result, error) {
-	return pathProfile(src, cfg, indirectPath)
+	return newInputOf(src).pathProfile(cfg, indirectPath)
 }
 
-func pathProfile(src trace.Source, cfg Config, cls class) (*Profile, Step1Result, error) {
-	lengths, agg, err := twoStep(src, cfg, cls)
+func (in *Input) pathProfile(cfg Config, cls class) (*Profile, Step1Result, error) {
+	lengths, agg, err := in.twoStep(cfg, cls)
 	if err != nil {
 		return nil, Step1Result{}, err
 	}
@@ -283,7 +279,12 @@ func pathProfile(src trace.Source, cfg Config, cls class) (*Profile, Step1Result
 // RunStep1 runs step 1 alone: one fixed length path predictor per
 // candidate length, each with a private table, over the profile input.
 func RunStep1(src trace.Source, cfg Config, indirect bool) (*Step1, error) {
-	_, s1, err := sweep(src, cfg, pathClass(indirect))
+	return newInputOf(src).Step1(cfg, indirect)
+}
+
+// Step1 is RunStep1 on the input.
+func (in *Input) Step1(cfg Config, indirect bool) (*Step1, error) {
+	_, s1, err := in.sweep(cfg, pathClass(indirect))
 	return s1, err
 }
 
@@ -292,6 +293,11 @@ func RunStep1(src trace.Source, cfg Config, indirect bool) (*Step1, error) {
 // s1 must match the class, TableBits and candidate lengths of cfg; a
 // mismatch, or a step 1 computed on a different input, is an error.
 func RunStep2(src trace.Source, cfg Config, indirect bool, s1 *Step1) (*Profile, error) {
+	return newInputOf(src).Step2(cfg, indirect, s1)
+}
+
+// Step2 is RunStep2 on the input.
+func (in *Input) Step2(cfg Config, indirect bool, s1 *Step1) (*Profile, error) {
 	cls := pathClass(indirect)
 	if err := cfg.validate(cls); err != nil {
 		return nil, err
@@ -304,49 +310,54 @@ func RunStep2(src trace.Source, cfg Config, indirect bool, s1 *Step1) (*Profile,
 		return nil, fmt.Errorf("profile: step 1 holds %d ranks for %d branches × %d lengths",
 			len(s1.Ranks), len(s1.PCs), len(s1.Lengths))
 	}
-	in, err := newInput(asRecords(src), cls, cfg.TableBits, slices.Max(s1.Lengths))
+	x, err := in.index(cls, cfg.TableBits, slices.Max(s1.Lengths))
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(in.branches)) != s1.Total || !slices.Equal(in.pcs, s1.PCs) {
+	if int64(len(x.branches)) != s1.Total || !slices.Equal(x.pcs, s1.PCs) {
 		return nil, fmt.Errorf("profile: step 1 was computed on a different profile input")
 	}
-	lengths := in.step2(cfg, s1.candidates(cfg.candidates()))
+	lengths := x.step2(cfg, s1)
 	return &Profile{Kind: cls.String(), TableBits: cfg.TableBits, Lengths: lengths, Default: s1.BestLength()}, nil
 }
 
 // twoStep is the shared driver behind Cond, Indirect and PatternCond: one
 // input feeds both steps. It returns the per-branch assignment and the
 // step-1 aggregate, whose BestLength is the default.
-func twoStep(src trace.Source, cfg Config, cls class) (map[arch.Addr]int, Step1Result, error) {
-	in, s1, err := sweep(src, cfg, cls)
+func (in *Input) twoStep(cfg Config, cls class) (map[arch.Addr]int, Step1Result, error) {
+	x, s1, err := in.sweep(cfg, cls)
 	if err != nil {
 		return nil, Step1Result{}, err
 	}
-	return in.step2(cfg, s1.candidates(cfg.candidates())), s1.Step1Result, nil
+	return x.step2(cfg, s1), s1.Step1Result, nil
 }
 
-// sweep validates cfg for cls, builds the input and runs step 1 on it.
-func sweep(src trace.Source, cfg Config, cls class) (*input, *Step1, error) {
+// sweep validates cfg for cls, indexes the input at its table size and
+// runs step 1 on it.
+func (in *Input) sweep(cfg Config, cls class) (*indexed, *Step1, error) {
 	if err := cfg.validate(cls); err != nil {
 		return nil, nil, err
 	}
 	lengths := cfg.lengths(cls)
-	in, err := newInput(asRecords(src), cls, cfg.TableBits, slices.Max(lengths))
+	x, err := in.index(cls, cfg.TableBits, slices.Max(lengths))
 	if err != nil {
 		return nil, nil, err
 	}
-	return in, in.step1(lengths), nil
+	return x, x.step1(lengths), nil
 }
 
-// candidates returns every branch's top n candidate lengths, by dense id.
-func (s *Step1) candidates(n int) [][]int {
+// candidates returns every branch's top n candidate lengths, c =
+// min(n, len(Lengths)) of them per branch, row-major by dense id.
+func (s *Step1) candidates(n int) (cands []int32, c int) {
 	w := len(s.Lengths)
-	cands := make([][]int, len(s.PCs))
-	for id := range cands {
-		cands[id] = rankedLengths(s.Lengths, s.Ranks[id*w:(id+1)*w], n)
+	c = min(n, w)
+	cands = make([]int32, len(s.PCs)*c)
+	for id := range s.PCs {
+		for i := 0; i < c; i++ {
+			cands[id*c+i] = int32(s.Lengths[s.Ranks[id*w+i]])
+		}
 	}
-	return cands
+	return cands, c
 }
 
 // --- Hot-path kernels -----------------------------------------------------
@@ -363,63 +374,119 @@ func (s *Step1) candidates(n int) [][]int {
 // k-bit history value per scored record, masked to each candidate's bit
 // count inline.
 //
-//   - static branches are interned into dense ids up front, so every
-//     pass indexes flat arrays instead of touching a map per branch;
+//   - static branches are interned into dense ids once per input and
+//     class (Input), so every pass indexes flat arrays instead of
+//     touching a map per branch, and no call re-interns its input;
 //   - step 1 runs one candidate at a time over the scored records; the
 //     candidates are sharded across the engine's worker pool
 //     (engine/pool), and each worker reuses one table for every
 //     candidate of its shard;
 //   - each step-2 iteration is one pass over the scored records plus one
-//     table, reused across iterations.
+//     table, reused across iterations;
+//   - the tables come from a pool keyed by shape and k, so calls at one
+//     table size reuse each other's tables.
 
-// asRecords exposes the record slice behind src, materialising non-buffer
-// sources once so every profiling pass can iterate the slice directly.
-// Profiling sources must be replayable anyway (the heuristic replays the
-// input many times), so buffering them is a net saving.
-func asRecords(src trace.Source) []trace.Record {
-	if b, ok := src.(*trace.Buffer); ok {
-		return b.Records
-	}
-	return trace.Collect(src).Records
+// Input is one profile input: its records and, per branch class, the
+// table interning the class's static branches into dense ids. A table
+// is built on the first profiling call that needs it and is then shared
+// by every later call on the input, whatever its table size, candidate
+// set or step, so a trace is interned once per class. The conditional
+// table serves the path and the pattern classes alike. An Input is safe
+// for concurrent use; its records must not change once it is built.
+type Input struct {
+	Records []trace.Record
+
+	cond, indirect lazyTable
 }
 
-// internPCs assigns dense ids to the static branches of the scored class,
-// in first-sight order. recIDs holds one entry per record: the branch's id
-// for scored records, -1 otherwise. pcs maps ids back to addresses, and
-// scored counts the dynamic branches of the class.
-func internPCs(recs []trace.Record, indirect bool) (recIDs []int32, pcs []arch.Addr, scored int64) {
+// NewInput returns the profile input over recs.
+func NewInput(recs []trace.Record) *Input { return &Input{Records: recs} }
+
+// newInputOf is the input of a source-taking entry point: the record
+// slice behind src, materialising non-buffer sources once so every
+// profiling pass can iterate the slice directly. Profiling sources must
+// be replayable anyway (the heuristic replays the input many times), so
+// buffering them is a net saving.
+func newInputOf(src trace.Source) *Input {
+	if b, ok := src.(*trace.Buffer); ok {
+		return NewInput(b.Records)
+	}
+	return NewInput(trace.Collect(src).Records)
+}
+
+type lazyTable struct {
+	once sync.Once
+	t    branchTable
+}
+
+// branchTable is the static-branch table of one input for one class:
+// ids holds each scored record's dense id, in trace order; pcs maps ids
+// back to addresses, in first-sight order; inserts counts the input's
+// THB inserts, which every path-class index sizes its prefix array by.
+type branchTable struct {
+	ids     []int32
+	pcs     []arch.Addr
+	inserts int
+}
+
+// table returns the input's branch table for the class that scores
+// conditionals, or indirect targets when indirect is set.
+func (in *Input) table(indirect bool) *branchTable {
+	l := &in.cond
+	if indirect {
+		l = &in.indirect
+	}
+	l.once.Do(func() { l.t = internPCs(in.Records, indirect) })
+	return &l.t
+}
+
+// scores reports whether a record of kind k is scored by the class that
+// scores conditionals, or indirect targets when indirect is set.
+func scores(k arch.BranchKind, indirect bool) bool {
+	if indirect {
+		return k.IndirectTarget()
+	}
+	return k == arch.Cond
+}
+
+// internPCs builds the branch table of recs for one class.
+func internPCs(recs []trace.Record, indirect bool) branchTable {
+	var t branchTable
 	ids := map[arch.Addr]int32{}
-	recIDs = make([]int32, len(recs))
+	scored := 0
+	for j := range recs {
+		if scores(recs[j].Kind, indirect) {
+			scored++
+		}
+		if recs[j].Kind.RecordsInTHB() {
+			t.inserts++
+		}
+	}
+	t.ids = make([]int32, 0, scored)
 	for j := range recs {
 		r := &recs[j]
-		in := r.Kind == arch.Cond
-		if indirect {
-			in = r.Kind.IndirectTarget()
-		}
-		if !in {
-			recIDs[j] = -1
+		if !scores(r.Kind, indirect) {
 			continue
 		}
 		id, ok := ids[r.PC]
 		if !ok {
-			id = int32(len(pcs))
+			id = int32(len(t.pcs))
 			ids[r.PC] = id
-			pcs = append(pcs, r.PC)
+			t.pcs = append(t.pcs, r.PC)
 		}
-		recIDs[j] = id
-		scored++
+		t.ids = append(t.ids, id)
 	}
-	return recIDs, pcs, scored
+	return t
 }
 
-// input is the profile input as the predictors see it: one branch per
-// scored record, and for the path classes pre, the prefix XOR after
-// every THB insert of the input behind maxL leading zeros, so index
-// reaches back any candidate length with no bounds special case. Memory
-// is one entry per scored record and per THB insert, whatever the number
-// of candidate lengths; the input lives only for the profiling call that
-// built it and is never cached.
-type input struct {
+// indexed is the profile input as the predictors of one table size see
+// it: one branch per scored record, and for the path classes pre, the
+// prefix XOR after every THB insert of the input behind maxL leading
+// zeros, so index reaches back any candidate length with no bounds
+// special case. Memory is one entry per scored record and per THB
+// insert, whatever the number of candidate lengths; it lives only for
+// the profiling call that built it.
+type indexed struct {
 	class    class
 	frame    vlp.Frame
 	branches []branch
@@ -444,70 +511,94 @@ func index(f vlp.Frame, pre []uint32, b branch, l int) uint32 {
 	return f.Index(pre[b.at], pre[int(b.at)-l], uint(b.phase))
 }
 
-// newInput interns the scored branches of recs and runs their history
-// over recs once: for the path classes the THB, for candidate lengths up
-// to maxL; for the pattern class the global outcome history register,
-// which every conditional shifts, as varhist.Predictor.Update does.
-func newInput(recs []trace.Record, cls class, k uint, maxL int) (*input, error) {
+// index runs the input's history over its records once, at table size
+// k: for the path classes the THB, for candidate lengths up to maxL; for
+// the pattern class the global outcome history register, which every
+// conditional shifts, as varhist.Predictor.Update does. The dense ids
+// come from the class's branch table.
+func (in *Input) index(cls class, k uint, maxL int) (*indexed, error) {
 	f, err := vlp.NewFrame(k)
 	if err != nil {
 		return nil, err
 	}
-	recIDs, pcs, scored := internPCs(recs, cls == indirectPath)
-	n := int(scored)
-	in := &input{class: cls, frame: f, branches: make([]branch, n), pcs: pcs}
+	indirect := cls == indirectPath
+	t := in.table(indirect)
+	recs := in.Records
+	n := len(t.ids)
+	x := &indexed{class: cls, frame: f, branches: make([]branch, n), pcs: t.pcs}
 	if cls == condPattern {
-		in.hist = make([]uint32, n)
+		x.hist = make([]uint32, n)
 		h, mask, s := uint32(0), uint32(1)<<k-1, 0
-		for j, id := range recIDs {
-			if id >= 0 {
+		for j := range recs {
+			if scores(recs[j].Kind, false) {
 				taken := recs[j].Taken
-				in.branches[s] = branch{id: id, taken: taken}
-				in.hist[s] = h
+				x.branches[s] = branch{id: t.ids[s], taken: taken}
+				x.hist[s] = h
 				h = (h<<1 | uint32(one(taken))) & mask
 				s++
 			}
 		}
-		return in, nil
+		return x, nil
 	}
-	inserts := 0
-	for j := range recs {
-		if recs[j].Kind.RecordsInTHB() {
-			inserts++
-		}
-	}
-	in.pre = make([]uint32, maxL+1+inserts)
-	if cls == indirectPath {
-		in.next = make([]arch.Addr, n)
+	x.pre = make([]uint32, maxL+1+t.inserts)
+	if indirect {
+		x.next = make([]arch.Addr, n)
 	}
 	at, phase, s := maxL, uint(0), 0
 	for j := range recs {
 		r := &recs[j]
-		if id := recIDs[j]; id >= 0 {
-			in.branches[s] = branch{at: int32(at), id: id, phase: uint8(phase), taken: r.Taken}
-			if in.next != nil {
-				in.next[s] = r.Next
+		if scores(r.Kind, indirect) {
+			x.branches[s] = branch{at: int32(at), id: t.ids[s], phase: uint8(phase), taken: r.Taken}
+			if x.next != nil {
+				x.next[s] = r.Next
 			}
 			s++
 		}
 		if r.Kind.RecordsInTHB() {
-			in.pre[at+1], phase = f.Push(in.pre[at], phase, f.Compress(r.Next))
+			x.pre[at+1], phase = f.Push(x.pre[at], phase, f.Compress(r.Next))
 			at++
 		}
 	}
-	return in, nil
+	return x, nil
 }
 
-func (in *input) k() uint { return in.frame.K() }
+func (x *indexed) k() uint { return x.frame.K() }
 
-// table returns one fresh table of the class: a 2-bit counter array,
-// or the indirect class's target registers.
-func (in *input) table() (*counter.Array, []uint32) {
-	if in.class == indirectPath {
-		return nil, make([]uint32, 1<<in.k())
+// table is one predictor table of a class: a 2-bit counter array, or the
+// indirect class's target registers. Every pass resets the table it
+// replays on, so a table is reused across passes, calls and inputs.
+type table struct {
+	pht *counter.Array
+	reg []uint32
+}
+
+// tablePools hold released tables by shape — [0] counter arrays, [1]
+// target registers — and index width k.
+var tablePools [2][33]sync.Pool
+
+// tablePool returns the pool of the class's tables at 2^k entries.
+func (x *indexed) tablePool() *sync.Pool {
+	shape := 0
+	if x.class == indirectPath {
+		shape = 1
 	}
-	return counter.NewArray(1<<in.k(), 2, 1), nil
+	return &tablePools[shape][x.k()]
 }
+
+// getTable returns a table of the class at 2^k entries, reused from the
+// pool when one has been released.
+func (x *indexed) getTable() *table {
+	if t, ok := x.tablePool().Get().(*table); ok {
+		return t
+	}
+	if x.class == indirectPath {
+		return &table{reg: make([]uint32, 1<<x.k())}
+	}
+	return &table{pht: counter.NewArray(1<<x.k(), 2, 1)}
+}
+
+// putTable releases t for reuse.
+func (x *indexed) putTable(t *table) { x.tablePool().Put(t) }
 
 // step1 runs one fixed-length predictor per candidate length, each on a
 // table of 2^k entries. The candidates are sharded into contiguous
@@ -516,37 +607,38 @@ func (in *input) table() (*counter.Array, []uint32) {
 // column into its own cells of the count matrix, so the result is
 // bit-identical to a sequential sweep at any pool size. The matrix is
 // then reduced to each branch's ranking.
-func (in *input) step1(lengths []int) *Step1 {
+func (x *indexed) step1(lengths []int) *Step1 {
 	w := len(lengths)
 	s1 := &Step1{
 		Step1Result: Step1Result{
 			Lengths: append([]int(nil), lengths...),
 			Correct: make([]int64, w),
-			Total:   int64(len(in.branches)),
+			Total:   int64(len(x.branches)),
 		},
-		class:     in.class,
-		TableBits: in.k(),
-		PCs:       in.pcs,
-		Ranks:     make([]uint8, len(in.pcs)*w),
+		class:     x.class,
+		TableBits: x.k(),
+		PCs:       x.pcs,
+		Ranks:     make([]uint8, len(x.pcs)*w),
 	}
-	counts := make([]int64, len(in.pcs)*w)
+	counts := make([]int64, len(x.pcs)*w)
 	workers := pool.Size(w)
 	pool.Fan(workers, workers, func(shard int) {
 		lo, hi := shard*w/workers, (shard+1)*w/workers
-		col := make([]int64, len(in.pcs))
-		pht, reg := in.table()
+		col := make([]int64, len(x.pcs))
+		t := x.getTable()
+		defer x.putTable(t)
 		for i := lo; i < hi; i++ {
 			clear(col)
-			switch in.class {
+			switch x.class {
 			case condPath:
-				pht.Reset(1)
-				flpCond(in, lengths[i], pht, col)
+				t.pht.Reset(1)
+				flpCond(x, lengths[i], t.pht, col)
 			case indirectPath:
-				clear(reg)
-				flpIndirect(in, lengths[i], reg, col)
+				clear(t.reg)
+				flpIndirect(x, lengths[i], t.reg, col)
 			case condPattern:
-				pht.Reset(1)
-				fixedPattern(in, lengths[i], pht, col)
+				t.pht.Reset(1)
+				fixedPattern(x, lengths[i], t.pht, col)
 			}
 			for id, c := range col {
 				counts[id*w+i] = c
@@ -554,7 +646,7 @@ func (in *input) step1(lengths []int) *Step1 {
 			}
 		}
 	})
-	for id := range in.pcs {
+	for id := range x.pcs {
 		rankCandidates(counts[id*w:(id+1)*w], s1.Ranks[id*w:(id+1)*w])
 	}
 	obs.CountBranches(s1.Total)
@@ -564,28 +656,28 @@ func (in *input) step1(lengths []int) *Step1 {
 // one is 1 for true and 0 for false, so the kernels count without a
 // data-dependent branch.
 func one(b bool) int64 {
-	var x int64
+	var v int64
 	if b {
-		x = 1
+		v = 1
 	}
-	return x
+	return v
 }
 
 // flpCond replays the fixed length path predictor of length l for
 // conditionals, adding each correct prediction to its branch's entry of
 // col.
-func flpCond(in *input, l int, pht *counter.Array, col []int64) {
-	f, pre := in.frame, in.pre
-	for _, b := range in.branches {
+func flpCond(x *indexed, l int, pht *counter.Array, col []int64) {
+	f, pre := x.frame, x.pre
+	for _, b := range x.branches {
 		col[b.id] += one(pht.Step(int(index(f, pre, b, l)), b.taken))
 	}
 }
 
 // flpIndirect is flpCond for the indirect class: target registers,
 // last-target-match scoring on the low 32 target bits.
-func flpIndirect(in *input, l int, reg []uint32, col []int64) {
-	f, pre, next := in.frame, in.pre, in.next[:len(in.branches)]
-	for s, b := range in.branches {
+func flpIndirect(x *indexed, l int, reg []uint32, col []int64) {
+	f, pre, next := x.frame, x.pre, x.next[:len(x.branches)]
+	for s, b := range x.branches {
 		i, target := index(f, pre, b, l), uint32(next[s])
 		col[b.id] += one(reg[i] == target)
 		reg[i] = target
@@ -595,57 +687,58 @@ func flpIndirect(in *input, l int, reg []uint32, col []int64) {
 // fixedPattern is flpCond for the pattern class: a gshare-style table
 // whose index XORs the PC bits with the newest bits outcomes of the
 // global history (0 bits is bimodal, k bits is gshare).
-func fixedPattern(in *input, bits int, pht *counter.Array, col []int64) {
-	pcs, hist := in.pcs, in.hist[:len(in.branches)]
-	low, mask := uint32(1)<<bits-1, uint64(1)<<in.k()-1
-	for s, b := range in.branches {
+func fixedPattern(x *indexed, bits int, pht *counter.Array, col []int64) {
+	pcs, hist := x.pcs, x.hist[:len(x.branches)]
+	low, mask := uint32(1)<<bits-1, uint64(1)<<x.k()-1
+	for s, b := range x.branches {
 		i := (bpred.PCBits(pcs[b.id]) ^ uint64(hist[s]&low)) & mask
 		col[b.id] += one(pht.Step(int(i), b.taken))
 	}
 }
 
-// step2 iterates the shared-table simulation over the input and returns
-// the final per-branch assignment. The test input of each pass is the
+// step2 iterates the shared-table simulation over the input, from the
+// candidates step 1 ranked on it, and returns the final per-branch
+// assignment. The test input of each pass is the
 // profile input itself, so every profiled branch executes in every pass:
 // the candidate chosen for a branch always has its misprediction count
 // written back (untested candidates keep their implicit zero, matching
 // the paper's initialisation, so they are tried first in candidate rank
 // order).
-func (in *input) step2(cfg Config, cands [][]int) map[arch.Addr]int {
-	record := make([][]int64, len(cands)) // per branch, per candidate: fewest misses seen
-	for id := range record {
-		record[id] = make([]int64, len(cands[id]))
-	}
-	chosen := make([]int, len(cands))
-	assigned := make([]int32, len(cands)) // each branch's assigned length
-	misses := make([]int64, len(cands))
-	pht, reg := in.table()
+func (x *indexed) step2(cfg Config, s1 *Step1) map[arch.Addr]int {
+	cands, c := s1.candidates(cfg.candidates())
+	n := len(x.pcs)
+	record := make([]int64, n*c) // per branch, per candidate: fewest misses seen
+	chosen := make([]int, n)
+	assigned := make([]int32, n) // each branch's assigned length
+	misses := make([]int64, n)
+	t := x.getTable()
+	defer x.putTable(t)
 	for iter := 0; iter < cfg.iterations(); iter++ {
-		for id := range cands {
-			ci := argmin(record[id])
+		for id := range chosen {
+			ci := argmin(record[id*c : (id+1)*c])
 			chosen[id] = ci
-			assigned[id] = int32(cands[id][ci])
+			assigned[id] = cands[id*c+ci]
 		}
 		clear(misses)
-		switch in.class {
+		switch x.class {
 		case condPath:
-			pht.Reset(1)
-			vlpCond(in, assigned, pht, misses)
+			t.pht.Reset(1)
+			vlpCond(x, assigned, t.pht, misses)
 		case indirectPath:
-			clear(reg)
-			vlpIndirect(in, assigned, reg, misses)
+			clear(t.reg)
+			vlpIndirect(x, assigned, t.reg, misses)
 		case condPattern:
-			pht.Reset(1)
-			elasticPattern(in, assigned, pht, misses)
+			t.pht.Reset(1)
+			elasticPattern(x, assigned, t.pht, misses)
 		}
-		obs.CountBranches(int64(len(in.branches)))
+		obs.CountBranches(int64(len(x.branches)))
 		for id, ci := range chosen {
-			record[id][ci] = misses[id]
+			record[id*c+ci] = misses[id]
 		}
 	}
-	final := make(map[arch.Addr]int, len(cands))
-	for id, pc := range in.pcs {
-		final[pc] = cands[id][argmin(record[id])]
+	final := make(map[arch.Addr]int, n)
+	for id, pc := range x.pcs {
+		final[pc] = int(cands[id*c+argmin(record[id*c:(id+1)*c])])
 	}
 	return final
 }
@@ -653,18 +746,18 @@ func (in *input) step2(cfg Config, cands [][]int) map[arch.Addr]int {
 // vlpCond is one shared-table VLP pass for conditionals: the same table
 // and update order as replaying a vlp.Cond built from a PerBranch
 // selector, with each branch's index at its assigned length.
-func vlpCond(in *input, assigned []int32, pht *counter.Array, misses []int64) {
-	f, pre := in.frame, in.pre
-	for _, b := range in.branches {
+func vlpCond(x *indexed, assigned []int32, pht *counter.Array, misses []int64) {
+	f, pre := x.frame, x.pre
+	for _, b := range x.branches {
 		i := index(f, pre, b, int(assigned[b.id]))
 		misses[b.id] += 1 - one(pht.Step(int(i), b.taken))
 	}
 }
 
 // vlpIndirect is vlpCond for the indirect class.
-func vlpIndirect(in *input, assigned []int32, reg []uint32, misses []int64) {
-	f, pre, next := in.frame, in.pre, in.next[:len(in.branches)]
-	for s, b := range in.branches {
+func vlpIndirect(x *indexed, assigned []int32, reg []uint32, misses []int64) {
+	f, pre, next := x.frame, x.pre, x.next[:len(x.branches)]
+	for s, b := range x.branches {
 		i := index(f, pre, b, int(assigned[b.id]))
 		// The register holds the low 32 target bits (§3.1 footnote)
 		// but the prediction it implies is a full address — mirror
@@ -677,10 +770,10 @@ func vlpIndirect(in *input, assigned []int32, reg []uint32, misses []int64) {
 // elasticPattern is vlpCond for the pattern class: the same table and
 // update order as replaying a varhist.Predictor built from a PerBranch
 // selector, with each branch's index at its assigned history bits.
-func elasticPattern(in *input, assigned []int32, pht *counter.Array, misses []int64) {
-	pcs, hist := in.pcs, in.hist[:len(in.branches)]
-	mask := uint64(1)<<in.k() - 1
-	for s, b := range in.branches {
+func elasticPattern(x *indexed, assigned []int32, pht *counter.Array, misses []int64) {
+	pcs, hist := x.pcs, x.hist[:len(x.branches)]
+	mask := uint64(1)<<x.k() - 1
+	for s, b := range x.branches {
 		low := uint32(1)<<uint(assigned[b.id]) - 1
 		i := (bpred.PCBits(pcs[b.id]) ^ uint64(hist[s]&low)) & mask
 		misses[b.id] += 1 - one(pht.Step(int(i), b.taken))

@@ -109,11 +109,23 @@ func (b *Buffer) Consume(n int) {
 	}
 }
 
+// Sized is a Source that states how many records one replay yields, or a
+// negative count when it cannot tell without replaying.
+type Sized interface {
+	Source
+	Len() int
+}
+
 // Collect drains src into a new Buffer, resetting src first. It is a
-// convenience for tests and for materialising generated workloads.
+// convenience for tests and for materialising generated workloads. A
+// Sized source's records land in one allocation of the stated length;
+// a wrong statement costs only that, never a record.
 func Collect(src Source) *Buffer {
 	src.Reset()
 	b := &Buffer{}
+	if s, ok := src.(Sized); ok && s.Len() > 0 {
+		b.Records = make([]Record, 0, s.Len())
+	}
 	var r Record
 	for src.Next(&r) {
 		b.Append(r)
@@ -147,6 +159,16 @@ func (l *Limit) Next(r *Record) bool {
 func (l *Limit) Reset() {
 	l.Src.Reset()
 	l.cnt = 0
+}
+
+// Len implements Sized: N, or fewer when Src states fewer; negative
+// when Src states no length.
+func (l *Limit) Len() int {
+	s, ok := l.Src.(Sized)
+	if !ok || s.Len() < 0 {
+		return -1
+	}
+	return min(l.N, s.Len())
 }
 
 // Skip wraps a Source, discarding the first n records of each replay.

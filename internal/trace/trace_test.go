@@ -161,3 +161,56 @@ func TestSummaryEmpty(t *testing.T) {
 		t.Errorf("empty summary not zero: %v", s)
 	}
 }
+
+// statedSource yields n records but states a length of stated.
+type statedSource struct {
+	n, stated, pos int
+}
+
+func (s *statedSource) Next(r *Record) bool {
+	if s.pos >= s.n {
+		return false
+	}
+	*r = rec(uint64(0x100+4*s.pos), arch.Uncond, true, uint64(0x200+4*s.pos))
+	s.pos++
+	return true
+}
+
+func (s *statedSource) Reset()   { s.pos = 0 }
+func (s *statedSource) Len() int { return s.stated }
+
+func TestCollectStatedLength(t *testing.T) {
+	for _, c := range []struct{ n, stated int }{
+		{10, 10}, {10, 3}, {10, 25}, {10, -1}, {0, 4}, {5, 0},
+	} {
+		b := Collect(&statedSource{n: c.n, stated: c.stated, pos: 2})
+		if b.Len() != c.n {
+			t.Fatalf("n=%d stated=%d: collected %d records", c.n, c.stated, b.Len())
+		}
+		for i, r := range b.Records {
+			if want := rec(uint64(0x100+4*i), arch.Uncond, true, uint64(0x200+4*i)); r != want {
+				t.Fatalf("n=%d stated=%d: record %d = %v, want %v", c.n, c.stated, i, r, want)
+			}
+		}
+		if c.stated == c.n && cap(b.Records) != c.n {
+			t.Errorf("n=%d: a true length gave cap %d", c.n, cap(b.Records))
+		}
+	}
+}
+
+func TestLimitLen(t *testing.T) {
+	for _, c := range []struct{ n, stated, limit, want int }{
+		{10, 10, 4, 4}, {10, 10, 40, 10}, {10, -1, 4, -1},
+	} {
+		l := NewLimit(&statedSource{n: c.n, stated: c.stated}, c.limit)
+		if got := l.Len(); got != c.want {
+			t.Errorf("Limit(%d) over %d stated: Len %d, want %d", c.limit, c.stated, got, c.want)
+		}
+		if b := Collect(l); b.Len() != min(c.n, c.limit) {
+			t.Errorf("Limit(%d) over %d: collected %d", c.limit, c.n, b.Len())
+		}
+	}
+	if got := NewLimit(&Buffer{}, 3).Len(); got != 0 {
+		t.Errorf("Limit over an empty buffer: Len %d, want 0", got)
+	}
+}

@@ -131,7 +131,7 @@ func (g *generator) build() (*cfg.Program, error) {
 	// functions generated later.
 	g.entries = make([]*cfg.Block, spec.Funcs)
 	for i := range g.entries {
-		g.entries[i] = g.b.Jump(fmt.Sprintf("f%d.entry", i))
+		g.entries[i] = g.b.Jump()
 	}
 
 	// Assign the indirect constructs to uniformly random functions, so a
@@ -189,8 +189,8 @@ func (g *generator) build() (*cfg.Program, error) {
 	}
 
 	// Driver: main loops forever calling f0.
-	callMain := g.b.CallBlock("main.call")
-	loop := g.b.Jump("main.loop")
+	callMain := g.b.CallBlock()
+	loop := g.b.Jump()
 	callMain.TakenTo = g.entries[0].ID
 	callMain.FallTo = loop.ID
 	loop.TakenTo = callMain.ID
@@ -201,7 +201,7 @@ func (g *generator) build() (*cfg.Program, error) {
 // assembleFunction wires the fragments into a linear chain ending in a
 // return, and points the function's entry stub at the first fragment.
 func (g *generator) assembleFunction(f int, frags []*chain) {
-	ret := g.b.ReturnBlock(fmt.Sprintf("f%d.ret", f))
+	ret := g.b.ReturnBlock()
 	next := ret.ID
 	for i := len(frags) - 1; i >= 0; i-- {
 		fr := frags[i]
@@ -311,10 +311,10 @@ func (g *generator) condConstruct(f int) *chain {
 // Both arms converge on the successor; the fragment's open edge is F's.
 // To keep a single open edge, the taken edge targets F's join jump.
 func (g *generator) diamond(f int) *chain {
-	c := g.b.Cond(fmt.Sprintf("f%d.if%d", f, g.conds), g.condBehavior())
+	c := g.b.Cond(g.condBehavior())
 	g.conds++
-	fall := g.b.Jump(fmt.Sprintf("f%d.else%d", f, g.conds))
-	join := g.b.Jump(fmt.Sprintf("f%d.join%d", f, g.conds))
+	fall := g.b.Jump()
+	join := g.b.Jump()
 	c.TakenTo = join.ID
 	c.FallTo = fall.ID
 	fall.TakenTo = join.ID
@@ -329,16 +329,16 @@ func (g *generator) diamond(f int) *chain {
 // The header's open edge is the fall-through; since Cond blocks have both
 // edges used, a join jump carries the open edge.
 func (g *generator) loopConstruct(f int) *chain {
-	h := g.b.Cond(fmt.Sprintf("f%d.loop%d", f, g.conds), g.loopBehavior())
+	h := g.b.Cond(g.loopBehavior())
 	g.conds++
-	exit := g.b.Jump(fmt.Sprintf("f%d.exit%d", f, g.conds))
+	exit := g.b.Jump()
 	h.FallTo = exit.ID
 	if g.rng.Bool(0.5) {
 		// Tight loop: the body is straight-line code (an unconditional
 		// jump, which the THB does not record), so each iteration adds
 		// exactly one path element — a trip-T exit is learnable with a
 		// path of length about T, the regime of the paper's Table 2.
-		body := g.b.Jump(fmt.Sprintf("f%d.body%d", f, g.conds))
+		body := g.b.Jump()
 		h.TakenTo = body.ID
 		body.TakenTo = h.ID
 		return &chain{in: h, out: exit}
@@ -356,9 +356,9 @@ func (g *generator) loopConstruct(f int) *chain {
 	} else {
 		bodyBehavior = g.condBehavior()
 	}
-	body := g.b.Cond(fmt.Sprintf("f%d.body%d", f, g.conds), bodyBehavior)
+	body := g.b.Cond(bodyBehavior)
 	g.conds++
-	bodyJoin := g.b.Jump(fmt.Sprintf("f%d.bodyj%d", f, g.conds))
+	bodyJoin := g.b.Jump()
 	h.TakenTo = body.ID
 	body.TakenTo = bodyJoin.ID
 	body.FallTo = bodyJoin.ID
@@ -372,13 +372,13 @@ func (g *generator) loopConstruct(f int) *chain {
 //	 \--fall--> (next)
 func (g *generator) dispatchLoop(f int) *chain {
 	spec := g.spec
-	h := g.b.Cond(fmt.Sprintf("f%d.disp.loop%d", f, g.conds), cfg.LoopMix{Trips: []int{
+	h := g.b.Cond(cfg.LoopMix{Trips: []int{
 		g.rng.IntnRange(spec.DispatchTripLo, spec.DispatchTripHi),
 		g.rng.IntnRange(spec.DispatchTripLo, spec.DispatchTripHi),
 	}})
 	g.conds++
 	order := g.rng.IntnRange(spec.DispatchOrderLo, spec.DispatchOrderHi)
-	s := g.b.IndirectBlock(fmt.Sprintf("f%d.disp%d", f, g.conds), cfg.MarkovTargets{
+	s := g.b.IndirectBlock(cfg.MarkovTargets{
 		Order: order,
 		Salt:  g.salt(),
 		Noise: spec.DispatchNoise,
@@ -393,20 +393,20 @@ func (g *generator) dispatchLoop(f int) *chain {
 			if !taken {
 				beh = cfg.NeverTaken{}
 			}
-			hb := g.b.Cond(fmt.Sprintf("f%d.h%d.c", f, i), beh)
+			hb := g.b.Cond(beh)
 			g.conds++
-			join := g.b.Jump(fmt.Sprintf("f%d.h%d.j", f, i))
+			join := g.b.Jump()
 			hb.TakenTo = join.ID
 			hb.FallTo = join.ID
 			join.TakenTo = h.ID
 			s.Targets = append(s.Targets, hb.ID)
 		} else {
-			hb := g.b.Jump(fmt.Sprintf("f%d.h%d", f, i))
+			hb := g.b.Jump()
 			hb.TakenTo = h.ID
 			s.Targets = append(s.Targets, hb.ID)
 		}
 	}
-	exit := g.b.Jump(fmt.Sprintf("f%d.disp.exit%d", f, g.conds))
+	exit := g.b.Jump()
 	h.TakenTo = s.ID
 	h.FallTo = exit.ID
 	return &chain{in: h, out: exit}
@@ -421,29 +421,29 @@ func (g *generator) dispatchLoop(f int) *chain {
 //	 \--fall--> (next)
 func (g *generator) pathSwitch(f int) *chain {
 	spec := g.spec
-	h := g.b.Cond(fmt.Sprintf("f%d.swloop%d", f, g.conds), cfg.LoopMix{Trips: []int{
+	h := g.b.Cond(cfg.LoopMix{Trips: []int{
 		g.rng.IntnRange(4, 16), g.rng.IntnRange(4, 16),
 	}})
 	g.conds++
 	// A biased branch ahead of the switch varies the path feeding the
 	// target decision; it is skewed so the switch has dominant cases,
 	// as real switches do.
-	pre := g.b.Cond(fmt.Sprintf("f%d.swpre%d", f, g.conds), cfg.Bias{P: 0.85})
+	pre := g.b.Cond(cfg.Bias{P: 0.85})
 	g.conds++
-	preJoin := g.b.Jump(fmt.Sprintf("f%d.swprej%d", f, g.conds))
-	s := g.b.IndirectBlock(fmt.Sprintf("f%d.sw%d", f, g.conds), cfg.PathTargets{
+	preJoin := g.b.Jump()
+	s := g.b.IndirectBlock(cfg.PathTargets{
 		Depth: g.rng.IntnRange(spec.SwitchDepthLo, spec.SwitchDepthHi),
 		Salt:  g.salt(),
 		Noise: spec.SwitchNoise,
 	})
-	join := g.b.Jump(fmt.Sprintf("f%d.swj%d", f, g.conds))
+	join := g.b.Jump()
 	n := g.rng.IntnRange(spec.SwitchTargetsLo, spec.SwitchTargetsHi)
 	for i := 0; i < n; i++ {
-		cb := g.b.Jump(fmt.Sprintf("f%d.case%d.%d", f, g.conds, i))
+		cb := g.b.Jump()
 		cb.TakenTo = join.ID
 		s.Targets = append(s.Targets, cb.ID)
 	}
-	exit := g.b.Jump(fmt.Sprintf("f%d.swexit%d", f, g.conds))
+	exit := g.b.Jump()
 	h.TakenTo = pre.ID
 	h.FallTo = exit.ID
 	pre.TakenTo = preJoin.ID
@@ -458,7 +458,7 @@ func (g *generator) pathSwitch(f int) *chain {
 // deepest function).
 func (g *generator) virtualCall(f int) *chain {
 	spec := g.spec
-	c := g.b.IndirectCallBlock(fmt.Sprintf("f%d.vcall%d", f, g.conds), cfg.PhasedTargets{
+	c := g.b.IndirectCallBlock(cfg.PhasedTargets{
 		MeanPhase: spec.VCallPhase,
 	})
 	n := g.rng.IntnRange(spec.VCallTargetsLo, spec.VCallTargetsHi)
@@ -466,7 +466,7 @@ func (g *generator) virtualCall(f int) *chain {
 		if f+1 < spec.Funcs {
 			c.Targets = append(c.Targets, g.entries[g.rng.IntnRange(f+1, spec.Funcs-1)].ID)
 		} else {
-			stub := g.b.ReturnBlock(fmt.Sprintf("f%d.vstub%d.%d", f, g.conds, i))
+			stub := g.b.ReturnBlock()
 			c.Targets = append(c.Targets, stub.ID)
 		}
 	}
@@ -475,7 +475,7 @@ func (g *generator) virtualCall(f int) *chain {
 
 // callSite: a direct call to function callee.
 func (g *generator) callSite(callee int) *chain {
-	c := g.b.CallBlock(fmt.Sprintf("call.f%d", callee))
+	c := g.b.CallBlock()
 	c.TakenTo = g.entries[callee].ID
 	return &chain{in: c, out: c}
 }

@@ -37,7 +37,7 @@ func Mix64(x uint64) uint64 {
 }
 
 // RNG is a xoshiro256** generator. The zero value is not valid; construct
-// with New.
+// with New or Seed.
 type RNG struct {
 	s [4]uint64
 }
@@ -46,11 +46,17 @@ type RNG struct {
 // as recommended by the xoshiro authors.
 func New(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed restarts r as the stream New(seed) yields, so a slice of RNG
+// values can be seeded in place.
+func (r *RNG) Seed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		r.s[i] = SplitMix64(&sm)
 	}
-	return r
 }
 
 // Fork returns a new generator whose stream is a deterministic function of
