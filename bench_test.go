@@ -315,6 +315,26 @@ func BenchmarkSuiteCold(b *testing.B) {
 	}
 }
 
+// BenchmarkGridReplay replays the 80 cells of perfbench's replay-grid
+// workload (seed 0: test input 2) on a fresh engine per iteration at
+// base 40000. Trace generation, profiling and one warm-up replay are
+// set-up, off the clock, as in perfbench, so its B/op is what one
+// replay pass allocates.
+func BenchmarkGridReplay(b *testing.B) {
+	g := newGridFixture(b, suiteColdBase, 2)
+	ctx := context.Background()
+	if _, err := g.replay(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.replay(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTraceGeneration measures the synthetic substrate's execution
 // speed (records generated per op).
 func BenchmarkTraceGeneration(b *testing.B) {
@@ -458,6 +478,9 @@ func BenchmarkFusedSweep(b *testing.B) {
 				}
 				if len(res) != len(preds) || res[0].Branches == 0 {
 					b.Fatalf("degraded run: %d results", len(res))
+				}
+				for _, p := range preds {
+					bpred.Release(p)
 				}
 			}
 		})

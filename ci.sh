@@ -40,6 +40,9 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+echo "== perfbench tests (its own module: unit tests + a tiny run of every workload)"
+(cd perfbench && go test -count=1 .)
+
 echo "== fuzz smoke (decoder + spec grammars + session requests)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/factory

@@ -4,25 +4,58 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"strconv"
 	"testing"
 
+	"repro/internal/bpred"
+	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
-// recordedDigests reads the benchmark's recorded rendering digests out
-// of perfbench/digests.go: digestBase, the base scale they were taken
-// at, and suiteDigests, each registry experiment's text sha256. Parsing
-// the file keeps the recorded values in one place.
-func recordedDigests(t *testing.T) (base int, digests map[string]string) {
+// recorded holds the benchmark's recorded digests, parsed out of
+// perfbench/digests.go so the values live in one place: base, the scale
+// they were taken at (digestBase); suite, each registry experiment's
+// rendered-text sha256 (suiteDigests); grid, the replay-grid rates
+// digest by seed (gridDigests).
+type recorded struct {
+	base  int
+	suite map[string]string
+	grid  map[uint64]string
+}
+
+// recordedDigests parses perfbench/digests.go.
+func recordedDigests(t *testing.T) recorded {
 	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), "perfbench/digests.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// entries returns the literal key and value of every element of a
+	// map literal.
+	entries := func(name string, e ast.Expr) [][2]string {
+		cl, ok := e.(*ast.CompositeLit)
+		if !ok {
+			t.Fatalf("%s is not a map literal", name)
+		}
+		var out [][2]string
+		for _, elt := range cl.Elts {
+			kv := elt.(*ast.KeyValueExpr)
+			k, ok1 := kv.Key.(*ast.BasicLit)
+			v, ok2 := kv.Value.(*ast.BasicLit)
+			if !ok1 || !ok2 {
+				t.Fatalf("%s entry %v is not a literal pair", name, kv.Key)
+			}
+			out = append(out, [2]string{k.Value, v.Value})
+		}
+		return out
+	}
+	r := recorded{suite: map[string]string{}, grid: map[uint64]string{}}
 	for _, decl := range f.Decls {
 		gd, ok := decl.(*ast.GenDecl)
 		if !ok {
@@ -33,37 +66,41 @@ func recordedDigests(t *testing.T) (base int, digests map[string]string) {
 			if len(vs.Names) != 1 || len(vs.Values) != 1 {
 				continue
 			}
-			switch vs.Names[0].Name {
+			switch name := vs.Names[0].Name; name {
 			case "digestBase":
 				lit, ok := vs.Values[0].(*ast.BasicLit)
 				if !ok || lit.Kind != token.INT {
 					t.Fatalf("digestBase is not an integer literal")
 				}
-				if base, err = strconv.Atoi(lit.Value); err != nil {
+				if r.base, err = strconv.Atoi(lit.Value); err != nil {
 					t.Fatal(err)
 				}
 			case "suiteDigests":
-				cl, ok := vs.Values[0].(*ast.CompositeLit)
-				if !ok {
-					t.Fatalf("suiteDigests is not a map literal")
-				}
-				digests = map[string]string{}
-				for _, elt := range cl.Elts {
-					kv := elt.(*ast.KeyValueExpr)
-					k, err1 := strconv.Unquote(kv.Key.(*ast.BasicLit).Value)
-					v, err2 := strconv.Unquote(kv.Value.(*ast.BasicLit).Value)
+				for _, kv := range entries(name, vs.Values[0]) {
+					k, err1 := strconv.Unquote(kv[0])
+					v, err2 := strconv.Unquote(kv[1])
 					if err1 != nil || err2 != nil {
-						t.Fatalf("suiteDigests entry %v: %v %v", kv.Key, err1, err2)
+						t.Fatalf("suiteDigests entry %s: %v %v", kv[0], err1, err2)
 					}
-					digests[k] = v
+					r.suite[k] = v
+				}
+			case "gridDigests":
+				for _, kv := range entries(name, vs.Values[0]) {
+					k, err1 := strconv.ParseUint(kv[0], 10, 64)
+					v, err2 := strconv.Unquote(kv[1])
+					if err1 != nil || err2 != nil {
+						t.Fatalf("gridDigests entry %s: %v %v", kv[0], err1, err2)
+					}
+					r.grid[k] = v
 				}
 			}
 		}
 	}
-	if base == 0 || len(digests) == 0 {
-		t.Fatalf("perfbench/digests.go: digestBase %d, %d suite digests", base, len(digests))
+	if r.base == 0 || len(r.suite) == 0 || len(r.grid) == 0 {
+		t.Fatalf("perfbench/digests.go: digestBase %d, %d suite digests, %d grid digests",
+			r.base, len(r.suite), len(r.grid))
 	}
-	return base, digests
+	return r
 }
 
 // TestSuiteDigests renders every registry experiment cold, on one fresh
@@ -71,7 +108,8 @@ func recordedDigests(t *testing.T) (base int, digests map[string]string) {
 // against the benchmark's recorded digest: the rendered artifacts stay
 // byte-identical.
 func TestSuiteDigests(t *testing.T) {
-	base, want := recordedDigests(t)
+	rec := recordedDigests(t)
+	base, want := rec.base, rec.suite
 	reg := experiments.Registry()
 	if len(reg) != len(want) {
 		t.Errorf("%d registry experiments, %d recorded digests", len(reg), len(want))
@@ -85,6 +123,124 @@ func TestSuiteDigests(t *testing.T) {
 		sum := sha256.Sum256([]byte(rep.Text))
 		if got := hex.EncodeToString(sum[:]); got != want[e.ID] {
 			t.Errorf("%s: rendered text sha256 %s, recorded %q", e.ID, got, want[e.ID])
+		}
+	}
+}
+
+// gridFixture is what the benchmark's replay-grid workload replays: the
+// deduplicated union of every registry experiment's GridKeys, each
+// built as a cell on one Suite (which profiles on its own profile
+// inputs), over held-out test traces.
+type gridFixture struct {
+	keys   []engine.Key
+	cells  []engine.Cell
+	traces map[string][]trace.Record
+}
+
+// newGridFixture builds the grid at the base scale, with test traces
+// from the given input of each benchmark, and builds every predictor
+// once so the profiles the cells need are computed before any replay.
+func newGridFixture(tb testing.TB, base int, input uint64) *gridFixture {
+	tb.Helper()
+	ctx := context.Background()
+	g := &gridFixture{traces: map[string][]trace.Record{}}
+	seen := map[engine.Key]bool{}
+	for _, e := range experiments.Registry() {
+		for _, k := range experiments.GridKeys(e.ID) {
+			if !seen[k] {
+				seen[k] = true
+				g.keys = append(g.keys, k)
+			}
+		}
+	}
+	s := experiments.NewSuite(experiments.Config{BaseRecords: base})
+	for _, k := range g.keys {
+		if _, ok := g.traces[k.Trace]; !ok {
+			wb, err := workload.ByName(k.Trace)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			g.traces[k.Trace] = trace.Collect(wb.InputSource(base, input)).Records
+		}
+		c, err := s.ColumnCell(ctx, k)
+		if err != nil {
+			tb.Fatalf("cell %s: %v", k, err)
+		}
+		for _, mk := range c.Cond {
+			p, err := mk()
+			if err != nil {
+				tb.Fatalf("cell %s: %v", k, err)
+			}
+			bpred.Release(p)
+		}
+		for _, mk := range c.Indirect {
+			p, err := mk()
+			if err != nil {
+				tb.Fatalf("cell %s: %v", k, err)
+			}
+			bpred.Release(p)
+		}
+		g.cells = append(g.cells, c)
+	}
+	return g
+}
+
+// replay runs every cell as one plan on a fresh engine and returns the
+// rates in key order.
+func (g *gridFixture) replay(ctx context.Context) ([][]float64, error) {
+	eng := engine.New(engine.Config{Source: func(name string) (trace.Source, error) {
+		recs, ok := g.traces[name]
+		if !ok {
+			return nil, fmt.Errorf("no trace for %q", name)
+		}
+		return trace.NewBuffer(recs), nil
+	}})
+	plan := engine.NewPlan()
+	for _, c := range g.cells {
+		plan.Add(c)
+	}
+	return eng.Execute(ctx, plan)
+}
+
+// ratesDigest hashes every cell key with its rates in full precision,
+// the form perfbench records as gridDigests.
+func ratesDigest(keys []engine.Key, rates [][]float64) string {
+	h := sha256.New()
+	for i, k := range keys {
+		fmt.Fprint(h, k.String())
+		for _, r := range rates[i] {
+			fmt.Fprint(h, " ", strconv.FormatFloat(r, 'g', -1, 64))
+		}
+		fmt.Fprintln(h)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGridDigests replays the replay-grid cells for seed 0 (test input
+// 2) at the recorded base scale and checks the rates digest against the
+// benchmark's recorded one. The engine releases every predictor after
+// its cell and the next cell's predictors reuse the tables, so a table
+// read before it is reset, or one still in use when released, changes
+// the digest. The replay runs twice on one fixture, the second time on
+// tables the first released.
+func TestGridDigests(t *testing.T) {
+	rec := recordedDigests(t)
+	const seed = 0
+	want, ok := rec.grid[seed]
+	if !ok {
+		t.Fatalf("no grid digest recorded for seed %d", seed)
+	}
+	g := newGridFixture(t, rec.base, 2+seed)
+	if len(g.keys) != 80 {
+		t.Errorf("%d grid cells, want 80", len(g.keys))
+	}
+	for pass := 0; pass < 2; pass++ {
+		rates, err := g.replay(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ratesDigest(g.keys, rates); got != want {
+			t.Errorf("pass %d: replay-grid rates digest %s, recorded %s", pass, got, want)
 		}
 	}
 }

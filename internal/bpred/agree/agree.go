@@ -14,6 +14,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/bpred"
 	"repro/internal/bpred/counter"
+	"repro/internal/reuse"
 	"repro/internal/trace"
 )
 
@@ -42,7 +43,7 @@ func New(budgetBytes int, biasBits uint) (*Predictor, error) {
 	return &Predictor{
 		pht:  counter.NewArray(1<<k, 2, 2), // init weakly-agree
 		hist: counter.NewShiftReg(k),
-		bias: make([]uint8, 1<<biasBits),
+		bias: reuse.Uint8.Zeroed(1 << biasBits),
 		k:    k,
 		bm:   1<<biasBits - 1,
 		mask: 1<<k - 1,
@@ -52,6 +53,13 @@ func New(budgetBytes int, biasBits uint) (*Predictor, error) {
 
 // Name implements bpred.CondPredictor.
 func (p *Predictor) Name() string { return p.name }
+
+// Release implements bpred.Releaser.
+func (p *Predictor) Release() {
+	p.pht.Release()
+	reuse.Uint8.Put(p.bias)
+	p.bias = nil
+}
 
 // SizeBytes implements bpred.CondPredictor: the counter table plus the
 // biasing bits (one valid + one bias bit per slot).

@@ -43,6 +43,9 @@ func NewBits(k uint) *Predictor {
 // Name implements bpred.CondPredictor.
 func (p *Predictor) Name() string { return p.name }
 
+// Release implements bpred.Releaser.
+func (p *Predictor) Release() { p.pht.Release() }
+
 // SizeBytes implements bpred.CondPredictor.
 func (p *Predictor) SizeBytes() int { return p.pht.SizeBytes() }
 

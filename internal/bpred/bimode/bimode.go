@@ -55,6 +55,13 @@ func New(budgetBytes int) (*Predictor, error) {
 // Name implements bpred.CondPredictor.
 func (p *Predictor) Name() string { return p.name }
 
+// Release implements bpred.Releaser.
+func (p *Predictor) Release() {
+	p.taken.Release()
+	p.notTaken.Release()
+	p.choice.Release()
+}
+
 // SizeBytes implements bpred.CondPredictor.
 func (p *Predictor) SizeBytes() int {
 	return p.taken.SizeBytes() + p.notTaken.SizeBytes() + p.choice.SizeBytes()

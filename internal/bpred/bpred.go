@@ -60,6 +60,24 @@ type StateCodec interface {
 	LoadState(r io.Reader) error
 }
 
+// Releaser is implemented by every predictor whose constructor takes
+// its tables from the process-wide pool (internal/reuse). Release hands
+// them back for the next predictor to reuse; the predictor must not be
+// used afterwards. Whoever owns a predictor releases it once it is done
+// with it: the engine for the cells it builds, any other caller for the
+// predictors it keeps. Releasing is optional — a predictor that is never
+// released is collected as usual — and releasing twice is harmless.
+type Releaser interface {
+	Release()
+}
+
+// Release releases p if it implements Releaser.
+func Release(p Predictor) {
+	if r, ok := p.(Releaser); ok {
+		r.Release()
+	}
+}
+
 // CondPredictor predicts conditional branch directions.
 type CondPredictor interface {
 	Predictor

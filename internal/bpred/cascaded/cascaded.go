@@ -16,6 +16,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/bpred"
 	"repro/internal/bpred/counter"
+	"repro/internal/reuse"
 	"repro/internal/trace"
 )
 
@@ -29,6 +30,9 @@ type Predictor struct {
 	l2Mask  uint64
 	name    string
 }
+
+// entries is the process-wide pool of second-stage tables.
+var entries reuse.Pool[entry]
 
 type entry struct {
 	tag    uint16
@@ -44,8 +48,8 @@ func New(kBTB, k2, p, q uint) (*Predictor, error) {
 		return nil, fmt.Errorf("cascaded: path history %dx%d invalid", p, q)
 	}
 	return &Predictor{
-		btb:     make([]uint32, 1<<kBTB),
-		entries: make([]entry, 1<<k2),
+		btb:     reuse.Uint32.Zeroed(1 << kBTB),
+		entries: entries.Zeroed(1 << k2),
 		hist:    counter.NewShiftReg(p * q),
 		q:       q,
 		btbMask: 1<<kBTB - 1,
@@ -84,6 +88,13 @@ func NewBudget(budgetBytes int) (*Predictor, error) {
 
 // Name implements bpred.IndirectPredictor.
 func (p *Predictor) Name() string { return p.name }
+
+// Release implements bpred.Releaser.
+func (p *Predictor) Release() {
+	reuse.Uint32.Put(p.btb)
+	entries.Put(p.entries)
+	p.btb, p.entries = nil, nil
+}
 
 // SizeBytes implements bpred.IndirectPredictor: 32-bit BTB entries plus
 // 48-bit tagged second-stage entries.

@@ -7,7 +7,11 @@
 // speed; hardware budgets are accounted in bits separately.
 package counter
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/reuse"
+)
 
 // Array is a table of n saturating up-down counters of the given bit width.
 type Array struct {
@@ -20,7 +24,8 @@ type Array struct {
 // NewArray returns n counters of width bits (1..8), each initialised to
 // init. The conventional initial value for 2-bit counters is 1 ("weakly
 // not-taken") or 2 ("weakly taken"); the paper does not specify, so the
-// caller chooses.
+// caller chooses. The table comes from the process-wide pool
+// (reuse.Uint8); Release hands it back.
 func NewArray(n int, bits int, init uint8) *Array {
 	if n <= 0 {
 		panic(fmt.Sprintf("counter: non-positive array size %d", n))
@@ -29,7 +34,7 @@ func NewArray(n int, bits int, init uint8) *Array {
 		panic(fmt.Sprintf("counter: unsupported width %d bits", bits))
 	}
 	a := &Array{
-		table: make([]uint8, n),
+		table: reuse.Uint8.Get(n),
 		max:   uint8(1<<uint(bits) - 1),
 		mid:   uint8(1 << uint(bits-1)),
 		bits:  bits,
@@ -53,6 +58,15 @@ func (a *Array) Reset(init uint8) {
 	for n := 1; n < len(a.table); n *= 2 {
 		copy(a.table[n:], a.table[:n])
 	}
+}
+
+// Release returns the table to the process-wide pool for the next array
+// to reuse. The array must not be used afterwards: its table is nil, so
+// any counter access panics instead of reading another array's
+// counters. Releasing twice is harmless.
+func (a *Array) Release() {
+	reuse.Uint8.Put(a.table)
+	a.table = nil
 }
 
 // Len returns the number of counters.

@@ -207,3 +207,43 @@ func TestArrayStepMatchesTakenTrain(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedArrayPanics: a released array has no table, so using it
+// panics instead of reading counters that another array now owns.
+func TestReleasedArrayPanics(t *testing.T) {
+	for name, use := range map[string]func(a *Array){
+		"Taken": func(a *Array) { a.Taken(0) },
+		"Step":  func(a *Array) { a.Step(0, true) },
+		"Train": func(a *Array) { a.Train(0, true) },
+		"Value": func(a *Array) { a.Value(0) },
+		"Reset": func(a *Array) { a.Reset(1) },
+	} {
+		a := NewArray(16, 2, 1)
+		a.Release()
+		a.Release() // twice is harmless
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released array did not panic", name)
+				}
+			}()
+			use(a)
+		}()
+	}
+}
+
+// TestNewArrayOverwritesReusedTable: an array built on a released table
+// starts at its init value in every counter.
+func TestNewArrayOverwritesReusedTable(t *testing.T) {
+	for try := 0; try < 16; try++ {
+		a := NewArray(64, 2, 3)
+		a.Release()
+		b := NewArray(64, 2, 0)
+		for i := 0; i < b.Len(); i++ {
+			if b.Value(i) != 0 {
+				t.Fatalf("counter %d = %d, want 0", i, b.Value(i))
+			}
+		}
+		b.Release()
+	}
+}

@@ -68,6 +68,9 @@ func New(budgetBytes int, interval int) (*Predictor, error) {
 // Name implements bpred.CondPredictor.
 func (p *Predictor) Name() string { return p.name }
 
+// Release implements bpred.Releaser.
+func (p *Predictor) Release() { p.pht.Release() }
+
 // SizeBytes implements bpred.CondPredictor; the per-length statistic
 // counters are a handful of registers.
 func (p *Predictor) SizeBytes() int { return p.pht.SizeBytes() }

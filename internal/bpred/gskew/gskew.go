@@ -62,6 +62,13 @@ func NewBits(k uint) *Predictor {
 // Name implements bpred.CondPredictor.
 func (p *Predictor) Name() string { return p.name }
 
+// Release implements bpred.Releaser.
+func (p *Predictor) Release() {
+	for _, b := range p.banks {
+		b.Release()
+	}
+}
+
 // SizeBytes implements bpred.CondPredictor.
 func (p *Predictor) SizeBytes() int {
 	return p.banks[0].SizeBytes() + p.banks[1].SizeBytes() + p.banks[2].SizeBytes()

@@ -43,6 +43,14 @@ func New(a, b bpred.CondPredictor, k uint) *Predictor {
 // Name implements bpred.CondPredictor.
 func (p *Predictor) Name() string { return p.name }
 
+// Release implements bpred.Releaser: the chooser and both components,
+// which the hybrid owns once it is built.
+func (p *Predictor) Release() {
+	p.chooser.Release()
+	bpred.Release(p.a)
+	bpred.Release(p.b)
+}
+
 // SizeBytes implements bpred.CondPredictor: both components plus the
 // chooser table.
 func (p *Predictor) SizeBytes() int {

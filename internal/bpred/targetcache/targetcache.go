@@ -18,6 +18,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/bpred"
 	"repro/internal/bpred/counter"
+	"repro/internal/reuse"
 	"repro/internal/trace"
 )
 
@@ -28,7 +29,13 @@ type targetTable struct {
 }
 
 func newTargetTable(k uint) *targetTable {
-	return &targetTable{entries: make([]uint32, 1<<k), mask: 1<<k - 1}
+	return &targetTable{entries: reuse.Uint32.Zeroed(1 << k), mask: 1<<k - 1}
+}
+
+// release returns the registers to the process-wide pool.
+func (t *targetTable) release() {
+	reuse.Uint32.Put(t.entries)
+	t.entries = nil
 }
 
 func (t *targetTable) predict(idx uint64) arch.Addr {
@@ -72,6 +79,9 @@ func NewPatternBudget(budgetBytes int) (*Pattern, error) {
 
 // Name implements bpred.IndirectPredictor.
 func (p *Pattern) Name() string { return p.name }
+
+// Release implements bpred.Releaser.
+func (p *Pattern) Release() { p.table.release() }
 
 // SizeBytes implements bpred.IndirectPredictor.
 func (p *Pattern) SizeBytes() int { return p.table.sizeBytes() }
@@ -147,6 +157,9 @@ func NewPathBudget(budgetBytes int) (*Path, error) {
 // Name implements bpred.IndirectPredictor.
 func (p *Path) Name() string { return p.name }
 
+// Release implements bpred.Releaser.
+func (p *Path) Release() { p.table.release() }
+
 // SizeBytes implements bpred.IndirectPredictor.
 func (p *Path) SizeBytes() int { return p.table.sizeBytes() }
 
@@ -190,6 +203,9 @@ func NewBTBBudget(budgetBytes int) (*BTB, error) {
 // Name implements bpred.IndirectPredictor.
 func (b *BTB) Name() string { return b.name }
 
+// Release implements bpred.Releaser.
+func (b *BTB) Release() { b.table.release() }
+
 // SizeBytes implements bpred.IndirectPredictor.
 func (b *BTB) SizeBytes() int { return b.table.sizeBytes() }
 
@@ -230,7 +246,7 @@ func NewPathPerAddr(k, a, p, q uint) (*PathPerAddr, error) {
 	}
 	return &PathPerAddr{
 		table: newTargetTable(k),
-		hists: make([]uint64, 1<<a),
+		hists: reuse.Uint64.Zeroed(1 << a),
 		p:     p,
 		q:     q,
 		hMask: 1<<(p*q) - 1,
@@ -241,6 +257,13 @@ func NewPathPerAddr(k, a, p, q uint) (*PathPerAddr, error) {
 
 // Name implements bpred.IndirectPredictor.
 func (p *PathPerAddr) Name() string { return p.name }
+
+// Release implements bpred.Releaser.
+func (p *PathPerAddr) Release() {
+	p.table.release()
+	reuse.Uint64.Put(p.hists)
+	p.hists = nil
+}
 
 // SizeBytes implements bpred.IndirectPredictor: target table plus the
 // per-branch history registers.

@@ -20,6 +20,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/bpred"
 	"repro/internal/bpred/counter"
+	"repro/internal/reuse"
 	"repro/internal/trace"
 )
 
@@ -61,6 +62,9 @@ func NewGAsBudget(budgetBytes int, h uint) (*GAs, error) {
 
 // Name implements bpred.CondPredictor.
 func (p *GAs) Name() string { return p.name }
+
+// Release implements bpred.Releaser.
+func (p *GAs) Release() { p.pht.Release() }
 
 // SizeBytes implements bpred.CondPredictor; it reports the counter table
 // (the history register is negligible, as in the paper's accounting).
@@ -105,7 +109,7 @@ func NewPAs(k, a, h uint) (*PAs, error) {
 	}
 	return &PAs{
 		pht:     counter.NewArray(1<<k, 2, 1),
-		bht:     make([]uint64, 1<<a),
+		bht:     reuse.Uint64.Zeroed(1 << a),
 		a:       a,
 		h:       h,
 		histMsk: 1<<h - 1,
@@ -116,6 +120,13 @@ func NewPAs(k, a, h uint) (*PAs, error) {
 
 // Name implements bpred.CondPredictor.
 func (p *PAs) Name() string { return p.name }
+
+// Release implements bpred.Releaser.
+func (p *PAs) Release() {
+	p.pht.Release()
+	reuse.Uint64.Put(p.bht)
+	p.bht = nil
+}
 
 // SizeBytes implements bpred.CondPredictor: counter table plus the branch
 // history table, both of which are first-class storage in a PAs design.

@@ -202,10 +202,11 @@ func ParseSpec(s string) (Spec, error) {
 	return spec, nil
 }
 
-// parseProb parses a probability and rejects values outside [0, 1].
+// parseProb parses a probability and rejects values outside [0, 1],
+// NaN included.
 func parseProb(s string) (float64, error) {
 	p, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil || p < 0 || p > 1 {
+	if err != nil || !(p >= 0 && p <= 1) {
 		return 0, fmt.Errorf("probability %q outside [0, 1]", s)
 	}
 	return p, nil
@@ -220,7 +221,7 @@ func (s Spec) Validate() error {
 		{"latency", s.LatencyP}, {"reset", s.ResetP}, {"truncate", s.TruncateP},
 		{"stall", s.StallP}, {"burst5xx", s.Burst5xxP}, {"snap", s.SnapP},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) {
 			return fmt.Errorf("chaos: %s probability %v outside [0, 1]", p.name, p.v)
 		}
 	}

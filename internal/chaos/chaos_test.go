@@ -59,6 +59,7 @@ func TestParseSpecRejects(t *testing.T) {
 		"reset=",            // needs value
 		"reset=1.5",         // probability out of range
 		"reset=-0.1",        // negative probability
+		"reset=NaN",         // not a number, so in no range
 		"latency=50ms",      // missing @prob
 		"latency=xx@0.5",    // bad duration
 		"latency=-1s@0.5",   // negative duration

@@ -56,11 +56,16 @@ func (c Class) String() string {
 
 // CondCell builds one conditional predictor of a column. Cells must
 // return fresh predictors on every call: the column builder may rebind
-// their path history for sharing, and a cell may run more than once
-// (the per-cell reference, a replay cut short by a cancellation).
+// their path history for sharing, a cell may run more than once (the
+// per-cell reference, a replay cut short by a cancellation), and the
+// engine releases every predictor it built (bpred.Release) once the
+// replay ends, handing its tables to the next cell's predictors. A
+// cell that returned a predictor it keeps elsewhere would see that
+// predictor's tables reused under it.
 type CondCell func() (bpred.CondPredictor, error)
 
-// IndirectCell builds one indirect predictor of a column.
+// IndirectCell builds one indirect predictor of a column, under the
+// same contract as CondCell.
 type IndirectCell func() (bpred.IndirectPredictor, error)
 
 // Key is a cell's canonical identity: the predictor class, the
@@ -185,12 +190,19 @@ func (e *Engine) Column(ctx context.Context, c Cell) ([]float64, error) {
 }
 
 // runCell executes one cell: build fresh predictors, resolve the
-// trace, replay, and reduce to percentages.
+// trace, replay, and reduce to percentages. Every predictor it built is
+// released when it returns, whether the replay ran or not.
 func (e *Engine) runCell(ctx context.Context, c Cell) ([]float64, error) {
 	src, err := e.cfg.Source(c.Trace)
 	if err != nil {
 		return nil, err
 	}
+	built := make([]bpred.Predictor, 0, len(c.Cond)+len(c.Indirect))
+	defer func() {
+		for _, p := range built {
+			bpred.Release(p)
+		}
+	}()
 	var jobs []sim.Job
 	var order []int
 	if c.Class() == ClassIndirect {
@@ -200,6 +212,7 @@ func (e *Engine) runCell(ctx context.Context, c Cell) ([]float64, error) {
 			if err != nil {
 				return nil, err
 			}
+			built = append(built, p)
 			jobs[i] = sim.IndirectJob(p)
 		}
 	} else {
@@ -209,6 +222,7 @@ func (e *Engine) runCell(ctx context.Context, c Cell) ([]float64, error) {
 			if err != nil {
 				return nil, err
 			}
+			built = append(built, p)
 			preds[i] = p
 		}
 		jobs, order = e.condJobs(preds)
@@ -226,7 +240,8 @@ func (e *Engine) runCell(ctx context.Context, c Cell) ([]float64, error) {
 // post-run predictor state (instrumentation counters) or replay a trace
 // outside the Source hook use it; rate-only callers go through Column.
 // A partial replay — canceled context or failed source — is refused as
-// a measurement.
+// a measurement. It releases nothing: the caller owns preds, reads what
+// it needs of them afterwards and then releases them.
 func (e *Engine) ReplayCond(ctx context.Context, preds []bpred.CondPredictor, src trace.Source) ([]sim.Result, error) {
 	jobs, order := e.condJobs(preds)
 	return e.replay(ctx, jobs, order, src)

@@ -9,7 +9,10 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/bpred"
+	"repro/internal/bpred/cascaded"
 	"repro/internal/bpred/gshare"
+	"repro/internal/bpred/hybrid"
+	"repro/internal/bpred/targetcache"
 	"repro/internal/runx"
 	"repro/internal/trace"
 	"repro/internal/vlp"
@@ -237,4 +240,131 @@ func TestColumnRefusesAmbiguousCell(t *testing.T) {
 	if _, err := e.Column(context.Background(), both); err == nil {
 		t.Error("two-class cell accepted")
 	}
+}
+
+// TestColumnReleasesBuiltPredictors: the engine releases every
+// predictor a cell built once its replay ends — a released predictor's
+// tables are gone, so it reports a zero size — and fresh predictors
+// built on the tables it handed back replay to the same rates.
+func TestColumnReleasesBuiltPredictors(t *testing.T) {
+	var built []bpred.Predictor
+	record := func(p bpred.Predictor) { built = append(built, p) }
+	cond := []CondCell{
+		func() (bpred.CondPredictor, error) {
+			p, err := gshare.New(1024)
+			record(p)
+			return p, err
+		},
+		func() (bpred.CondPredictor, error) {
+			p, err := vlp.NewCond(2048, vlp.Fixed{L: 5}, vlp.Options{})
+			record(p)
+			return p, err
+		},
+		func() (bpred.CondPredictor, error) {
+			p, err := vlp.NewDynCond(2048, nil, 8, 4)
+			record(p)
+			return p, err
+		},
+		func() (bpred.CondPredictor, error) {
+			g, err := gshare.New(512)
+			if err != nil {
+				return nil, err
+			}
+			p := hybrid.New(g, mustCond(t, 1024, 3), 8)
+			record(p)
+			return p, nil
+		},
+	}
+	ind := []IndirectCell{
+		func() (bpred.IndirectPredictor, error) {
+			p, err := vlp.NewIndirect(2048, vlp.Fixed{L: 3}, vlp.Options{})
+			record(p)
+			return p, err
+		},
+		func() (bpred.IndirectPredictor, error) {
+			p, err := cascaded.NewBudget(2048)
+			record(p)
+			return p, err
+		},
+		func() (bpred.IndirectPredictor, error) {
+			p := targetcache.NewBTB(9)
+			record(p)
+			return p, nil
+		},
+	}
+	ctx := context.Background()
+	for _, perCell := range []bool{false, true} {
+		var first [][]float64
+		for pass := 0; pass < 2; pass++ {
+			built = built[:0]
+			e := syntheticEngine(Config{PerCell: perCell})
+			var rates [][]float64
+			for _, c := range []Cell{
+				{Trace: "gcc", ColumnID: "cond", Cond: cond},
+				{Trace: "gcc", ColumnID: "ind", Indirect: ind},
+			} {
+				r, err := e.Column(ctx, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rates = append(rates, r)
+			}
+			if len(built) != len(cond)+len(ind) {
+				t.Fatalf("built %d predictors, want %d", len(built), len(cond)+len(ind))
+			}
+			for _, p := range built {
+				if n := p.SizeBytes(); n != 0 {
+					t.Errorf("PerCell=%v: %s still holds %d bytes of tables after its cell", perCell, p.Name(), n)
+				}
+			}
+			if pass == 0 {
+				first = rates
+				continue
+			}
+			if fmt.Sprint(rates) != fmt.Sprint(first) {
+				t.Errorf("PerCell=%v: rates on reused tables %v, first pass %v", perCell, rates, first)
+			}
+		}
+	}
+}
+
+// TestReplayCondLeavesPredictorsToCaller: ReplayCond releases nothing,
+// so the caller reads its instrumented predictors' counters afterwards,
+// and they stay readable after the caller releases the predictors.
+func TestReplayCondLeavesPredictorsToCaller(t *testing.T) {
+	inst, err := vlp.NewInstrumentedCond(2048, vlp.Fixed{L: 4}, vlp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := vlp.NewHFNT(mustCond(t, 2048, 6), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := syntheticEngine(Config{}).ReplayCond(context.Background(),
+		[]bpred.CondPredictor{inst, h}, trace.NewBuffer(syntheticRecords(5000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inst.SizeBytes() == 0 || h.SizeBytes() == 0 {
+		t.Fatal("ReplayCond released the caller's predictors")
+	}
+	stats, lookups := inst.Stats, h.Lookups
+	if stats.Branches != res[0].Branches || stats.Misses != res[0].Mispredicts || lookups != res[1].Branches {
+		t.Fatalf("stats %+v, %d lookups; replay results %+v", stats, lookups, res)
+	}
+	inst.Release()
+	h.Release()
+	if inst.Stats != stats || h.Lookups != lookups {
+		t.Errorf("Release changed the counters: %+v, %d lookups", inst.Stats, h.Lookups)
+	}
+}
+
+// mustCond builds a fixed-length conditional path predictor.
+func mustCond(t *testing.T, budget, l int) *vlp.Cond {
+	t.Helper()
+	p, err := vlp.NewCond(budget, vlp.Fixed{L: l}, vlp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

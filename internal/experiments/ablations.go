@@ -183,6 +183,7 @@ func (s *Suite) AblationHFNT(ctx context.Context) (*Report, error) {
 		}
 		for j, h := range hfnts {
 			res.RepredictPct[j][b] = 100 * h.RepredictRate()
+			h.Release()
 		}
 		return nil
 	})

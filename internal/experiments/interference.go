@@ -70,6 +70,8 @@ func (s *Suite) AblationInterference(ctx context.Context) (*Report, error) {
 			return err
 		}
 		res.Rows[i] = []vlp.MissBreakdown{flp.Stats, vp.Stats}
+		flp.Release()
+		vp.Release()
 		return nil
 	})
 	if err != nil {
@@ -139,6 +141,8 @@ func (s *Suite) AblationStability(ctx context.Context) (*Report, error) {
 			return err
 		}
 		res.GshareRates[i], res.VLPRates[i] = results[0].Percent(), results[1].Percent()
+		g.Release()
+		vp.Release()
 		return nil
 	})
 	if err != nil {

@@ -11,6 +11,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/bpred"
@@ -97,7 +98,7 @@ type traceKey struct {
 
 // cacheKey names one step-1 sweep: the benchmark's profile input, the
 // branch class, the index width and the candidate lengths (in
-// fmt.Sprint form, defaults resolved).
+// lengthsKey form, defaults resolved).
 type cacheKey struct {
 	bench    string
 	indirect bool
@@ -114,7 +115,22 @@ type profileKey struct {
 }
 
 func step1Key(name string, indirect bool, cfg profile.Config) cacheKey {
-	return cacheKey{name, indirect, cfg.TableBits, fmt.Sprint(cfg.Lengths)}
+	return cacheKey{name, indirect, cfg.TableBits, lengthsKey(cfg.Lengths)}
+}
+
+// lengthsKey spells a candidate set as its lengths in decimal, comma
+// separated, so distinct sets give distinct keys; the returned string
+// is the only allocation.
+func lengthsKey(ls []int) string {
+	var buf [128]byte
+	b := buf[:0]
+	for i, l := range ls {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(l), 10)
+	}
+	return string(b)
 }
 
 // NewSuite returns an empty-cached suite.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/bpred/counter"
 	"repro/internal/bpred/varhist"
 	"repro/internal/engine/pool"
+	"repro/internal/reuse"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vlp"
@@ -677,5 +678,85 @@ func TestInputSharedAcrossCalls(t *testing.T) {
 	}
 	if !reflect.DeepEqual(pp, wantPP) || !reflect.DeepEqual(agg, wantAgg) {
 		t.Error("Input.PatternCond differs from PatternCond")
+	}
+}
+
+// poisonPools files slices full of fill values in every size class the
+// fixtures below reach, in every pool a profiling call takes storage
+// from, so the call's Gets hand out garbage: an entry it reads before
+// writing changes its result.
+func poisonPools() {
+	for c := 0; c <= 17; c++ {
+		poison(&branches, branch{at: -1, id: -1, phase: 0xFF, taken: true}, c)
+		poison(&reuse.Uint8, 0xFF, c)
+		poison(&reuse.Uint32, ^uint32(0), c)
+		poison(&reuse.Uint64, ^uint64(0), c)
+		poison(&reuse.Int64, -1, c)
+	}
+}
+
+func poison[T any](p *reuse.Pool[T], fill T, class int) {
+	s := make([]T, 1<<class)
+	for i := range s {
+		s[i] = fill
+	}
+	p.Put(s)
+}
+
+// TestPoisonedPoolsMatchReference runs step 1, step 2 and the pattern
+// heuristic on pools filled with garbage, each call right after a
+// refill, and checks them against the map-based references: every
+// array a call takes from the pools — the index arrays, the prefix
+// array's leading zeros, the count matrix, the tables — is written
+// before it is read.
+func TestPoisonedPoolsMatchReference(t *testing.T) {
+	withPoolCap(t, 1)
+	buf := profileFixture(41, 4000)
+	for _, class := range []struct {
+		name     string
+		indirect bool
+		step1    func(trace.Source, uint, int, []int) (map[arch.Addr][]int64, []int64, int64)
+		twoStep  func(trace.Source, Config) (*Profile, error)
+	}{
+		{"cond", false, refStep1Cond, refTwoStepCond},
+		{"indirect", true, refStep1Indirect, refTwoStepIndirect},
+	} {
+		for _, cfg := range []Config{{TableBits: 9}, {TableBits: 9, MaxPath: 8}, {TableBits: 17, Lengths: []int{1, 2, 4, 8, 16, 32}}} {
+			name := fmt.Sprintf("%s/%+v", class.name, cfg)
+			_, wantCorrect, wantTotal := class.step1(buf, cfg.TableBits, cfg.maxPath(), cfg.lengths(condPath))
+			poisonPools()
+			s1, err := RunStep1(buf, cfg, class.indirect)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if s1.Total != wantTotal || !reflect.DeepEqual(s1.Correct, wantCorrect) {
+				t.Errorf("%s: step 1 on poisoned pools: %d scored, correct %v; reference %d, %v",
+					name, s1.Total, s1.Correct, wantTotal, wantCorrect)
+			}
+			want, err := class.twoStep(buf, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			poisonPools()
+			got, err := RunStep2(buf, cfg, class.indirect, s1)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: step 2 on poisoned pools diverges:\n got %+v\n ref %+v", name, got, want)
+			}
+		}
+	}
+	pbuf := patternFixture(43, 4000)
+	for _, cfg := range []Config{{TableBits: 9}, {TableBits: 17, Lengths: []int{0, 2, 4, 8}}} {
+		want, wantAgg := refPatternCond(pbuf, cfg)
+		poisonPools()
+		got, agg, err := PatternCond(pbuf, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(agg, wantAgg) {
+			t.Errorf("pattern %+v on poisoned pools diverges:\n got %+v %+v\n ref %+v %+v", cfg, got, agg, want, wantAgg)
+		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"repro/internal/bpred/counter"
 	"repro/internal/engine/pool"
 	"repro/internal/obs"
+	"repro/internal/reuse"
 	"repro/internal/trace"
 	"repro/internal/vlp"
 )
@@ -284,8 +285,12 @@ func RunStep1(src trace.Source, cfg Config, indirect bool) (*Step1, error) {
 
 // Step1 is RunStep1 on the input.
 func (in *Input) Step1(cfg Config, indirect bool) (*Step1, error) {
-	_, s1, err := in.sweep(cfg, pathClass(indirect))
-	return s1, err
+	x, s1, err := in.sweep(cfg, pathClass(indirect))
+	if err != nil {
+		return nil, err
+	}
+	x.release()
+	return s1, nil
 }
 
 // RunStep2 runs step 2 on the profile input from a step 1 already
@@ -314,6 +319,7 @@ func (in *Input) Step2(cfg Config, indirect bool, s1 *Step1) (*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer x.release()
 	if int64(len(x.branches)) != s1.Total || !slices.Equal(x.pcs, s1.PCs) {
 		return nil, fmt.Errorf("profile: step 1 was computed on a different profile input")
 	}
@@ -329,11 +335,12 @@ func (in *Input) twoStep(cfg Config, cls class) (map[arch.Addr]int, Step1Result,
 	if err != nil {
 		return nil, Step1Result{}, err
 	}
+	defer x.release()
 	return x.step2(cfg, s1), s1.Step1Result, nil
 }
 
 // sweep validates cfg for cls, indexes the input at its table size and
-// runs step 1 on it.
+// runs step 1 on it. The caller releases the index.
 func (in *Input) sweep(cfg Config, cls class) (*indexed, *Step1, error) {
 	if err := cfg.validate(cls); err != nil {
 		return nil, nil, err
@@ -383,8 +390,9 @@ func (s *Step1) candidates(n int) (cands []int32, c int) {
 //     candidate of its shard;
 //   - each step-2 iteration is one pass over the scored records plus one
 //     table, reused across iterations;
-//   - the tables come from a pool keyed by shape and k, so calls at one
-//     table size reuse each other's tables.
+//   - the tables, the index arrays and step 1's count matrix come from
+//     the process-wide pools (internal/reuse) and go back at the end of
+//     each call, so the calls of a pass reuse each other's storage.
 
 // Input is one profile input: its records and, per branch class, the
 // table interning the class's static branches into dense ids. A table
@@ -485,13 +493,13 @@ func internPCs(recs []trace.Record, indirect bool) branchTable {
 // zeros, so index reaches back any candidate length with no bounds
 // special case. Memory is one entry per scored record and per THB
 // insert, whatever the number of candidate lengths; it lives only for
-// the profiling call that built it.
+// the profiling call that built it, which releases it to the pools.
 type indexed struct {
 	class    class
 	frame    vlp.Frame
 	branches []branch
-	next     []arch.Addr // indirect outcomes, by scored record
-	hist     []uint32    // pattern class: the k-bit outcome history before each scored record
+	next     []uint64 // indirect outcomes, by scored record
+	hist     []uint32 // pattern class: the k-bit outcome history before each scored record
 	pre      []uint32
 	pcs      []arch.Addr
 }
@@ -505,6 +513,9 @@ type branch struct {
 	phase uint8
 	taken bool
 }
+
+// branches is the process-wide pool of indexed branch arrays.
+var branches reuse.Pool[branch]
 
 // index returns I_l at branch b.
 func index(f vlp.Frame, pre []uint32, b branch, l int) uint32 {
@@ -525,9 +536,9 @@ func (in *Input) index(cls class, k uint, maxL int) (*indexed, error) {
 	t := in.table(indirect)
 	recs := in.Records
 	n := len(t.ids)
-	x := &indexed{class: cls, frame: f, branches: make([]branch, n), pcs: t.pcs}
+	x := &indexed{class: cls, frame: f, branches: branches.Get(n), pcs: t.pcs}
 	if cls == condPattern {
-		x.hist = make([]uint32, n)
+		x.hist = reuse.Uint32.Get(n)
 		h, mask, s := uint32(0), uint32(1)<<k-1, 0
 		for j := range recs {
 			if scores(recs[j].Kind, false) {
@@ -540,9 +551,10 @@ func (in *Input) index(cls class, k uint, maxL int) (*indexed, error) {
 		}
 		return x, nil
 	}
-	x.pre = make([]uint32, maxL+1+t.inserts)
+	x.pre = reuse.Uint32.Get(maxL + 1 + t.inserts)
+	clear(x.pre[:maxL+1])
 	if indirect {
-		x.next = make([]arch.Addr, n)
+		x.next = reuse.Uint64.Get(n)
 	}
 	at, phase, s := maxL, uint(0), 0
 	for j := range recs {
@@ -550,7 +562,7 @@ func (in *Input) index(cls class, k uint, maxL int) (*indexed, error) {
 		if scores(r.Kind, indirect) {
 			x.branches[s] = branch{at: int32(at), id: t.ids[s], phase: uint8(phase), taken: r.Taken}
 			if x.next != nil {
-				x.next[s] = r.Next
+				x.next[s] = uint64(r.Next)
 			}
 			s++
 		}
@@ -562,43 +574,43 @@ func (in *Input) index(cls class, k uint, maxL int) (*indexed, error) {
 	return x, nil
 }
 
+// release returns the index arrays to the pools. x must not be used
+// afterwards.
+func (x *indexed) release() {
+	branches.Put(x.branches)
+	reuse.Uint32.Put(x.hist)
+	reuse.Uint32.Put(x.pre)
+	reuse.Uint64.Put(x.next)
+	*x = indexed{}
+}
+
 func (x *indexed) k() uint { return x.frame.K() }
 
 // table is one predictor table of a class: a 2-bit counter array, or the
 // indirect class's target registers. Every pass resets the table it
-// replays on, so a table is reused across passes, calls and inputs.
+// replays on.
 type table struct {
 	pht *counter.Array
 	reg []uint32
 }
 
-// tablePools hold released tables by shape — [0] counter arrays, [1]
-// target registers — and index width k.
-var tablePools [2][33]sync.Pool
-
-// tablePool returns the pool of the class's tables at 2^k entries.
-func (x *indexed) tablePool() *sync.Pool {
-	shape := 0
+// getTable returns a table of the class at 2^k entries, taken from the
+// process-wide pools; its contents are unspecified until a pass resets
+// it.
+func (x *indexed) getTable() table {
 	if x.class == indirectPath {
-		shape = 1
+		return table{reg: reuse.Uint32.Get(1 << x.k())}
 	}
-	return &tablePools[shape][x.k()]
+	return table{pht: counter.NewArray(1<<x.k(), 2, 1)}
 }
 
-// getTable returns a table of the class at 2^k entries, reused from the
-// pool when one has been released.
-func (x *indexed) getTable() *table {
-	if t, ok := x.tablePool().Get().(*table); ok {
-		return t
+// put releases t to the pools.
+func (t table) put() {
+	if t.pht != nil {
+		t.pht.Release()
 	}
-	if x.class == indirectPath {
-		return &table{reg: make([]uint32, 1<<x.k())}
-	}
-	return &table{pht: counter.NewArray(1<<x.k(), 2, 1)}
+	reuse.Uint32.Put(t.reg)
 }
-
-// putTable releases t for reuse.
-func (x *indexed) putTable(t *table) { x.tablePool().Put(t) }
 
 // step1 runs one fixed-length predictor per candidate length, each on a
 // table of 2^k entries. The candidates are sharded into contiguous
@@ -620,13 +632,14 @@ func (x *indexed) step1(lengths []int) *Step1 {
 		PCs:       x.pcs,
 		Ranks:     make([]uint8, len(x.pcs)*w),
 	}
-	counts := make([]int64, len(x.pcs)*w)
+	counts := reuse.Int64.Get(len(x.pcs) * w)
+	defer reuse.Int64.Put(counts)
 	workers := pool.Size(w)
 	pool.Fan(workers, workers, func(shard int) {
 		lo, hi := shard*w/workers, (shard+1)*w/workers
 		col := make([]int64, len(x.pcs))
 		t := x.getTable()
-		defer x.putTable(t)
+		defer t.put()
 		for i := lo; i < hi; i++ {
 			clear(col)
 			switch x.class {
@@ -712,7 +725,7 @@ func (x *indexed) step2(cfg Config, s1 *Step1) map[arch.Addr]int {
 	assigned := make([]int32, n) // each branch's assigned length
 	misses := make([]int64, n)
 	t := x.getTable()
-	defer x.putTable(t)
+	defer t.put()
 	for iter := 0; iter < cfg.iterations(); iter++ {
 		for id := range chosen {
 			ci := argmin(record[id*c : (id+1)*c])
@@ -762,7 +775,7 @@ func vlpIndirect(x *indexed, assigned []int32, reg []uint32, misses []int64) {
 		// The register holds the low 32 target bits (§3.1 footnote)
 		// but the prediction it implies is a full address — mirror
 		// vlp.Indirect.Predict exactly.
-		misses[b.id] += one(arch.Addr(reg[i]) != next[s])
+		misses[b.id] += one(uint64(reg[i]) != next[s])
 		reg[i] = uint32(next[s])
 	}
 }

@@ -135,6 +135,14 @@ func (c *CoarseCond) length(pc arch.Addr) int {
 // Name implements bpred.CondPredictor.
 func (c *CoarseCond) Name() string { return c.name }
 
+// Release implements bpred.Releaser.
+func (c *CoarseCond) Release() {
+	c.inner.Release()
+	for _, a := range c.scores {
+		a.Release()
+	}
+}
+
 // SizeBytes implements bpred.CondPredictor: the shared table plus the
 // refinement score storage.
 func (c *CoarseCond) SizeBytes() int {

@@ -98,6 +98,9 @@ func NewCondBits(k uint, sel Selector, opts Options) (*Cond, error) {
 // Name implements bpred.CondPredictor.
 func (c *Cond) Name() string { return c.name }
 
+// Release implements bpred.Releaser.
+func (c *Cond) Release() { c.pht.Release() }
+
 // SizeBytes implements bpred.CondPredictor; it reports the predictor
 // table, the quantity on the paper's hardware-budget axes.
 func (c *Cond) SizeBytes() int { return c.pht.SizeBytes() }

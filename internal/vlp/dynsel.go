@@ -101,6 +101,14 @@ func (d *DynCond) bestLength(pc arch.Addr) int {
 // Name implements bpred.CondPredictor.
 func (d *DynCond) Name() string { return d.name }
 
+// Release implements bpred.Releaser.
+func (d *DynCond) Release() {
+	d.inner.Release()
+	for _, a := range d.acc {
+		a.Release()
+	}
+}
+
 // SizeBytes implements bpred.CondPredictor: the predictor table plus the
 // score storage, which is the die-area cost §3.4 warns about.
 func (d *DynCond) SizeBytes() int {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/bpred"
+	"repro/internal/reuse"
 	"repro/internal/trace"
 )
 
@@ -39,7 +40,7 @@ func NewHFNT(inner *Cond, j uint) (*HFNT, error) {
 	}
 	h := &HFNT{
 		inner:   inner,
-		entries: make([]uint8, 1<<j),
+		entries: reuse.Uint8.Zeroed(1 << j),
 		mask:    1<<j - 1,
 	}
 	// Entries start at the selector's notion of a default (use length 1
@@ -50,6 +51,15 @@ func NewHFNT(inner *Cond, j uint) (*HFNT, error) {
 
 // Name implements bpred.CondPredictor.
 func (h *HFNT) Name() string { return "hfnt+" + h.inner.Name() }
+
+// Release implements bpred.Releaser: the HFNT and the wrapped
+// predictor, which it owns once it is built. Lookups and Repredicts
+// stay readable.
+func (h *HFNT) Release() {
+	h.inner.Release()
+	reuse.Uint8.Put(h.entries)
+	h.entries = nil
+}
 
 // SizeBytes implements bpred.CondPredictor: the wrapped predictor table
 // plus one 5-bit hash function number per HFNT entry (enough for the

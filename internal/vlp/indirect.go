@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/bpred"
+	"repro/internal/reuse"
 	"repro/internal/trace"
 )
 
@@ -45,7 +46,7 @@ func NewIndirectBits(k uint, sel Selector, opts Options) (*Indirect, error) {
 		return nil, err
 	}
 	return &Indirect{
-		table: make([]uint32, 1<<k),
+		table: reuse.Uint32.Zeroed(1 << k),
 		mask:  1<<k - 1,
 		hs:    hs,
 		sel:   sel,
@@ -56,6 +57,12 @@ func NewIndirectBits(k uint, sel Selector, opts Options) (*Indirect, error) {
 
 // Name implements bpred.IndirectPredictor.
 func (p *Indirect) Name() string { return p.name }
+
+// Release implements bpred.Releaser.
+func (p *Indirect) Release() {
+	reuse.Uint32.Put(p.table)
+	p.table = nil
+}
 
 // SizeBytes implements bpred.IndirectPredictor.
 func (p *Indirect) SizeBytes() int { return len(p.table) * 4 }

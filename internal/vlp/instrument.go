@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
+	"repro/internal/reuse"
 	"repro/internal/trace"
 )
 
@@ -55,7 +56,7 @@ func (m MissBreakdown) String() string {
 // measurement-only.
 type InstrumentedCond struct {
 	*Cond
-	lastWriter []arch.Addr // 0 = never trained
+	lastWriter []uint64 // each entry's last trainer's PC; 0 = never trained
 	Stats      MissBreakdown
 }
 
@@ -67,8 +68,15 @@ func NewInstrumentedCond(budgetBytes int, sel Selector, opts Options) (*Instrume
 	}
 	return &InstrumentedCond{
 		Cond:       inner,
-		lastWriter: make([]arch.Addr, inner.pht.Len()),
+		lastWriter: reuse.Uint64.Zeroed(inner.pht.Len()),
 	}, nil
+}
+
+// Release implements bpred.Releaser. The Stats stay readable.
+func (c *InstrumentedCond) Release() {
+	c.Cond.Release()
+	reuse.Uint64.Put(c.lastWriter)
+	c.lastWriter = nil
 }
 
 // Update implements bpred.CondPredictor with classification.
@@ -104,13 +112,13 @@ func (c *InstrumentedCond) classifyAndTrain(r *trace.Record) bool {
 		switch c.lastWriter[idx] {
 		case 0:
 			c.Stats.Cold++
-		case r.PC:
+		case uint64(r.PC):
 			c.Stats.Intrinsic++
 		default:
 			c.Stats.Interference++
 		}
 	}
 	c.pht.Train(idx, r.Taken)
-	c.lastWriter[idx] = r.PC
+	c.lastWriter[idx] = uint64(r.PC)
 	return correct
 }

@@ -13,8 +13,9 @@
 # The subset (predictor kernels, the §4.1 hash update, the two-step
 # profiling pipeline, the end-to-end simulation loop, the served
 # prediction round trip, one served chunk's decode, the serve
-# snapshot layer under eviction, and one cold pass of every registry
-# experiment) runs with -count=5 so the comparison
+# snapshot layer under eviction, one cold pass of every registry
+# experiment, and one replay of the 80 replay-grid cells) runs with
+# -count=5 so the comparison
 # has variance to work with. The run is saved to
 # $RESULTS/bench_micro.txt; with BENCH_JSON_DIR exported the artifact
 # benchmarks in the subset also emit repro-bench/v1 JSON reports there.
@@ -32,7 +33,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 RESULTS="${RESULTS:-results}"
-BENCHES="${BENCHES:-BenchmarkGshareLookupUpdate|BenchmarkVLPCondLookupUpdate|BenchmarkVLPIndirectLookupUpdate|BenchmarkHashSetInsert|BenchmarkHashSetDirect|BenchmarkProfilingPipeline|BenchmarkEndToEndSim|BenchmarkServeEndToEnd|BenchmarkFusedSweep|BenchmarkSnapshotRoundtrip|BenchmarkEngineDedup|BenchmarkDecodeChunk|BenchmarkServeSpill|BenchmarkSuiteCold}"
+BENCHES="${BENCHES:-BenchmarkGshareLookupUpdate|BenchmarkVLPCondLookupUpdate|BenchmarkVLPIndirectLookupUpdate|BenchmarkHashSetInsert|BenchmarkHashSetDirect|BenchmarkProfilingPipeline|BenchmarkEndToEndSim|BenchmarkServeEndToEnd|BenchmarkFusedSweep|BenchmarkSnapshotRoundtrip|BenchmarkEngineDedup|BenchmarkDecodeChunk|BenchmarkServeSpill|BenchmarkSuiteCold|BenchmarkGridReplay}"
 COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-100ms}"
 baseline="${1:-$RESULTS/bench_micro_baseline.txt}"
@@ -115,7 +116,9 @@ emit() {
 # BENCH_hash.json (one THB insert), BENCH_decode.json (one
 # 16384-record chunk through Decode and DecodeInto a reused window) and
 # BENCH_suite.json (one cold pass of every registry experiment at base
-# 40000: its time, bytes and allocations).
+# 40000: its time, bytes and allocations) and BENCH_grid.json (the 80
+# replay-grid cells replayed on a fresh engine at base 40000, set-up
+# off the clock: the same three units).
 if [ "$COUNT" = 5 ] && [ "$BENCHTIME" = 100ms ]; then
 	emit BenchmarkFusedSweep/ BENCH_fused.json "ns/op allocs/op"
 	emit 'BenchmarkSnapshotRoundtrip|BenchmarkServeSpill/' BENCH_snap.json "ns/op MB/s B/op allocs/op"
@@ -125,6 +128,7 @@ if [ "$COUNT" = 5 ] && [ "$BENCHTIME" = 100ms ]; then
 	emit BenchmarkHashSetInsert BENCH_hash.json "ns/op allocs/op"
 	emit BenchmarkDecodeChunk BENCH_decode.json "ns/op B/op allocs/op"
 	emit BenchmarkSuiteCold BENCH_suite.json "ns/op B/op allocs/op"
+	emit BenchmarkGridReplay BENCH_grid.json "ns/op B/op allocs/op"
 else
 	echo "== bench-compare: COUNT=$COUNT BENCHTIME=$BENCHTIME is not the default 5 x 100ms; committed BENCH_*.json left as they are"
 fi
