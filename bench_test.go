@@ -428,15 +428,12 @@ func BenchmarkServeEndToEnd(b *testing.B) {
 }
 
 // BenchmarkFusedSweep pits the fused column kernel against the per-cell
-// reference (engine.Config.PerCell: each predictor alone, K=1, no shared
-// history) on a Table-2-shaped grid — one benchmark,
-// a path-length sweep at each table size plus a gshare baseline — so
-// the reported ratio is the speedup an experiment sweep actually sees.
-// The grid is sharing-friendly the way Table 2 is: all fixed-length
-// cells at one table size have the same history configuration and
-// share a single path history, so the per-record THB insert — the
-// dominant cost of a deep path predictor's update — happens once per
-// size instead of once per length.
+// reference (engine.Config.PerCell: each predictor alone, K=1) on a
+// Table-2-shaped grid — one benchmark, a path-length sweep at each
+// table size plus a gshare baseline — so the reported ratio is the
+// speedup an experiment sweep actually sees: each worker steps every
+// record through its share of the column's predictors before loading
+// the next record.
 func BenchmarkFusedSweep(b *testing.B) {
 	buf := benchTrace(b)
 	sizes := []int{4096, 16384}

@@ -43,6 +43,25 @@ go test -race ./...
 echo "== perfbench tests (its own module: unit tests + a tiny run of every workload)"
 (cd perfbench && go test -count=1 .)
 
+echo "== committed artifacts (paperrepro at base 1200000 reproduces results/*.txt byte for byte)"
+art="$(mktemp -d)"
+go run ./cmd/paperrepro -base 1200000 -json "" -out "$art" >/dev/null
+for f in "$art"/*.txt; do
+	if ! cmp "$f" "results/$(basename "$f")"; then
+		echo "artifact $(basename "$f") does not match results/"
+		exit 1
+	fi
+done
+for f in results/*.txt; do
+	case "$(basename "$f")" in bench_*) continue ;; esac
+	if [ ! -f "$art/$(basename "$f")" ]; then
+		echo "paperrepro did not write $(basename "$f")"
+		exit 1
+	fi
+done
+echo "$(ls "$art"/*.txt | wc -l) artifacts match results/"
+rm -rf "$art"
+
 echo "== fuzz smoke (decoder + spec grammars + session requests)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/factory

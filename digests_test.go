@@ -13,7 +13,9 @@ import (
 
 	"repro/internal/bpred"
 	"repro/internal/engine"
+	"repro/internal/engine/pool"
 	"repro/internal/experiments"
+	"repro/internal/reuse"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -222,7 +224,10 @@ func ratesDigest(keys []engine.Key, rates [][]float64) string {
 // its cell and the next cell's predictors reuse the tables, so a table
 // read before it is reset, or one still in use when released, changes
 // the digest. The replay runs twice on one fixture, the second time on
-// tables the first released.
+// tables the first released, and then once each at one and at three
+// workers, with every shared reuse pool filled with garbage first: the
+// digest depends neither on how a column's jobs are spread over
+// workers nor on what a table held before.
 func TestGridDigests(t *testing.T) {
 	rec := recordedDigests(t)
 	const seed = 0
@@ -234,13 +239,45 @@ func TestGridDigests(t *testing.T) {
 	if len(g.keys) != 80 {
 		t.Errorf("%d grid cells, want 80", len(g.keys))
 	}
-	for pass := 0; pass < 2; pass++ {
+	check := func(pass string) {
+		t.Helper()
 		rates, err := g.replay(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := ratesDigest(g.keys, rates); got != want {
-			t.Errorf("pass %d: replay-grid rates digest %s, recorded %s", pass, got, want)
+			t.Errorf("%s: replay-grid rates digest %s, recorded %s", pass, got, want)
 		}
 	}
+	check("pass 0")
+	check("pass 1")
+	defer pool.SetCap(pool.Cap())
+	for _, workers := range []int{1, 3} {
+		pool.SetCap(workers)
+		poisonPools()
+		check(fmt.Sprintf("%d workers, poisoned pools", workers))
+	}
+}
+
+// poisonPools files a slice full of all-ones garbage in every size
+// class a replay-grid table reaches, in each of the shared reuse pools,
+// so the next Get of each class hands out garbage: an entry read before
+// it is written changes the rates.
+func poisonPools() {
+	for c := 0; c <= 20; c++ {
+		poison(&reuse.Uint8, 0xFF, c)
+	}
+	for c := 0; c <= 18; c++ {
+		poison(&reuse.Uint32, ^uint32(0), c)
+		poison(&reuse.Uint64, ^uint64(0), c)
+		poison(&reuse.Int64, -1, c)
+	}
+}
+
+func poison[T any](p *reuse.Pool[T], fill T, class int) {
+	s := make([]T, 1<<class)
+	for i := range s {
+		s[i] = fill
+	}
+	p.Put(s)
 }

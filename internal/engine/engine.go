@@ -31,7 +31,6 @@ import (
 	"repro/internal/engine/pool"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/vlp"
 )
 
 // Class is a cell's predictor class: every cell measures either
@@ -55,9 +54,8 @@ func (c Class) String() string {
 }
 
 // CondCell builds one conditional predictor of a column. Cells must
-// return fresh predictors on every call: the column builder may rebind
-// their path history for sharing, a cell may run more than once (the
-// per-cell reference, a replay cut short by a cancellation), and the
+// return fresh predictors on every call: a cell may run more than once
+// (the per-cell reference, a replay cut short by a cancellation), and the
 // engine releases every predictor it built (bpred.Release) once the
 // replay ends, handing its tables to the next cell's predictors. A
 // cell that returned a predictor it keeps elsewhere would see that
@@ -124,9 +122,9 @@ type Config struct {
 	// concurrently.
 	Source func(trace string) (trace.Source, error)
 	// PerCell replays every predictor alone — a K=1 kernel pass per
-	// predictor, no shared path history — instead of one fused pass
-	// per column. The rates are byte-identical either way; it is the
-	// reference the fused columns are checked against.
+	// predictor — instead of one fused pass per column. The rates are
+	// byte-identical either way; it is the reference the fused columns
+	// are checked against.
 	PerCell bool
 }
 
@@ -203,31 +201,24 @@ func (e *Engine) runCell(ctx context.Context, c Cell) ([]float64, error) {
 			bpred.Release(p)
 		}
 	}()
-	var jobs []sim.Job
-	var order []int
-	if c.Class() == ClassIndirect {
-		jobs = make([]sim.Job, len(c.Indirect))
-		for i, cell := range c.Indirect {
-			p, err := cell()
-			if err != nil {
-				return nil, err
-			}
-			built = append(built, p)
-			jobs[i] = sim.IndirectJob(p)
+	jobs := make([]sim.Job, 0, len(c.Cond)+len(c.Indirect))
+	for _, cell := range c.Indirect {
+		p, err := cell()
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		preds := make([]bpred.CondPredictor, len(c.Cond))
-		for i, cell := range c.Cond {
-			p, err := cell()
-			if err != nil {
-				return nil, err
-			}
-			built = append(built, p)
-			preds[i] = p
-		}
-		jobs, order = e.condJobs(preds)
+		built = append(built, p)
+		jobs = append(jobs, sim.IndirectJob(p))
 	}
-	results, err := e.replay(ctx, jobs, order, src)
+	for _, cell := range c.Cond {
+		p, err := cell()
+		if err != nil {
+			return nil, err
+		}
+		built = append(built, p)
+		jobs = append(jobs, sim.CondJob(p))
+	}
+	results, err := e.replay(ctx, jobs, src)
 	if err != nil {
 		return nil, err
 	}
@@ -243,14 +234,12 @@ func (e *Engine) runCell(ctx context.Context, c Cell) ([]float64, error) {
 // a measurement. It releases nothing: the caller owns preds, reads what
 // it needs of them afterwards and then releases them.
 func (e *Engine) ReplayCond(ctx context.Context, preds []bpred.CondPredictor, src trace.Source) ([]sim.Result, error) {
-	jobs, order := e.condJobs(preds)
-	return e.replay(ctx, jobs, order, src)
+	return e.replay(ctx, condJobs(preds), src)
 }
 
 // replay runs a column's jobs over src: each job alone under PerCell,
-// in one fused pass otherwise. order maps each predictor to its job
-// (nil: the identity); results come back in predictor order.
-func (e *Engine) replay(ctx context.Context, jobs []sim.Job, order []int, src trace.Source) ([]sim.Result, error) {
+// in one fused pass otherwise. Results come back in job order.
+func (e *Engine) replay(ctx context.Context, jobs []sim.Job, src trace.Source) ([]sim.Result, error) {
 	var results []sim.Result
 	if e.cfg.PerCell {
 		results = make([]sim.Result, len(jobs))
@@ -265,53 +254,17 @@ func (e *Engine) replay(ctx context.Context, jobs []sim.Job, order []int, src tr
 			return nil, err
 		}
 	}
-	if order == nil {
-		return results, nil
-	}
-	out := make([]sim.Result, len(order))
-	for pi, ji := range order {
-		out[pi] = results[ji]
-	}
-	return out, nil
+	return results, nil
 }
 
-// condJobs lays a conditional column out as kernel jobs. Under PerCell
-// every predictor is its own job with its own history. Otherwise
-// predictors that share a path-history configuration become a tie-run —
-// members first, then the observer that advances their shared history
-// once per record — and everything else runs as an independent job;
-// grouping permutes the order, so the job index of each predictor is
-// returned alongside.
-func (e *Engine) condJobs(preds []bpred.CondPredictor) ([]sim.Job, []int) {
-	if e.cfg.PerCell {
-		jobs := make([]sim.Job, len(preds))
-		for i, p := range preds {
-			jobs[i] = sim.CondJob(p)
-		}
-		return jobs, nil
-	}
-	groups := vlp.ShareCondHistories(preds)
-	jobs := make([]sim.Job, 0, len(preds)+len(groups))
-	order := make([]int, len(preds))
-	for i := range order {
-		order[i] = -1
-	}
-	for _, g := range groups {
-		for mi, p := range g.Members {
-			j := sim.CondJob(preds[p])
-			j.Tie = mi > 0
-			order[p] = len(jobs)
-			jobs = append(jobs, j)
-		}
-		jobs = append(jobs, sim.ObserverJob(g.Observer))
-	}
+// condJobs lays a conditional column out as kernel jobs, one per
+// predictor.
+func condJobs(preds []bpred.CondPredictor) []sim.Job {
+	jobs := make([]sim.Job, len(preds))
 	for i, p := range preds {
-		if order[i] < 0 {
-			order[i] = len(jobs)
-			jobs = append(jobs, sim.CondJob(p))
-		}
+		jobs[i] = sim.CondJob(p)
 	}
-	return jobs, order
+	return jobs
 }
 
 func percents(results []sim.Result) []float64 {

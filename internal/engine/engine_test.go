@@ -173,9 +173,9 @@ func TestColumnReplaysAfterCanceledRun(t *testing.T) {
 }
 
 // TestStrategiesAgree: the two replay paths — per-cell (each
-// predictor alone, no shared history) and fused — produce identical
-// rates for a column with shared path histories, and ReplayCond
-// honours PerCell with the same rates in predictor order.
+// predictor alone) and fused — produce identical rates for a column of
+// path predictors at one table size, and ReplayCond honours PerCell
+// with the same rates in predictor order.
 func TestStrategiesAgree(t *testing.T) {
 	cells := []CondCell{condCellGshare(1024)}
 	for _, l := range []int{3, 5, 9} {

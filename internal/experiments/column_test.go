@@ -15,7 +15,7 @@ func condCellGshare(budget int) engine.CondCell {
 }
 
 // newPerCellSuite returns a suite whose engine replays every predictor
-// alone (engine.Config.PerCell: K=1, no shared path history) — the
+// alone (engine.Config.PerCell: K=1) — the
 // reference the fused columns are checked against.
 func newPerCellSuite(cfg Config) *Suite {
 	s := NewSuite(cfg)
@@ -27,7 +27,7 @@ func newPerCellSuite(cfg Config) *Suite {
 // gate across both replay paths: a fused suite and a per-cell reference
 // suite at the same scale must render byte-identical artifact text for every
 // column-driven experiment shape — the per-benchmark comparisons, the
-// size-sweep grids (where history sharing kicks in), the variant
+// size-sweep grids, the variant
 // ablations, the indirect field, and the experiments that keep their
 // predictors for post-run state (HFNT, interference, stability), which
 // replay through Engine.ReplayCond.

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -185,6 +187,44 @@ func TestSingleflightStep1SharedByProfiles(t *testing.T) {
 	}
 	if profiles != 4 {
 		t.Errorf("two-step profiles = %d, want 4 (default, 1/1, 3/3, 5/7)", profiles)
+	}
+}
+
+// TestProfileMemoHitAllocatesNothing: looking up a cached default
+// profile or step 1 resolves and keys the default candidate set
+// without allocating, and every spelling of a candidate set keys apart
+// from every other set.
+func TestProfileMemoHitAllocatesNothing(t *testing.T) {
+	s := NewSuite(Config{BaseRecords: 2000})
+	const name = "gcc"
+	if _, err := s.Profile(name, false, 10); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := s.Profile(name, false, 10); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Step1(name, false, 10); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a default profile and step-1 memo hit allocate %v times, want 0", n)
+	}
+	all := make([]int, 32)
+	for i := range all {
+		all[i] = i + 1
+	}
+	keys := map[string][]int{}
+	shifted := append(slices.Clone(all[1:]), 33) // 2..33, as long as the default
+	for _, ls := range [][]int{nil, all, all[:31], all[1:], shifted, {1, 2, 4, 8, 16, 32}, {12}, {1, 2}} {
+		key := step1Key(name, false, resolve(profile.Config{TableBits: 10, Lengths: ls})).lengths
+		if prev, ok := keys[key]; ok && !slices.Equal(prev, resolve(profile.Config{Lengths: ls}).Lengths) {
+			t.Errorf("candidate sets %v and %v share key %q", prev, ls, key)
+		}
+		keys[key] = resolve(profile.Config{Lengths: ls}).Lengths
+	}
+	if len(keys) != 7 {
+		t.Errorf("%d distinct keys for 7 distinct candidate sets (nil and 1..32 are one set)", len(keys))
 	}
 }
 

@@ -43,7 +43,11 @@ func (s *Suite) AblationSpeedup(ctx context.Context) (*Report, error) {
 	}
 	err := pool.ForEach(ctx, len(benches), func(i int) error {
 		bench := benches[i]
+		// mk runs one front end over the benchmark and then releases
+		// its predictors' tables.
 		mk := func(cond bpred.CondPredictor, ind bpred.IndirectPredictor) (pipeline.Result, error) {
+			defer bpred.Release(cond)
+			defer bpred.Release(ind)
 			src, err := s.TestSource(bench)
 			if err != nil {
 				return pipeline.Result{}, err
@@ -68,11 +72,11 @@ func (s *Suite) AblationSpeedup(ctx context.Context) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		vc, err := vlp.NewCond(condBudget, cprof.Selector(), vlp.Options{})
+		iprof, err := s.Profile(bench, true, ki)
 		if err != nil {
 			return err
 		}
-		iprof, err := s.Profile(bench, true, ki)
+		vc, err := vlp.NewCond(condBudget, cprof.Selector(), vlp.Options{})
 		if err != nil {
 			return err
 		}

@@ -11,6 +11,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -114,8 +115,31 @@ type profileKey struct {
 	candidates, iterations int
 }
 
+// step1Key names the step-1 sweep of a resolved cfg. The default
+// candidate set's key is computed once, so keying it allocates nothing.
 func step1Key(name string, indirect bool, cfg profile.Config) cacheKey {
-	return cacheKey{name, indirect, cfg.TableBits, lengthsKey(cfg.Lengths)}
+	ls := defaultLengthsKey
+	if !slices.Equal(cfg.Lengths, defaultLengths) {
+		ls = lengthsKey(cfg.Lengths)
+	}
+	return cacheKey{name, indirect, cfg.TableBits, ls}
+}
+
+// defaultLengths is the default candidate set, every path length
+// 1..vlp.DefaultMaxPath, and defaultLengthsKey its lengthsKey.
+var (
+	defaultLengths    = profile.Config{}.Resolved().Lengths
+	defaultLengthsKey = lengthsKey(defaultLengths)
+)
+
+// resolve is cfg.Resolved, with the default candidate set shared
+// rather than built anew, so resolving a default configuration
+// allocates nothing. The set is read-only.
+func resolve(cfg profile.Config) profile.Config {
+	if cfg.Lengths == nil && cfg.MaxPath == 0 {
+		cfg.Lengths = defaultLengths
+	}
+	return cfg.Resolved()
 }
 
 // lengthsKey spells a candidate set as its lengths in decimal, comma
@@ -258,7 +282,7 @@ func (s *Suite) input(name string, profileInput bool) (*profile.Input, error) {
 // at that k starts from it instead of recomputing it. Concurrent callers for the
 // same key share a single computation.
 func (s *Suite) Step1(name string, indirect bool, k uint) (*profile.Step1, error) {
-	return s.step1For(name, indirect, profile.Config{TableBits: k}.Resolved())
+	return s.step1For(name, indirect, resolve(profile.Config{TableBits: k}))
 }
 
 // step1For is Step1 for any candidate set; cfg must be resolved.
@@ -286,7 +310,7 @@ func (s *Suite) Profile(name string, indirect bool, k uint) (*profile.Profile, e
 // same candidate set, so profiles that differ only in their step-2
 // settings share one step 1.
 func (s *Suite) profileFor(name string, indirect bool, cfg profile.Config) (*profile.Profile, error) {
-	cfg = cfg.Resolved()
+	cfg = resolve(cfg)
 	key := profileKey{step1Key(name, indirect, cfg), cfg.Candidates, cfg.Iterations}
 	return s.profiles.Do(key, func() (*profile.Profile, error) {
 		s1, err := s.step1For(name, indirect, cfg)

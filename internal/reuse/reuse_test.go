@@ -1,8 +1,10 @@
 package reuse
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestGetLengthAndClass: Get returns the asked length at the capacity
@@ -21,9 +23,7 @@ func TestGetLengthAndClass(t *testing.T) {
 }
 
 // TestReuseWithinClass: a released slice comes back for any length of
-// its class, with its old contents, and never for another class. Under
-// the race detector sync.Pool drops a quarter of its Puts at random, so
-// reuse is only required within a few tries.
+// its class, with its old contents, and never for another class.
 func TestReuseWithinClass(t *testing.T) {
 	var p Pool[uint8]
 	reused := false
@@ -88,10 +88,28 @@ func TestZeroed(t *testing.T) {
 }
 
 // TestConcurrentUse: goroutines getting, writing and releasing slices
-// never share one while they hold it (run it under -race).
+// while collections age the pool never share one while they hold it
+// (run it under -race).
 func TestConcurrentUse(t *testing.T) {
 	var p Pool[uint32]
 	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	aged := make(chan struct{})
+	go func() {
+		defer close(aged)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				p.age()
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-aged
+	}()
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g uint32) {
@@ -112,4 +130,60 @@ func TestConcurrentUse(t *testing.T) {
 		}(uint32(g))
 	}
 	wg.Wait()
+}
+
+// TestNextGetReuses: a released slice is handed to the very next Get of
+// its class, whichever goroutine asks, so a table released by one
+// replay worker backs the next table another worker builds.
+func TestNextGetReuses(t *testing.T) {
+	var p Pool[uint8]
+	s := p.Get(1000)
+	p.Put(s)
+	got := make(chan []uint8)
+	go func() { got <- p.Get(600) }()
+	if r := <-got; &r[0] != &s[0] {
+		t.Error("a Get on another goroutine did not take the released slice")
+	}
+}
+
+// TestAging: a released slice survives one collection and is dropped
+// at the second if no Get took it.
+func TestAging(t *testing.T) {
+	var p Pool[uint32]
+	s := p.Get(64)
+	p.Put(s)
+	p.age()
+	if r := p.Get(64); &r[0] != &s[0] {
+		t.Fatal("a slice released before one collection was not reused")
+	}
+	p.Put(s)
+	p.age()
+	p.age()
+	if r := p.Get(64); &r[0] == &s[0] {
+		t.Error("a slice idle for two collections was still in the pool")
+	}
+}
+
+// TestCollectionsAgePools: the collection hook runs after garbage
+// collections, so an idle pool empties itself.
+func TestCollectionsAgePools(t *testing.T) {
+	ran := make(chan struct{}, 1)
+	afterCollections(func() {
+		select {
+		case ran <- struct{}{}:
+		default:
+		}
+	})
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-ran:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no collection hook ran after repeated collections")
+		}
+	}
 }

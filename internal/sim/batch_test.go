@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/trace"
 )
 
@@ -57,15 +58,16 @@ func TestBatchedRunMatchesGeneric(t *testing.T) {
 	}
 }
 
-// cancelAt is an update-only column entry that cancels the run's
-// context once it has seen n records.
+// cancelAt is a conditional predictor that always predicts not taken
+// and cancels the run's context once its Update has seen n records.
 type cancelAt struct {
 	n, seen int
 	cancel  context.CancelFunc
 }
 
-func (c *cancelAt) Name() string   { return "cancel-at" }
-func (c *cancelAt) SizeBytes() int { return 0 }
+func (c *cancelAt) Name() string           { return "cancel-at" }
+func (c *cancelAt) SizeBytes() int         { return 0 }
+func (c *cancelAt) Predict(arch.Addr) bool { return false }
 func (c *cancelAt) Update(trace.Record) {
 	if c.seen++; c.seen == c.n {
 		c.cancel()
@@ -110,7 +112,7 @@ func TestBatchedRunMatchesGenericOnCancellation(t *testing.T) {
 		for _, p := range manyCondColumn(t) {
 			jobs = append(jobs, CondJob(p))
 		}
-		jobs = append(jobs, Job{Observer: &cancelAt{n: 3000, cancel: cancel}})
+		jobs = append(jobs, CondJob(&cancelAt{n: 3000, cancel: cancel}))
 		res := RunMany(ctx, jobs, src, Options{PerPC: true})
 		cancel()
 		for i := range prefix {

@@ -28,8 +28,9 @@ import (
 // many_test.go pin the kernel to an independent per-record reference
 // loop.
 
-// Job is one column entry for RunMany: exactly one of Cond, Indirect,
-// or Observer must be set.
+// Job is one column entry for RunMany: exactly one of Cond or Indirect
+// must be set. Each job's predictor owns all of its state, its path
+// history included, so jobs are independent.
 type Job struct {
 	// Cond is scored on conditional records (direction) and updated on
 	// every record.
@@ -37,17 +38,6 @@ type Job struct {
 	// Indirect is scored on indirect-target records and updated on
 	// every record.
 	Indirect bpred.IndirectPredictor
-	// Observer is an update-only participant: it sees every record but
-	// is never scored, and its Result carries zero counts. Columns use
-	// observers for shared state advanced once per record on behalf of
-	// several predictors (vlp.PathObserver), which is why observers are
-	// placed after the predictors they serve.
-	Observer bpred.Predictor
-	// Tie keeps this job on the same worker as the previous job when
-	// the column is sharded, preserving their relative step order per
-	// record. Jobs that read state a later observer advances must be
-	// tied into one run ending at that observer.
-	Tie bool
 }
 
 // CondJob wraps a conditional predictor as a column entry.
@@ -56,21 +46,12 @@ func CondJob(p bpred.CondPredictor) Job { return Job{Cond: p} }
 // IndirectJob wraps an indirect predictor as a column entry.
 func IndirectJob(p bpred.IndirectPredictor) Job { return Job{Indirect: p} }
 
-// ObserverJob wraps an update-only participant as a column entry, tied
-// to the preceding job (observers exist to serve earlier jobs in the
-// column, so they never start a new shard).
-func ObserverJob(p bpred.Predictor) Job { return Job{Observer: p, Tie: true} }
-
-// Pred returns the job's participant, whichever field is set.
+// Pred returns the job's predictor, whichever field is set.
 func (j Job) Pred() bpred.Predictor {
-	switch {
-	case j.Cond != nil:
+	if j.Cond != nil {
 		return j.Cond
-	case j.Indirect != nil:
-		return j.Indirect
-	default:
-		return j.Observer
 	}
+	return j.Indirect
 }
 
 // manyJob is the resolved per-job stepping state: the predictor under
@@ -80,7 +61,6 @@ type manyJob struct {
 	cond    bpred.CondPredictor
 	stepper bpred.CondStepper
 	ind     bpred.IndirectPredictor
-	obs     bpred.Predictor
 	res     *Result
 }
 
@@ -89,20 +69,17 @@ type manyJob struct {
 // replay loop in the repository: RunCond and RunIndirect are its K=1
 // case. Per record it performs one kind-dispatch and then steps each
 // job: conditional jobs are scored on conditional records, indirect
-// jobs on indirect-target records, observers never; every job's
-// participant sees every record through Update (or the fused
-// bpred.CondStepper step when the predictor provides it). Jobs are
-// stepped in slice order for each record, so an observer placed after
-// the jobs it serves advances shared state only after they have all
-// trained.
+// jobs on indirect-target records; every job's predictor sees every
+// record through Update (or the fused bpred.CondStepper step when the
+// predictor provides it).
 //
 // The source is replayed in windows. A *trace.Buffer is one window; any
 // other source is read into one reused window of at most cancelStride
 // records, so a streaming trace is never held in memory whole.
-// Contiguous tie-runs of jobs are sharded across the engine pool
-// (pool.Size): each worker owns disjoint jobs and replays the shared
-// window independently, so there are no locks and the counts are
-// bit-identical to a single-worker pass.
+// The column is cut into one contiguous run of jobs per worker of the
+// engine pool (pool.Size): each worker owns disjoint jobs and replays
+// the shared window independently, so there are no locks and the
+// counts are bit-identical to a single-worker pass.
 //
 // The context is checked before every record whose index is a positive
 // multiple of cancelStride; a canceled run stops there, on every source
@@ -120,8 +97,7 @@ func RunMany(ctx context.Context, jobs []Job, src trace.Source, opts Options) []
 	}
 	span := obs.StartSpan()
 	run := newRun(jobs, results, opts)
-	shards := shardJobs(run, jobs)
-	workers := pool.Size(len(shards))
+	workers := pool.Size(len(run))
 	src.Reset()
 	buf, _ := src.(*trace.Buffer)
 	var win []trace.Record // a streaming source's reused window
@@ -149,7 +125,7 @@ func RunMany(ctx context.Context, jobs []Job, src trace.Source, opts Options) []
 		if len(recs) == 0 {
 			break
 		}
-		stepped := runShards(ctx, run, shards, recs, pos, workers)
+		stepped := runShards(ctx, run, recs, pos, workers)
 		pos += stepped
 		if stepped < len(recs) || failed(results) {
 			break // canceled inside the window
@@ -190,20 +166,14 @@ func newRun(jobs []Job, results []Result, opts Options) []manyJob {
 	run := make([]manyJob, len(jobs))
 	for i := range jobs {
 		j := &jobs[i]
-		set := 0
-		for _, p := range []bool{j.Cond != nil, j.Indirect != nil, j.Observer != nil} {
-			if p {
-				set++
-			}
-		}
-		if set != 1 {
-			panic(fmt.Sprintf("sim: RunMany job %d must set exactly one of Cond/Indirect/Observer, has %d", i, set))
+		if (j.Cond != nil) == (j.Indirect != nil) {
+			panic(fmt.Sprintf("sim: RunMany job %d must set exactly one of Cond/Indirect", i))
 		}
 		results[i] = Result{Predictor: j.Pred().Name()}
-		if opts.PerPC && j.Observer == nil {
+		if opts.PerPC {
 			results[i].PerPC = make(map[arch.Addr]*PCStat)
 		}
-		run[i] = manyJob{cond: j.Cond, ind: j.Indirect, obs: j.Observer, res: &results[i]}
+		run[i] = manyJob{cond: j.Cond, ind: j.Indirect, res: &results[i]}
 		if j.Cond != nil {
 			run[i].stepper, _ = j.Cond.(bpred.CondStepper)
 		}
@@ -227,17 +197,20 @@ func setErr(results []Result, err error) {
 	}
 }
 
-// runShards replays one window through every shard, on the calling
-// goroutine when workers <= 1 and across a worker pool otherwise,
-// returning the furthest replay position within the window. base is the
+// runShards replays one window through every job, on the calling
+// goroutine when workers <= 1 and otherwise across a worker pool, the
+// column cut into one contiguous run of jobs per worker, and returns
+// the furthest replay position within the window. A worker steps each
+// record through all of its jobs before it loads the next, so the
+// record stream is read once per worker, not once per job. base is the
 // window's first record index in the whole run. It is the unit the
 // sharding tests drive directly with a forced worker count, since the
-// assignment of shards to workers must not be observable in the counts.
-func runShards(ctx context.Context, run []manyJob, shards [][]manyJob, recs []trace.Record, base, workers int) int {
+// assignment of jobs to workers must not be observable in the counts.
+func runShards(ctx context.Context, run []manyJob, recs []trace.Record, base, workers int) int {
 	if workers <= 1 {
 		return stepWindow(ctx, run, recs, base)
 	}
-	consumed := make([]int, len(shards))
+	consumed := make([]int, workers)
 	// Every shard is dispatched unconditionally — a shard skipped on
 	// cancellation would leave its jobs' Result.Err nil with zero
 	// counts, masquerading as a clean run — and a predictor panic must
@@ -245,36 +218,13 @@ func runShards(ctx context.Context, run []manyJob, shards [][]manyJob, recs []tr
 	// and re-throws on this goroutine, where the usual fault boundary
 	// (runx.Safe in pool.ForEach or the experiment driver) can classify
 	// it.
-	pool.Fan(workers, len(shards), func(i int) {
-		consumed[i] = stepWindow(ctx, shards[i], recs, base)
+	pool.Fan(workers, workers, func(w int) {
+		consumed[w] = stepWindow(ctx, run[w*len(run)/workers:(w+1)*len(run)/workers], recs, base)
 	})
 	// Workers that were canceled consumed less; the run as a whole
 	// consumed what the furthest worker replayed (an uncanceled window
 	// is consumed in full by every worker).
 	return slices.Max(consumed)
-}
-
-// shardJobs splits the column into contiguous tie-runs: maximal spans
-// of jobs that must stay together because each non-first member is tied
-// to its predecessor. Sharding at tie-run granularity keeps every
-// shared-state group (members plus their trailing observer) on one
-// worker, in order.
-func shardJobs(run []manyJob, jobs []Job) [][]manyJob {
-	n := 0
-	for i := range jobs {
-		if i == 0 || !jobs[i].Tie {
-			n++
-		}
-	}
-	shards := make([][]manyJob, 0, n)
-	start := 0
-	for i := 1; i <= len(jobs); i++ {
-		if i == len(jobs) || !jobs[i].Tie {
-			shards = append(shards, run[start:i])
-			start = i
-		}
-	}
-	return shards
 }
 
 // stepWindow replays one window through one worker's jobs, checking
@@ -318,13 +268,11 @@ func stepRecord(run []manyJob, r *trace.Record) {
 				jb.res.account(r, jb.cond.Predict(r.PC) == r.Taken)
 			}
 			jb.cond.Update(*r)
-		case jb.ind != nil:
+		default:
 			if isInd {
 				jb.res.account(r, jb.ind.Predict(r.PC) == r.Next)
 			}
 			jb.ind.Update(*r)
-		default:
-			jb.obs.Update(*r)
 		}
 	}
 }

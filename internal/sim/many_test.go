@@ -192,124 +192,25 @@ func TestRunManyMixedClasses(t *testing.T) {
 	}
 }
 
-// sharedColumn builds a column with shareable path histories (two
-// table sizes, several lengths each), applies ShareCondHistories, and
-// returns the fused job list plus the predictors in cell order.
-func sharedColumn(t testing.TB) ([]Job, []bpred.CondPredictor) {
-	t.Helper()
-	var preds []bpred.CondPredictor
-	for _, kb := range []int{1, 4} {
-		for _, l := range []int{3, 6, 9} {
-			p, err := vlp.NewCond(kb*1024, vlp.Fixed{L: l}, vlp.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			preds = append(preds, p)
-		}
-	}
-	groups := vlp.ShareCondHistories(preds)
-	if len(groups) != 2 {
-		t.Fatalf("ShareCondHistories made %d groups, want 2 (one per table size)", len(groups))
-	}
-	var jobs []Job
-	for _, g := range groups {
-		for i, m := range g.Members {
-			j := CondJob(preds[m])
-			j.Tie = i > 0
-			jobs = append(jobs, j)
-		}
-		jobs = append(jobs, ObserverJob(g.Observer))
-	}
-	return jobs, preds
-}
-
-// TestRunManySharedHistoryMatchesSequential is the bit-identity gate
-// for history sharing: members of a shared HashSet group, trained
-// before the group's single per-record insert, must produce exactly the
-// counts of their solo reference runs with private HashSets — fused on
-// one worker and sharded.
-func TestRunManySharedHistoryMatchesSequential(t *testing.T) {
-	recs := mixedRecords(20000)
-	for _, m := range kernelModes[1:] {
-		withWorkers(t, m.workers)
-		jobs, preds := sharedColumn(t)
-		res := RunMany(context.Background(), jobs, trace.NewBuffer(recs), Options{})
-		// Job order is a permutation of cell order; match results by
-		// predictor identity instead of position.
-		resByPred := map[bpred.CondPredictor]Result{}
-		for i, j := range jobs {
-			if j.Cond != nil {
-				resByPred[j.Cond] = res[i]
-			}
-		}
-		i := 0
-		for _, kb := range []int{1, 4} {
-			for _, l := range []int{3, 6, 9} {
-				got, ok := resByPred[preds[i]]
-				if !ok {
-					t.Fatalf("%s: no fused result for cell %d", m.name, i)
-				}
-				solo, err := vlp.NewCond(kb*1024, vlp.Fixed{L: l}, vlp.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResult(t, m.name+"/"+got.Predictor, got, reference(context.Background(), solo, trace.NewBuffer(recs), false))
-				i++
-			}
-		}
-	}
-}
-
 // TestRunManyShardedMatchesSingleWorker drives the shard runner with
-// forced worker counts and checks that shard-to-worker assignment is
-// unobservable: tie-runs stay intact, shared groups keep their
-// member-before-observer order, and the counts equal the single-worker
-// pass. Under -race this also verifies the workers share nothing but
-// the read-only record window.
+// forced worker counts and checks that job-to-worker assignment is
+// unobservable: the counts equal the single-worker pass. Under -race
+// this also verifies the workers share nothing but the read-only record
+// window.
 func TestRunManyShardedMatchesSingleWorker(t *testing.T) {
 	recs := mixedRecords(20000)
+	mixed := columns(t)[2]
 	withWorkers(t, 1)
-	jobs, _ := sharedColumn(t)
-	want := RunMany(context.Background(), jobs, trace.NewBuffer(recs), Options{})
+	want := RunMany(context.Background(), jobsFor(mixed.build(t)), trace.NewBuffer(recs), Options{})
 	for w := 2; w <= 4; w++ {
-		jobs, _ := sharedColumn(t)
+		jobs := jobsFor(mixed.build(t))
 		results := make([]Result, len(jobs))
 		run := newRun(jobs, results, Options{})
-		shards := shardJobs(run, jobs)
-		if len(shards) != 2 {
-			t.Fatalf("shardJobs made %d shards, want 2 tie-runs", len(shards))
-		}
-		if n := runShards(context.Background(), run, shards, recs, 0, w); n != len(recs) {
+		if n := runShards(context.Background(), run, recs, 0, w); n != len(recs) {
 			t.Fatalf("workers=%d replayed %d records, want %d", w, n, len(recs))
 		}
 		for i := range results {
 			sameResult(t, "sharded/"+results[i].Predictor, results[i], want[i])
-		}
-	}
-}
-
-// TestShardJobs pins the tie-run boundaries: a shard break happens
-// exactly at each untied job.
-func TestShardJobs(t *testing.T) {
-	mk := func(tie bool) Job {
-		j := CondJob(bimodal.NewBits(4))
-		j.Tie = tie
-		return j
-	}
-	jobs := []Job{mk(false), mk(true), mk(true), mk(false), mk(false), mk(true)}
-	run := make([]manyJob, len(jobs))
-	shards := shardJobs(run, jobs)
-	sizes := make([]int, len(shards))
-	for i, s := range shards {
-		sizes[i] = len(s)
-	}
-	want := []int{3, 1, 2}
-	if len(sizes) != len(want) {
-		t.Fatalf("shard sizes %v, want %v", sizes, want)
-	}
-	for i := range want {
-		if sizes[i] != want[i] {
-			t.Fatalf("shard sizes %v, want %v", sizes, want)
 		}
 	}
 }
@@ -398,11 +299,11 @@ func TestRunManyEdgeCases(t *testing.T) {
 			}
 		}
 	}
-	// A Buffer of exactly cancelStride records, with an update-only
-	// entry that cancels the context at the last record.
+	// A Buffer of exactly cancelStride records, with an entry that
+	// cancels the context at the last record.
 	recs := mixedRecords(cancelStride)
 	ctx, cancel := context.WithCancel(context.Background())
-	jobs := append(jobsFor(columns(t)[2].build(t)), Job{Observer: &cancelAt{n: cancelStride, cancel: cancel}})
+	jobs := append(jobsFor(columns(t)[2].build(t)), CondJob(&cancelAt{n: cancelStride, cancel: cancel}))
 	res = RunMany(ctx, jobs, trace.NewBuffer(recs), Options{})
 	cancel()
 	for i, p := range columns(t)[2].build(t) {
@@ -425,26 +326,5 @@ func TestRunManyConsumesBuffer(t *testing.T) {
 	buf.Reset()
 	if !buf.Next(&r) {
 		t.Error("Reset after a fused run did not rewind the buffer")
-	}
-}
-
-// TestRunManyObserverResult: observers participate but are never
-// scored; their Result row exists (position parity) with zero counts.
-func TestRunManyObserverResult(t *testing.T) {
-	recs := mixedRecords(5000)
-	jobs, _ := sharedColumn(t)
-	res := RunMany(context.Background(), jobs, trace.NewBuffer(recs), Options{PerPC: true})
-	seenObserver := false
-	for i, j := range jobs {
-		if j.Observer == nil {
-			continue
-		}
-		seenObserver = true
-		if res[i].Branches != 0 || res[i].Mispredicts != 0 || res[i].PerPC != nil {
-			t.Errorf("observer row %d has counts %d/%d, want 0/0 and no breakdown", i, res[i].Mispredicts, res[i].Branches)
-		}
-	}
-	if !seenObserver {
-		t.Fatal("shared column has no observer jobs")
 	}
 }

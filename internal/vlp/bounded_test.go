@@ -152,7 +152,10 @@ func (p *refPath) saveState(w io.Writer) error {
 		return err
 	}
 	e := state.NewEncoder(w)
-	saveStack(e, p.stack)
+	e.Int(len(p.stack))
+	for _, frame := range p.stack {
+		e.U32s(frame)
+	}
 	return e.Err()
 }
 

@@ -21,15 +21,8 @@ type Cond struct {
 	opts Options
 	name string
 
-	// stack holds saved index snapshots (in partial-sum register
-	// layout) for the history-stack extension (nil when it is off).
-	stack [][]uint32
-
-	// extHist marks the path history as externally maintained: the
-	// predictor was rebound to a shared HashSet (AttachHistory) that a
-	// PathObserver advances once per record on behalf of every
-	// predictor sharing it, so ObservePath must not insert again.
-	extHist bool
+	// stack is the history-stack extension (nil when it is off).
+	stack *histStack
 }
 
 // Options toggles the paper's design variations, for the ablation studies.
@@ -55,8 +48,6 @@ type Options struct {
 	// recent history"); 0 restores the caller history unmodified.
 	HistoryCombine int
 }
-
-const historyStackCap = 64
 
 func (o Options) maxPath() int {
 	if o.MaxPath == 0 {
@@ -86,20 +77,27 @@ func NewCondBits(k uint, sel Selector, opts Options) (*Cond, error) {
 	if err := checkSelector(sel, hs.MaxPath()); err != nil {
 		return nil, err
 	}
-	return &Cond{
+	c := &Cond{
 		pht:  counter.NewArray(1<<k, 2, 1),
 		hs:   hs,
 		sel:  sel,
 		opts: opts,
 		name: fmt.Sprintf("pathcond[%s]-%dB", sel.Name(), (1<<k)/4),
-	}, nil
+	}
+	if opts.HistoryStack {
+		c.stack = newHistStack(hs.MaxPath(), opts.HistoryCombine)
+	}
+	return c, nil
 }
 
 // Name implements bpred.CondPredictor.
 func (c *Cond) Name() string { return c.name }
 
 // Release implements bpred.Releaser.
-func (c *Cond) Release() { c.pht.Release() }
+func (c *Cond) Release() {
+	c.pht.Release()
+	c.stack.release()
+}
 
 // SizeBytes implements bpred.CondPredictor; it reports the predictor
 // table, the quantity on the paper's hardware-budget axes.
@@ -170,42 +168,7 @@ func (c *Cond) StepCond(r trace.Record) (scored, correct bool) {
 
 // ObservePath performs only the history-maintenance half of Update: THB
 // insertion and, when enabled, the history stack. The profiling pipeline
-// calls it directly. When the predictor's history is externally
-// maintained (AttachHistory), ObservePath is a no-op: the shared
-// HashSet's owner advances it exactly once per record.
+// calls it directly.
 func (c *Cond) ObservePath(r trace.Record) {
-	if c.extHist {
-		return
-	}
-	if c.opts.HistoryStack {
-		switch {
-		case r.Kind.PushesReturn():
-			if len(c.stack) == historyStackCap {
-				copy(c.stack, c.stack[1:])
-				c.stack = c.stack[:historyStackCap-1]
-			}
-			c.stack = append(c.stack, c.hs.Snapshot())
-		case r.Kind == arch.Return && len(c.stack) > 0:
-			restoreCombined(c.hs, c.stack[len(c.stack)-1], c.opts.HistoryCombine)
-			c.stack = c.stack[:len(c.stack)-1]
-		}
-	}
-	if r.Kind.RecordsInTHB() || (c.opts.StoreReturns && r.Kind == arch.Return) {
-		c.hs.Insert(r.Next)
-	}
-}
-
-// restoreCombined restores saved indices and, for the combine
-// variant, replays the most recent `combine` THB targets (the callee's
-// tail) on top, oldest first, so the indices reflect caller context
-// followed by the callee's last transfers.
-func restoreCombined(hs *HashSet, saved []uint32, combine int) {
-	var tail []uint32
-	for i := combine - 1; i >= 0; i-- {
-		tail = append(tail, hs.Target(i))
-	}
-	hs.Restore(saved)
-	for _, t := range tail {
-		hs.InsertCompressed(t)
-	}
+	observePath(c.hs, c.stack, c.opts.StoreReturns, r)
 }

@@ -2,6 +2,7 @@ package vlp
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -272,12 +273,51 @@ func TestHistoryStackOverflowDropsOldest(t *testing.T) {
 	for i := 0; i < historyStackCap+10; i++ {
 		p.Update(trace.Record{PC: 0x100, Kind: arch.Call, Taken: true, Next: 0x5004})
 	}
-	if len(p.stack) != historyStackCap {
-		t.Errorf("stack depth = %d, want cap %d", len(p.stack), historyStackCap)
+	if p.stack.depth != historyStackCap {
+		t.Errorf("stack depth = %d, want cap %d", p.stack.depth, historyStackCap)
 	}
 	// Unwinding more returns than frames must not panic.
 	for i := 0; i < historyStackCap+10; i++ {
 		p.Update(trace.Record{PC: 0x200, Kind: arch.Return, Taken: true, Next: 0x6004})
+	}
+}
+
+// TestHistoryStackRingOrder nests more calls than the stack holds, each
+// from a distinct history, and unwinds: every return must restore the
+// indices saved by its own call, newest first, until the frames the
+// overflow dropped; further returns leave the history alone. A call
+// and a return allocate nothing.
+func TestHistoryStackRingOrder(t *testing.T) {
+	p, err := NewCondBits(12, Fixed{L: 4}, Options{HistoryStack: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := trace.Record{PC: 0x2000, Kind: arch.Call, Taken: true, Next: 0x8000}
+	ret := trace.Record{PC: 0x9000, Kind: arch.Return, Taken: true, Next: 0x2004}
+	const calls = historyStackCap + 6
+	var saved [calls][]uint32
+	for i := range saved {
+		p.Update(condRec(arch.Addr(0x1004+8*i), true, arch.Addr(0x5004+8*i)))
+		saved[i] = p.HashSet().Snapshot()
+		p.Update(call)
+	}
+	for i := calls - 1; i >= calls-historyStackCap; i-- {
+		p.Update(condRec(0x7004, true, 0x7104)) // callee path
+		p.Update(ret)
+		if got := p.HashSet().Snapshot(); !slices.Equal(got, saved[i]) {
+			t.Fatalf("return %d restored %v, want the history of call %d", calls-1-i, got[:4], i)
+		}
+	}
+	before := p.HashSet().Snapshot()
+	p.Update(ret)
+	if !slices.Equal(p.HashSet().Snapshot(), before) {
+		t.Error("a return on an empty stack changed the history")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		p.Update(call)
+		p.Update(ret)
+	}); n != 0 {
+		t.Errorf("a call and a return allocate %v times, want 0", n)
 	}
 }
 
@@ -336,5 +376,66 @@ func TestHistoryStackCombine(t *testing.T) {
 	ref.InsertCompressed(calleeTail[1])
 	if p.HashSet().Index(6) != ref.Index(6) {
 		t.Errorf("combine result %#x, want reference %#x", p.HashSet().Index(6), ref.Index(6))
+	}
+}
+
+// mixedTrace builds a deterministic trace of conditional, indirect and
+// return records.
+func mixedTrace(n int) []trace.Record {
+	rng := xrand.New(7)
+	recs := make([]trace.Record, 0, n)
+	pcs := []arch.Addr{0x1004, 0x2008, 0x300c, 0x4010}
+	for i := 0; i < n; i++ {
+		pc := pcs[rng.Uint64()%uint64(len(pcs))]
+		switch rng.Uint64() % 4 {
+		case 0, 1:
+			taken := rng.Bool(0.6)
+			next := pc.FallThrough()
+			if taken {
+				next = arch.Addr(0x9000 + (rng.Uint64()&0x7)*16)
+			}
+			recs = append(recs, trace.Record{PC: pc, Kind: arch.Cond, Taken: taken, Next: next})
+		case 2:
+			recs = append(recs, trace.Record{PC: pc, Kind: arch.Indirect, Taken: true,
+				Next: arch.Addr(0xa000 + (rng.Uint64()&0x7)*16)})
+		default:
+			recs = append(recs, trace.Record{PC: pc, Kind: arch.Return, Taken: true, Next: 0xc000})
+		}
+	}
+	return recs
+}
+
+// TestStepCondMatchesPredictUpdate pins the fused CondStepper step to
+// the two-call surface on identical record streams, for the plain and
+// instrumented predictors — including the instrumented Stats, which a
+// promoted (unshadowed) StepCond would silently skip.
+func TestStepCondMatchesPredictUpdate(t *testing.T) {
+	recs := mixedTrace(30000)
+	stepped, err := NewInstrumentedCond(2048, Fixed{L: 6}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	classic, err := NewInstrumentedCond(2048, Fixed{L: 6}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fusedMiss, classicMiss int64
+	for _, r := range recs {
+		if scored, correct := stepped.StepCond(r); scored && !correct {
+			fusedMiss++
+		}
+		if r.Kind == arch.Cond && classic.Predict(r.PC) != r.Taken {
+			classicMiss++
+		}
+		classic.Update(r)
+	}
+	if fusedMiss != classicMiss {
+		t.Errorf("fused %d misses, classic %d", fusedMiss, classicMiss)
+	}
+	if stepped.Stats != classic.Stats {
+		t.Errorf("instrumented Stats diverge:\n fused   %+v\n classic %+v", stepped.Stats, classic.Stats)
+	}
+	if stepped.Stats.Misses == 0 {
+		t.Error("trace produced no misses; test is vacuous")
 	}
 }

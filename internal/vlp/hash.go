@@ -209,10 +209,15 @@ func (h *HashSet) DirectIndex(length int) uint32 {
 // extension (§6) to save predictor history across calls.
 func (h *HashSet) Snapshot() []uint32 {
 	s := make([]uint32, h.n)
+	h.snapshotTo(s)
+	return s
+}
+
+// snapshotTo writes the Snapshot registers into s, of length MaxPath.
+func (h *HashSet) snapshotTo(s []uint32) {
 	for x := range s {
 		s[x] = h.Index(x + 1)
 	}
-	return s
 }
 
 // Restore overwrites the indices with a register snapshot: the newest

@@ -21,7 +21,7 @@ type Indirect struct {
 	sel   Selector
 	opts  Options
 	name  string
-	stack [][]uint32
+	stack *histStack // the history-stack extension, nil when off
 }
 
 // NewIndirect returns an indirect path predictor whose target table fits
@@ -45,14 +45,18 @@ func NewIndirectBits(k uint, sel Selector, opts Options) (*Indirect, error) {
 	if err := checkSelector(sel, hs.MaxPath()); err != nil {
 		return nil, err
 	}
-	return &Indirect{
+	p := &Indirect{
 		table: reuse.Uint32.Zeroed(1 << k),
 		mask:  1<<k - 1,
 		hs:    hs,
 		sel:   sel,
 		opts:  opts,
 		name:  fmt.Sprintf("pathind[%s]-%dB", sel.Name(), 4<<k),
-	}, nil
+	}
+	if opts.HistoryStack {
+		p.stack = newHistStack(hs.MaxPath(), opts.HistoryCombine)
+	}
+	return p, nil
 }
 
 // Name implements bpred.IndirectPredictor.
@@ -62,6 +66,7 @@ func (p *Indirect) Name() string { return p.name }
 func (p *Indirect) Release() {
 	reuse.Uint32.Put(p.table)
 	p.table = nil
+	p.stack.release()
 }
 
 // SizeBytes implements bpred.IndirectPredictor.
@@ -85,18 +90,6 @@ func (p *Indirect) index(pc arch.Addr) uint64 {
 	return uint64(p.hs.Index(l))
 }
 
-// PredictAt returns the target the table would predict for a branch using
-// path length l right now (profiling support).
-func (p *Indirect) PredictAt(l int) arch.Addr {
-	return arch.Addr(p.table[uint64(p.hs.Index(l))&p.mask])
-}
-
-// TrainAt writes the resolved target into the register indexed by path
-// length l (profiling support).
-func (p *Indirect) TrainAt(l int, target arch.Addr) {
-	p.table[uint64(p.hs.Index(l))&p.mask] = uint32(target)
-}
-
 // Predict implements bpred.IndirectPredictor.
 func (p *Indirect) Predict(pc arch.Addr) arch.Addr {
 	return arch.Addr(p.table[p.index(pc)&p.mask])
@@ -114,20 +107,5 @@ func (p *Indirect) Update(r trace.Record) {
 
 // ObservePath performs only the history-maintenance half of Update.
 func (p *Indirect) ObservePath(r trace.Record) {
-	if p.opts.HistoryStack {
-		switch {
-		case r.Kind.PushesReturn():
-			if len(p.stack) == historyStackCap {
-				copy(p.stack, p.stack[1:])
-				p.stack = p.stack[:historyStackCap-1]
-			}
-			p.stack = append(p.stack, p.hs.Snapshot())
-		case r.Kind == arch.Return && len(p.stack) > 0:
-			restoreCombined(p.hs, p.stack[len(p.stack)-1], p.opts.HistoryCombine)
-			p.stack = p.stack[:len(p.stack)-1]
-		}
-	}
-	if r.Kind.RecordsInTHB() || (p.opts.StoreReturns && r.Kind == arch.Return) {
-		p.hs.Insert(r.Next)
-	}
+	observePath(p.hs, p.stack, p.opts.StoreReturns, r)
 }

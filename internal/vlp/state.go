@@ -14,11 +14,6 @@ import (
 // HashSet keeps them in. Selectors, profiles and budgets are
 // configuration: they are pinned by the factory spec recorded in the
 // snapshot container, not re-encoded here.
-//
-// Predictors attached to a shared HashSet (AttachHistory) save the
-// shared registers like any other state; restoring every member of a
-// group writes the same bytes into the one shared HashSet, so group
-// restore is idempotent and order-free.
 
 // SaveState implements bpred.StateCodec: the indices in register
 // layout, the THB ring, and the ring position.
@@ -68,41 +63,6 @@ func (h *HashSet) LoadState(r io.Reader) error {
 	return nil
 }
 
-// saveStack writes the history-stack frames shared by Cond and
-// Indirect: a frame count, then each frame's register snapshot.
-func saveStack(e *state.Encoder, stack [][]uint32) {
-	e.Int(len(stack))
-	for _, frame := range stack {
-		e.U32s(frame)
-	}
-}
-
-// loadStack reads history-stack frames of the given register depth.
-// The predictor's own cap bounds the count; a deeper stack cannot have
-// been produced by an equivalent configuration.
-func loadStack(d *state.Decoder, depth int, enabled bool) ([][]uint32, error) {
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n > historyStackCap {
-		return nil, state.Corruptf("vlp: history stack depth %d exceeds cap %d", n, historyStackCap)
-	}
-	if n > 0 && !enabled {
-		return nil, state.Corruptf("vlp: history-stack frames in state for a predictor without the extension")
-	}
-	var stack [][]uint32
-	for i := 0; i < n; i++ {
-		frame := make([]uint32, depth)
-		d.U32s(frame)
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		stack = append(stack, frame)
-	}
-	return stack, nil
-}
-
 // SaveState implements bpred.StateCodec for the conditional path
 // predictor: counter table, path history, history-stack frames.
 func (c *Cond) SaveState(w io.Writer) error {
@@ -113,7 +73,7 @@ func (c *Cond) SaveState(w io.Writer) error {
 		return err
 	}
 	e := state.NewEncoder(w)
-	saveStack(e, c.stack)
+	c.stack.save(e)
 	return e.Err()
 }
 
@@ -125,13 +85,7 @@ func (c *Cond) LoadState(r io.Reader) error {
 	if err := c.hs.LoadState(r); err != nil {
 		return err
 	}
-	d := state.NewDecoder(r)
-	stack, err := loadStack(d, c.hs.MaxPath(), c.opts.HistoryStack)
-	if err != nil {
-		return err
-	}
-	c.stack = stack
-	return nil
+	return c.stack.load(state.NewDecoder(r))
 }
 
 // SaveState implements bpred.StateCodec for the indirect path
@@ -146,7 +100,7 @@ func (p *Indirect) SaveState(w io.Writer) error {
 		return err
 	}
 	e = state.NewEncoder(w)
-	saveStack(e, p.stack)
+	p.stack.save(e)
 	return e.Err()
 }
 
@@ -161,12 +115,7 @@ func (p *Indirect) LoadState(r io.Reader) error {
 	if err := p.hs.LoadState(r); err != nil {
 		return err
 	}
-	stack, err := loadStack(d, p.hs.MaxPath(), p.opts.HistoryStack)
-	if err != nil {
-		return err
-	}
-	p.stack = stack
-	return nil
+	return p.stack.load(d)
 }
 
 // SaveState implements bpred.StateCodec for the HFNT model: the wrapped
@@ -261,12 +210,3 @@ func (c *CoarseCond) LoadState(r io.Reader) error {
 	}
 	return nil
 }
-
-// SaveState implements bpred.StateCodec for the shared-history
-// observer. Its state is the shared HashSet, which its group's members
-// also save; the redundancy keeps every column participant
-// self-describing, and restore stays idempotent.
-func (o *PathObserver) SaveState(w io.Writer) error { return o.hs.SaveState(w) }
-
-// LoadState implements bpred.StateCodec.
-func (o *PathObserver) LoadState(r io.Reader) error { return o.hs.LoadState(r) }
