@@ -40,7 +40,8 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
-echo "== perfbench tests (its own module: unit tests + a tiny run of every workload)"
+echo "== perfbench vet + tests (its own module: unit tests + a tiny run of every workload)"
+(cd perfbench && go vet .)
 (cd perfbench && go test -count=1 .)
 
 echo "== committed artifacts (paperrepro at base 1200000 reproduces results/*.txt byte for byte)"

@@ -18,7 +18,9 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/cliutil"
 	"repro/internal/obs"
+	"repro/internal/profile"
 	"repro/internal/runx"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -59,9 +61,10 @@ func run(ctx context.Context, bench, input, tracePath string, n, top int, minExe
 	if err != nil {
 		return err
 	}
+	in := profile.NewInput(trace.Collect(src).Records)
 	log.Progressf("trace source ready")
 	span := obs.StartSpan()
-	rep, err := analysis.Analyze(src, analysis.Config{MinExecutions: minExec})
+	rep, err := analysis.Analyze(in, analysis.Config{MinExecutions: minExec})
 	if err != nil {
 		return err
 	}

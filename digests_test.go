@@ -108,7 +108,13 @@ func recordedDigests(t *testing.T) recorded {
 // TestSuiteDigests renders every registry experiment cold, on one fresh
 // Suite at the recorded base scale, and checks each text's sha256
 // against the benchmark's recorded digest: the rendered artifacts stay
-// byte-identical.
+// byte-identical. The whole registry renders three times: at the host's
+// worker count, then at one and at three workers with every shared
+// reuse pool filled with garbage first, so the texts depend neither on
+// the order experiments' jobs run in nor on what a table held before.
+// ablation-speedup, which reads the Figures 5-8 columns, and
+// ablation-pathinfo, which reads the memoized test inputs, also render
+// each alone on a fresh Suite, where nothing is memoized yet.
 func TestSuiteDigests(t *testing.T) {
 	rec := recordedDigests(t)
 	base, want := rec.base, rec.suite
@@ -116,16 +122,37 @@ func TestSuiteDigests(t *testing.T) {
 	if len(reg) != len(want) {
 		t.Errorf("%d registry experiments, %d recorded digests", len(reg), len(want))
 	}
-	s := experiments.NewSuite(experiments.Config{BaseRecords: base})
-	for _, e := range reg {
+	render := func(pass string, s *experiments.Suite, e experiments.Entry) {
+		t.Helper()
 		rep, err := e.Run(s, context.Background())
 		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
+			t.Fatalf("%s: %s: %v", pass, e.ID, err)
 		}
 		sum := sha256.Sum256([]byte(rep.Text))
 		if got := hex.EncodeToString(sum[:]); got != want[e.ID] {
-			t.Errorf("%s: rendered text sha256 %s, recorded %q", e.ID, got, want[e.ID])
+			t.Errorf("%s: %s: rendered text sha256 %s, recorded %q", pass, e.ID, got, want[e.ID])
 		}
+	}
+	all := func(pass string) {
+		t.Helper()
+		s := experiments.NewSuite(experiments.Config{BaseRecords: base})
+		for _, e := range reg {
+			render(pass, s, e)
+		}
+	}
+	all("host workers")
+	for _, id := range []string{"ablation-speedup", "ablation-pathinfo"} {
+		e, err := experiments.Find(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		render("alone", experiments.NewSuite(experiments.Config{BaseRecords: base}), e)
+	}
+	defer pool.SetCap(pool.Cap())
+	for _, workers := range []int{1, 3} {
+		pool.SetCap(workers)
+		poisonPools()
+		all(fmt.Sprintf("%d workers, poisoned pools", workers))
 	}
 }
 

@@ -4,12 +4,17 @@
 // (gshare + pattern target cache), and the paper's path front end
 // (profiled VLP for both branch classes) — and report IPC, MPKI, and
 // speedup. This is the paper's §1 motivation measured end to end.
+//
+// The model's trace-only part (fetch groups, return-address misses) runs
+// once; each configuration then replays its two predictors with package
+// sim and charges their misses at the redirect penalty.
 package main
 
 import (
+	"context"
+	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"repro/internal/bpred"
 	"repro/internal/bpred/bimodal"
@@ -17,15 +22,17 @@ import (
 	"repro/internal/bpred/targetcache"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vlp"
 	"repro/internal/workload"
 )
 
 func main() {
+	flag.Parse()
 	name := "perl"
-	if len(os.Args) > 1 {
-		name = os.Args[1]
+	if flag.NArg() > 0 {
+		name = flag.Arg(0)
 	}
 	bench, err := workload.ByName(name)
 	if err != nil {
@@ -34,12 +41,16 @@ func main() {
 	const records = 200000
 	buf := trace.Collect(bench.TestSource(records))
 	params := pipeline.Params{Width: 4, Penalty: 10}
+	fe, err := pipeline.Run(buf, params)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	run := func(label string, cond bpred.CondPredictor, ind bpred.IndirectPredictor) pipeline.Result {
-		res, err := pipeline.Run(trace.NewBuffer(buf.Records), cond, ind, params)
-		if err != nil {
-			log.Fatal(err)
-		}
+		ctx := context.Background()
+		c := sim.RunCond(ctx, cond, trace.NewBuffer(buf.Records), sim.Options{})
+		i := sim.RunIndirect(ctx, ind, trace.NewBuffer(buf.Records), sim.Options{})
+		res := fe.Charge(params, c.Mispredicts, i.Mispredicts)
 		fmt.Printf("%-22s %s\n", label, res)
 		return res
 	}

@@ -20,7 +20,7 @@ import (
 	"sort"
 
 	"repro/internal/arch"
-	"repro/internal/trace"
+	"repro/internal/profile"
 	"repro/internal/vlp"
 	"repro/internal/xrand"
 )
@@ -73,8 +73,10 @@ type Report struct {
 	TotalExecuted int64
 }
 
-// Analyze runs the ideal-predictor sweep over src.
-func Analyze(src trace.Source, cfg Config) (*Report, error) {
+// Analyze runs the ideal-predictor sweep over the input's records. It
+// reads the input's conditional branch table, so the branches' dense
+// ids are interned once per input, not once per sweep.
+func Analyze(in *profile.Input, cfg Config) (*Report, error) {
 	depths := cfg.depths()
 	maxDepth := 0
 	for _, d := range depths {
@@ -96,28 +98,24 @@ func Analyze(src trace.Source, cfg Config) (*Report, error) {
 	}
 
 	// Curves and their per-depth counts are laid out flat by dense
-	// branch id, in first-sight order; each depth's contexts live in
-	// one table keyed by (id, path key).
-	ids := map[arch.Addr]int32{}
-	var curves []BranchCurve
-	var counts []int64 // per branch: Correct then Contexts, one per depth
-	tables := make([]ctxTable, len(depths))
+	// branch id; each depth's contexts live in one table keyed by (id,
+	// path key).
+	ids, pcs := in.CondBranches()
+	curves := make([]BranchCurve, len(pcs))
+	for id, pc := range pcs {
+		curves[id].PC = pc
+	}
 	w := len(depths)
+	counts := make([]int64, len(pcs)*2*w) // per branch: Correct then Contexts, one per depth
+	tables := make([]ctxTable, w)
 
-	src.Reset()
-	var r trace.Record
-	var total int64
-	for src.Next(&r) {
+	s := 0
+	for j := range in.Records {
+		r := &in.Records[j]
 		if r.Kind == arch.Cond {
-			id, ok := ids[r.PC]
-			if !ok {
-				id = int32(len(curves))
-				ids[r.PC] = id
-				curves = append(curves, BranchCurve{PC: r.PC})
-				counts = append(counts, make([]int64, 2*w)...)
-			}
+			id := ids[s]
+			s++
 			curves[id].Executed++
-			total++
 			row := counts[int(id)*2*w : (int(id)+1)*2*w]
 			for i, d := range depths {
 				ctr, fresh := tables[i].lookup(id, pathKey(hs, d))
@@ -139,7 +137,7 @@ func Analyze(src trace.Source, cfg Config) (*Report, error) {
 		}
 	}
 
-	rep := &Report{Depths: depths, TotalExecuted: total}
+	rep := &Report{Depths: depths, TotalExecuted: int64(len(ids))}
 	for id := range curves {
 		c := &curves[id]
 		if c.Executed >= cfg.minExec() {

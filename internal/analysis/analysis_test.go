@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/profile"
 	"repro/internal/trace"
 	"repro/internal/vlp"
 	"repro/internal/workload"
@@ -43,17 +44,17 @@ func correlatedTrace(seed uint64, n int) *trace.Buffer {
 }
 
 func TestAnalyzeValidation(t *testing.T) {
-	src := trace.NewBuffer(nil)
-	if _, err := Analyze(src, Config{Depths: []int{-1}}); err == nil {
+	in := profile.NewInput(nil)
+	if _, err := Analyze(in, Config{Depths: []int{-1}}); err == nil {
 		t.Error("negative depth accepted")
 	}
-	if _, err := Analyze(src, Config{Depths: []int{40}}); err == nil {
+	if _, err := Analyze(in, Config{Depths: []int{40}}); err == nil {
 		t.Error("depth beyond THB accepted")
 	}
 }
 
 func TestCurvesSeparateInformationFromNoise(t *testing.T) {
-	rep, err := Analyze(correlatedTrace(1, 3000), Config{Depths: []int{0, 1, 2, 4}})
+	rep, err := Analyze(profile.NewInput(correlatedTrace(1, 3000).Records), Config{Depths: []int{0, 1, 2, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestCurvesSeparateInformationFromNoise(t *testing.T) {
 func TestMinExecutionsFilter(t *testing.T) {
 	buf := &trace.Buffer{}
 	buf.Append(trace.Record{PC: 0x1004, Kind: arch.Cond, Taken: true, Next: 0x9000})
-	rep, err := Analyze(buf, Config{MinExecutions: 2})
+	rep, err := Analyze(profile.NewInput(buf.Records), Config{MinExecutions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestMinExecutionsFilter(t *testing.T) {
 }
 
 func TestHistogramAndMeans(t *testing.T) {
-	rep, err := Analyze(correlatedTrace(2, 2000), Config{Depths: []int{0, 1, 4}})
+	rep, err := Analyze(profile.NewInput(correlatedTrace(2, 2000).Records), Config{Depths: []int{0, 1, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestSuiteBranchesMostlyShallow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Analyze(b.TestSource(60000), Config{})
+	rep, err := Analyze(profile.NewInput(trace.Collect(b.TestSource(60000)).Records), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,10 +265,13 @@ func analyzeTraces(t *testing.T) map[string]*trace.Buffer {
 // deepest alone, and an unsorted set) and execution floors.
 func TestAnalyzeMatchesMapReference(t *testing.T) {
 	for name, buf := range analyzeTraces(t) {
+		// One input serves every configuration, as a suite's memoized
+		// input does.
+		in := profile.NewInput(buf.Records)
 		for _, depths := range [][]int{nil, {0}, {32}, {8, 0, 32, 2, 1}} {
 			for _, minExec := range []int64{1, 0} {
 				cfg := Config{Depths: depths, MinExecutions: minExec}
-				got, err := Analyze(trace.NewBuffer(buf.Records), cfg)
+				got, err := Analyze(in, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -70,7 +70,11 @@ func (s *Suite) AblationRAS(ctx context.Context) (*Report, error) {
 			return err
 		}
 		res.HitPct[j.d][j.b] = 100 * st.HitRate()
-		res.Returns[j.b] = st.Returns
+		// Every depth counts the same returns; one job per benchmark
+		// writes the count, so no two workers share a slot.
+		if j.d == 0 {
+			res.Returns[j.b] = st.Returns
+		}
 		return nil
 	})
 	if err != nil {

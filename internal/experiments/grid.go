@@ -411,8 +411,8 @@ func (s *Suite) ColumnCell(ctx context.Context, key engine.Key) (engine.Cell, er
 // GridKeys enumerates the engine cells an experiment's plan will
 // contain, without executing anything — benchmarks come from the static
 // workload lists, so no suite (and no trace generation) is needed.
-// Experiments whose work is not cell-shaped (workload summaries,
-// pipeline models, instrumented predictors) return nil.
+// Experiments whose work is not cell-shaped (workload summaries, the
+// ideal-predictor analysis, instrumented predictors) return nil.
 func GridKeys(expID string) []engine.Key {
 	condOver := func(id string, benchNames []string) []engine.Key {
 		out := make([]engine.Key, len(benchNames))
@@ -443,6 +443,9 @@ func GridKeys(expID string) []engine.Key {
 		return condOver("fig9", []string{"gcc"})
 	case "fig10":
 		return indOver("fig10", []string{"gcc"})
+	case "ablation-speedup":
+		return append(condOver("compare-cond-16384", ablationBenches),
+			indOver("compare-ind-2048", ablationBenches)...)
 	case "headline":
 		return append(condOver("headline-cond", []string{"gcc"}),
 			indOver("headline-ind", []string{"gcc"})...)

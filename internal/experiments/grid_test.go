@@ -103,8 +103,26 @@ func TestGridKeysShape(t *testing.T) {
 	if len(hk) != 2 || hk[0].Class != engine.ClassCond || hk[1].Class != engine.ClassIndirect {
 		t.Errorf("headline keys %v, want one cond and one indirect column", hk)
 	}
-	// Workload summaries and pipeline models are not cell-shaped.
-	for _, id := range []string{"table1", "table2", "ablation-speedup", "nonesuch"} {
+	// ablation-speedup reads the Figures 5-8 comparison columns of its
+	// four benchmarks, cells those figures already enumerate.
+	figs := map[engine.Key]bool{}
+	for _, id := range []string{"fig5", "fig6", "fig7", "fig8"} {
+		for _, k := range GridKeys(id) {
+			figs[k] = true
+		}
+	}
+	sk := GridKeys("ablation-speedup")
+	if len(sk) != 2*len(ablationBenches) {
+		t.Errorf("ablation-speedup enumerates %d keys, want %d", len(sk), 2*len(ablationBenches))
+	}
+	for _, k := range sk {
+		if !figs[k] {
+			t.Errorf("ablation-speedup key %v is not a Figures 5-8 cell", k)
+		}
+	}
+	// Workload summaries and the ideal-predictor analysis are not
+	// cell-shaped.
+	for _, id := range []string{"table1", "table2", "ablation-pathinfo", "nonesuch"} {
 		if got := GridKeys(id); got != nil {
 			t.Errorf("GridKeys(%q) = %v, want nil", id, got)
 		}

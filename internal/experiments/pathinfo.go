@@ -35,11 +35,11 @@ func (s *Suite) AblationPathInfo(ctx context.Context) (*Report, error) {
 	res.Weight = make([][]float64, len(res.Benchmarks))
 	res.MeanAcc = make([][]float64, len(res.Benchmarks))
 	err := pool.ForEach(ctx, len(res.Benchmarks), func(i int) error {
-		src, err := s.TestSource(res.Benchmarks[i])
+		in, err := s.input(res.Benchmarks[i], false)
 		if err != nil {
 			return err
 		}
-		rep, err := analysis.Analyze(src, analysis.Config{Depths: res.Depths})
+		rep, err := analysis.Analyze(in, analysis.Config{Depths: res.Depths})
 		if err != nil {
 			return err
 		}

@@ -3,14 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 
-	"repro/internal/bpred"
-	"repro/internal/bpred/gshare"
-	"repro/internal/bpred/targetcache"
 	"repro/internal/engine/pool"
 	"repro/internal/pipeline"
 	"repro/internal/tablefmt"
-	"repro/internal/vlp"
+	"repro/internal/workload"
 )
 
 // SpeedupResult carries the front-end timing comparison.
@@ -29,10 +27,27 @@ type SpeedupResult struct {
 // a 4-wide fetch engine with a 10-cycle redirect penalty, comparing the
 // gshare + pattern-cache baseline against the profiled variable length
 // path predictors, with a return address stack in both configurations.
+// All four predictors are entries of the Figures 5-8 comparison columns,
+// so their misses come from those (memoized) columns, and each benchmark
+// takes one trace-only front-end pass.
 func (s *Suite) AblationSpeedup(ctx context.Context) (*Report, error) {
-	const condBudget, indBudget = 16 * 1024, 2 * 1024
-	kc, ki := condK(condBudget), indK(indBudget)
 	benches := ablationBenches
+	bs := make([]*workload.Benchmark, len(benches))
+	for i, name := range benches {
+		b, err := s.bench(name)
+		if err != nil {
+			return nil, err
+		}
+		bs[i] = b
+	}
+	cond, err := s.condComparison(ctx, bs, 16*1024)
+	if err != nil {
+		return nil, err
+	}
+	ind, err := s.indirectComparison(ctx, bs, 2*1024)
+	if err != nil {
+		return nil, err
+	}
 	res := &SpeedupResult{
 		Benchmarks: benches,
 		BaseIPC:    make([]float64, len(benches)),
@@ -41,54 +56,22 @@ func (s *Suite) AblationSpeedup(ctx context.Context) (*Report, error) {
 		VLPMPKI:    make([]float64, len(benches)),
 		Speedup:    make([]float64, len(benches)),
 	}
-	err := pool.ForEach(ctx, len(benches), func(i int) error {
-		bench := benches[i]
-		// mk runs one front end over the benchmark and then releases
-		// its predictors' tables.
-		mk := func(cond bpred.CondPredictor, ind bpred.IndirectPredictor) (pipeline.Result, error) {
-			defer bpred.Release(cond)
-			defer bpred.Release(ind)
-			src, err := s.TestSource(bench)
-			if err != nil {
-				return pipeline.Result{}, err
-			}
-			return pipeline.Run(src, cond, ind, pipeline.Params{Width: 4, Penalty: 10})
-		}
-
-		g, err := gshare.New(condBudget)
+	params := pipeline.Params{Width: 4, Penalty: 10}
+	err = pool.ForEach(ctx, len(benches), func(i int) error {
+		src, err := s.TestSource(benches[i])
 		if err != nil {
 			return err
 		}
-		pat, err := targetcache.NewPatternBudget(indBudget)
+		fe, err := pipeline.Run(src, params)
 		if err != nil {
 			return err
 		}
-		base, err := mk(g, pat)
-		if err != nil {
-			return err
-		}
-
-		cprof, err := s.Profile(bench, false, kc)
-		if err != nil {
-			return err
-		}
-		iprof, err := s.Profile(bench, true, ki)
-		if err != nil {
-			return err
-		}
-		vc, err := vlp.NewCond(condBudget, cprof.Selector(), vlp.Options{})
-		if err != nil {
-			return err
-		}
-		vi, err := vlp.NewIndirect(indBudget, iprof.Selector(), vlp.Options{})
-		if err != nil {
-			return err
-		}
-		vres, err := mk(vc, vi)
-		if err != nil {
-			return err
-		}
-
+		// gshare (conditional entry 0) + pattern cache (indirect entry
+		// 1) against VLP for both classes (entries 2 and 3).
+		base := fe.Charge(params, missCount(cond.Rates[0][i], fe.CondBranches),
+			missCount(ind.Rates[1][i], fe.IndBranches))
+		vres := fe.Charge(params, missCount(cond.Rates[2][i], fe.CondBranches),
+			missCount(ind.Rates[3][i], fe.IndBranches))
 		res.BaseIPC[i], res.VLPIPC[i] = base.IPC(), vres.IPC()
 		res.BaseMPKI[i], res.VLPMPKI[i] = base.MPKI(), vres.MPKI()
 		res.Speedup[i] = vres.Speedup(base)
@@ -109,6 +92,13 @@ func (s *Suite) AblationSpeedup(ctx context.Context) (*Report, error) {
 		Data:  res,
 	}, nil
 }
+
+// missCount recovers a miss count m from a column's percentage over n
+// branches. The percentage is 100·m/n in float64; each of the four
+// float64 steps from m to the percentage and back (divide, scale,
+// multiply, divide) is off by at most half an ulp, so pct·n/100 is
+// within m·2^-51 of m and rounds back to it exactly while m < 2^50.
+func missCount(pct float64, n int64) int64 { return int64(math.Round(pct * float64(n) / 100)) }
 
 // AblationISABits measures §4.2's degradation path as the ISA carries
 // fewer hash-number bits: the full profiled number, a coarse bucket hint

@@ -10,13 +10,19 @@
 // return (predicted by a return address stack). It is deliberately not a
 // microarchitectural simulator; it ranks predictor configurations by the
 // cycle cost of their mispredictions on identical instruction streams.
+//
+// The cycle count is additive, so it is computed in two parts. Run walks
+// the trace once and charges what depends on the trace alone: fetch
+// groups and return-address misses. Charge then adds a predictor pair's
+// conditional and indirect misses at the redirect penalty; those miss
+// counts come from ordinary replays (package sim), so one trace pass
+// serves every predictor pair.
 package pipeline
 
 import (
 	"fmt"
 
 	"repro/internal/arch"
-	"repro/internal/bpred"
 	"repro/internal/bpred/ras"
 	"repro/internal/trace"
 )
@@ -71,6 +77,12 @@ type Result struct {
 	Cycles       int64
 	Instructions int64
 	Branches     int64
+	// CondBranches and IndBranches count the branches a conditional and
+	// an indirect predictor are scored on, exactly as package sim scores
+	// them: conditionals, and indirect jumps and calls (returns go to the
+	// return address stack).
+	CondBranches int64
+	IndBranches  int64
 	// Mispredicts counts all redirects: conditional direction, indirect
 	// target, and return-address misses.
 	Mispredicts int64
@@ -111,10 +123,11 @@ func (r Result) String() string {
 		r.Instructions, r.Cycles, r.IPC(), r.MPKI(), r.CondMiss, r.IndMiss, r.RetMiss)
 }
 
-// Run replays src through the front-end model with the given predictors.
-// Either predictor may be nil, in which case that branch class is treated
-// as always predicted correctly (isolating the other class's cost).
-func Run(src trace.Source, cond bpred.CondPredictor, ind bpred.IndirectPredictor, p Params) (Result, error) {
+// Run replays src through the front-end model with perfect conditional
+// and indirect predictors: it charges instructions, fetch groups and
+// return-address misses, and counts the branches each predictor class is
+// scored on. Charge adds a predictor pair's misses to the result.
+func Run(src trace.Source, p Params) (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
 	}
@@ -146,35 +159,31 @@ func Run(src trace.Source, cond bpred.CondPredictor, ind bpred.IndirectPredictor
 		res.Cycles += (instrs + width - 1) / width
 		res.Branches++
 
-		miss := false
 		switch {
 		case r.Kind == arch.Cond:
-			if cond != nil && cond.Predict(r.PC) != r.Taken {
-				res.CondMiss++
-				miss = true
-			}
+			res.CondBranches++
 		case r.Kind.IndirectTarget():
-			if ind != nil && ind.Predict(r.PC) != r.Next {
-				res.IndMiss++
-				miss = true
-			}
+			res.IndBranches++
 		case r.Kind == arch.Return:
 			if stack.Predict() != r.Next {
 				res.RetMiss++
-				miss = true
+				res.Mispredicts++
+				res.Cycles += penalty
 			}
-		}
-		if miss {
-			res.Mispredicts++
-			res.Cycles += penalty
-		}
-		if cond != nil {
-			cond.Update(r)
-		}
-		if ind != nil {
-			ind.Update(r)
 		}
 		stack.Update(r)
 	}
 	return res, nil
+}
+
+// Charge returns r with condMiss conditional and indMiss indirect
+// mispredictions added, each at p's redirect penalty. On a Run result,
+// the misses of one predictor pair's replays over the same trace give
+// that front end's full cost.
+func (r Result) Charge(p Params, condMiss, indMiss int64) Result {
+	r.CondMiss += condMiss
+	r.IndMiss += indMiss
+	r.Mispredicts += condMiss + indMiss
+	r.Cycles += int64(p.penalty()) * (condMiss + indMiss)
+	return r
 }

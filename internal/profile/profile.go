@@ -448,6 +448,15 @@ func (in *Input) table(indirect bool) *branchTable {
 	return &l.t
 }
 
+// CondBranches returns the input's conditional branch table: the dense
+// id of every conditional record, in trace order, and the address of
+// every id, in first-sight order. It is built once per input and shared;
+// callers must not modify it.
+func (in *Input) CondBranches() (ids []int32, pcs []arch.Addr) {
+	t := in.table(false)
+	return t.ids, t.pcs
+}
+
 // scores reports whether a record of kind k is scored by the class that
 // scores conditionals, or indirect targets when indirect is set.
 func scores(k arch.BranchKind, indirect bool) bool {

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/arch"
 )
@@ -88,21 +87,6 @@ func (s *Summary) TakenRate() float64 {
 		return float64(s.TakenCond) / float64(n)
 	}
 	return 0
-}
-
-// CondPCs returns the sorted list of static conditional branch sites.
-func (s *Summary) CondPCs() []arch.Addr { return sortedAddrs(s.condPCs) }
-
-// IndirectPCs returns the sorted list of static indirect branch sites.
-func (s *Summary) IndirectPCs() []arch.Addr { return sortedAddrs(s.indirectPCs) }
-
-func sortedAddrs(m map[arch.Addr]struct{}) []arch.Addr {
-	out := make([]arch.Addr, 0, len(m))
-	for a := range m {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // String renders the summary in the shape of one row of the paper's

@@ -147,12 +147,6 @@ func TestSummary(t *testing.T) {
 	if got := s.TakenRate(); got < 0.66 || got > 0.67 {
 		t.Errorf("TakenRate = %v, want 2/3", got)
 	}
-	if pcs := s.CondPCs(); len(pcs) != 2 || pcs[0] != 0x100 || pcs[1] != 0x104 {
-		t.Errorf("CondPCs = %v", pcs)
-	}
-	if pcs := s.IndirectPCs(); len(pcs) != 2 || pcs[0] != 0x300 || pcs[1] != 0x500 {
-		t.Errorf("IndirectPCs = %v", pcs)
-	}
 }
 
 func TestSummaryEmpty(t *testing.T) {

@@ -59,16 +59,6 @@ func (r *RNG) Seed(seed uint64) {
 	}
 }
 
-// Fork returns a new generator whose stream is a deterministic function of
-// the parent's seed material and the given label, without disturbing the
-// parent's stream. It is used to give every static branch its own
-// independent randomness so that adding a branch to a workload does not
-// perturb the outcomes of unrelated branches.
-func (r *RNG) Fork(label uint64) *RNG {
-	seed := Mix64(r.s[0]^bits.RotateLeft64(r.s[2], 17)) ^ Mix64(label)
-	return New(seed)
-}
-
 // Uint64 returns the next value of the stream.
 func (r *RNG) Uint64() uint64 {
 	s := &r.s
@@ -114,19 +104,6 @@ func (r *RNG) Float64() float64 {
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle pseudo-randomly shuffles the first n elements using the provided
 // swap function, in the manner of math/rand.Shuffle.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
@@ -134,23 +111,6 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Geometric returns a sample from a geometric distribution with success
-// probability p, i.e. the number of failures before the first success.
-// It is used to draw burst lengths and phase durations in workloads.
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("xrand: Geometric with p outside (0, 1]")
-	}
-	n := 0
-	for !r.Bool(p) {
-		n++
-		if n == 1<<20 { // safety valve against pathological p
-			break
-		}
-	}
-	return n
 }
 
 // IntnRange returns a uniformly distributed integer in [lo, hi]. It panics

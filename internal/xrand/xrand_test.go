@@ -53,27 +53,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
-	parent := New(7)
-	before := parent.s
-	child := parent.Fork(1)
-	if parent.s != before {
-		t.Error("Fork disturbed the parent state")
-	}
-	// Distinct labels yield distinct streams.
-	c2 := parent.Fork(2)
-	if child.Uint64() == c2.Uint64() && child.Uint64() == c2.Uint64() {
-		t.Error("forks with different labels produced identical output")
-	}
-	// Fork is deterministic.
-	d1, d2 := New(7).Fork(1), New(7).Fork(1)
-	for i := 0; i < 100; i++ {
-		if d1.Uint64() != d2.Uint64() {
-			t.Fatal("Fork is not deterministic")
-		}
-	}
-}
-
 func TestIntnBounds(t *testing.T) {
 	r := New(1)
 	for _, n := range []int{1, 2, 3, 7, 100, 1 << 20} {
@@ -140,23 +119,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(3)
-	for _, n := range []int{0, 1, 5, 64} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestShuffleIsPermutation(t *testing.T) {
 	r := New(8)
 	s := []int{0, 1, 2, 3, 4, 5, 6, 7}
@@ -167,19 +129,6 @@ func TestShuffleIsPermutation(t *testing.T) {
 	}
 	if len(seen) != 8 {
 		t.Errorf("Shuffle lost elements: %v", s)
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	r := New(21)
-	const p, trials = 0.25, 50000
-	var sum float64
-	for i := 0; i < trials; i++ {
-		sum += float64(r.Geometric(p))
-	}
-	// Mean of failures-before-success is (1-p)/p = 3.
-	if mean := sum / trials; math.Abs(mean-3) > 0.15 {
-		t.Errorf("Geometric(0.25) mean = %v, want ~3", mean)
 	}
 }
 
