@@ -76,6 +76,9 @@ go test -race -count=1 -run 'Cancel|Canceled|Fault|Resume|Timeout|PanicIsolation
 echo "== service concurrency (hammer + drain) under race"
 go test -race -count=1 -run 'Hammer|Saturation|GracefulShutdown' ./internal/serve ./internal/loadgen
 
+echo "== predict window free list under race"
+go test -race -count=10 -run '^TestWindowFreeList$' ./internal/serve
+
 echo "== circuit breaker + retry-after edge cases under race"
 go test -race -count=1 -run 'Breaker|RetryAfter' ./internal/runx ./internal/dist
 

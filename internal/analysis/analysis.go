@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/profile"
+	"repro/internal/reuse"
 	"repro/internal/vlp"
 	"repro/internal/xrand"
 )
@@ -108,6 +109,11 @@ func Analyze(in *profile.Input, cfg Config) (*Report, error) {
 	w := len(depths)
 	counts := make([]int64, len(pcs)*2*w) // per branch: Correct then Contexts, one per depth
 	tables := make([]ctxTable, w)
+	defer func() {
+		for i := range tables {
+			ctxSlots.Put(tables[i].slots)
+		}
+	}()
 
 	s := 0
 	for j := range in.Records {
@@ -152,7 +158,8 @@ func Analyze(in *profile.Input, cfg Config) (*Report, error) {
 
 // ctxTable holds the ideal predictor's 2-bit counters at one depth, one
 // per (branch id, path key) context seen: an open-addressed table with
-// linear probing, doubled when half full.
+// linear probing, doubled when half full. Its slots come from ctxSlots,
+// and Analyze releases them when it returns.
 type ctxTable struct {
 	slots []ctxSlot
 	used  int
@@ -165,6 +172,9 @@ type ctxSlot struct {
 	id  int32
 	ctr uint8
 }
+
+// ctxSlots is the process-wide pool of context tables.
+var ctxSlots reuse.Pool[ctxSlot]
 
 // lookup returns the counter of context (id, key), inserting it weakly
 // not-taken, as the predictors start, when fresh.
@@ -188,7 +198,8 @@ func (t *ctxTable) lookup(id int32, key uint64) (ctr *uint8, fresh bool) {
 
 func (t *ctxTable) grow() {
 	old := t.slots
-	t.slots = make([]ctxSlot, max(1024, 2*len(old)))
+	t.slots = ctxSlots.Get(max(1024, 2*len(old)))
+	clear(t.slots)
 	mask := uint64(len(t.slots) - 1)
 	for _, s := range old {
 		if s.id == 0 {
@@ -200,6 +211,7 @@ func (t *ctxTable) grow() {
 		}
 		t.slots[i] = s
 	}
+	ctxSlots.Put(old)
 }
 
 // ctxHash spreads a context over the table: the path key is already

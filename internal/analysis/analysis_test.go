@@ -289,3 +289,34 @@ func TestAnalyzeMatchesMapReference(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzePoisonedPool runs Analyze with the context-table pool
+// filled with garbage before every call: a table taken from the pool
+// must be cleared before its first lookup, or the result departs from
+// the map reference. One slot in 16 is occupied, so a table that is not
+// cleared still has empty slots and the lookup ends.
+func TestAnalyzePoisonedPool(t *testing.T) {
+	buf := analyzeTraces(t)["gcc"]
+	in := profile.NewInput(buf.Records)
+	for _, depths := range [][]int{nil, {0}, {8, 0, 32, 2, 1}} {
+		cfg := Config{Depths: depths, MinExecutions: 1}
+		for c := 10; c <= 16; c++ {
+			s := make([]ctxSlot, 1<<c)
+			for i := 0; i < len(s); i += 16 {
+				s[i] = ctxSlot{key: uint64(i), id: int32(i%7) + 1, ctr: 3}
+			}
+			ctxSlots.Put(s)
+		}
+		got, err := Analyze(in, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refAnalyze(trace.NewBuffer(buf.Records), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("depths=%v: analysis on a poisoned pool diverges from the map reference", depths)
+		}
+	}
+}

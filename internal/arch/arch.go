@@ -14,8 +14,12 @@ import "fmt"
 // addresses are derived from it.
 const InstrBytes = 4
 
-// Addr is a virtual instruction address.
-type Addr uint64
+// Addr is a virtual instruction address. It is 32 bits wide: the
+// synthetic substrate lays its code out from 0x10000 and no workload
+// comes near 2^32, and the paper's predictors store only the low 32 bits
+// of a target (§3.1 footnote), so the high half would be padding in
+// every trace record.
+type Addr uint32
 
 // FallThrough returns the address of the instruction following the one at a.
 func (a Addr) FallThrough() Addr { return a + InstrBytes }

@@ -9,7 +9,8 @@
 // variant's history is q low-order bits from each of the last p branch
 // targets. Following the paper's footnote, table entries hold the low 32
 // bits of the target; the upper bits come from the current fetch region and
-// are assumed correct.
+// are assumed correct. An arch.Addr is 32 bits, so an entry holds the whole
+// address.
 package targetcache
 
 import (

@@ -158,16 +158,6 @@ func TestPathRecordsOnlyTHBEvents(t *testing.T) {
 	}
 }
 
-func TestTargetTableStoresLow32Bits(t *testing.T) {
-	b := NewBTB(4)
-	pc := arch.Addr(0x1000)
-	// Per the paper's footnote only the low 32 bits live in the table.
-	b.Update(trace.Record{PC: pc, Kind: arch.Indirect, Taken: true, Next: 0x1_2345_6789})
-	if got := b.Predict(pc); got != 0x2345_6789 {
-		t.Errorf("Predict = %#x, want low-32 truncation 0x23456789", uint64(got))
-	}
-}
-
 func TestPathPerAddrValidation(t *testing.T) {
 	if _, err := NewPathPerAddr(9, 8, 0, 3); err == nil {
 		t.Error("zero depth accepted")

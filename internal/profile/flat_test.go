@@ -690,7 +690,6 @@ func poisonPools() {
 		poison(&branches, branch{at: -1, id: -1, phase: 0xFF, taken: true}, c)
 		poison(&reuse.Uint8, 0xFF, c)
 		poison(&reuse.Uint32, ^uint32(0), c)
-		poison(&reuse.Uint64, ^uint64(0), c)
 		poison(&reuse.Int64, -1, c)
 	}
 }

@@ -507,7 +507,7 @@ type indexed struct {
 	class    class
 	frame    vlp.Frame
 	branches []branch
-	next     []uint64 // indirect outcomes, by scored record
+	next     []uint32 // indirect outcomes, by scored record
 	hist     []uint32 // pattern class: the k-bit outcome history before each scored record
 	pre      []uint32
 	pcs      []arch.Addr
@@ -563,7 +563,7 @@ func (in *Input) index(cls class, k uint, maxL int) (*indexed, error) {
 	x.pre = reuse.Uint32.Get(maxL + 1 + t.inserts)
 	clear(x.pre[:maxL+1])
 	if indirect {
-		x.next = reuse.Uint64.Get(n)
+		x.next = reuse.Uint32.Get(n)
 	}
 	at, phase, s := maxL, uint(0), 0
 	for j := range recs {
@@ -571,7 +571,7 @@ func (in *Input) index(cls class, k uint, maxL int) (*indexed, error) {
 		if scores(r.Kind, indirect) {
 			x.branches[s] = branch{at: int32(at), id: t.ids[s], phase: uint8(phase), taken: r.Taken}
 			if x.next != nil {
-				x.next[s] = uint64(r.Next)
+				x.next[s] = uint32(r.Next)
 			}
 			s++
 		}
@@ -589,7 +589,7 @@ func (x *indexed) release() {
 	branches.Put(x.branches)
 	reuse.Uint32.Put(x.hist)
 	reuse.Uint32.Put(x.pre)
-	reuse.Uint64.Put(x.next)
+	reuse.Uint32.Put(x.next)
 	*x = indexed{}
 }
 
@@ -696,11 +696,13 @@ func flpCond(x *indexed, l int, pht *counter.Array, col []int64) {
 }
 
 // flpIndirect is flpCond for the indirect class: target registers,
-// last-target-match scoring on the low 32 target bits.
+// last-target-match scoring. A register holds a whole address, since
+// arch.Addr is 32 bits wide, so this scores exactly what replaying a
+// vlp.Indirect scores.
 func flpIndirect(x *indexed, l int, reg []uint32, col []int64) {
 	f, pre, next := x.frame, x.pre, x.next[:len(x.branches)]
 	for s, b := range x.branches {
-		i, target := index(f, pre, b, l), uint32(next[s])
+		i, target := index(f, pre, b, l), next[s]
 		col[b.id] += one(reg[i] == target)
 		reg[i] = target
 	}
@@ -781,11 +783,8 @@ func vlpIndirect(x *indexed, assigned []int32, reg []uint32, misses []int64) {
 	f, pre, next := x.frame, x.pre, x.next[:len(x.branches)]
 	for s, b := range x.branches {
 		i := index(f, pre, b, int(assigned[b.id]))
-		// The register holds the low 32 target bits (§3.1 footnote)
-		// but the prediction it implies is a full address — mirror
-		// vlp.Indirect.Predict exactly.
-		misses[b.id] += one(uint64(reg[i]) != next[s])
-		reg[i] = uint32(next[s])
+		misses[b.id] += one(reg[i] != next[s])
+		reg[i] = next[s]
 	}
 }
 

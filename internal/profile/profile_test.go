@@ -2,6 +2,7 @@ package profile
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -246,6 +247,26 @@ func TestLoadRejectsInvalid(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file loaded")
+	}
+}
+
+// TestLoadRejectsWideAddress: a branch address is 32 bits, so a profile
+// keyed by an address of 2^32 or more is refused, not truncated onto
+// another branch.
+func TestLoadRejectsWideAddress(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wide.json")
+	data := `{"kind": "cond", "table_bits": 10, "lengths": {"4096": 3, "4294967296": 5}, "default": 1}`
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(path)
+	if err == nil {
+		t.Fatal("profile keyed by 2^32 loaded without error")
+	}
+	for _, want := range []string{"4294967296", "arch.Addr"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }
 

@@ -150,10 +150,10 @@ var (
 	// Uint8 holds counter tables (internal/bpred/counter) and other
 	// byte-wide entries.
 	Uint8 Pool[uint8]
-	// Uint32 holds 32-bit target registers and the profiler's prefix
-	// and history arrays.
+	// Uint32 holds 32-bit target registers, the profiler's prefix,
+	// history and outcome arrays, and other per-entry addresses.
 	Uint32 Pool[uint32]
-	// Uint64 holds 64-bit history registers and full target addresses.
+	// Uint64 holds 64-bit history registers.
 	Uint64 Pool[uint64]
 	// Int64 holds count matrices.
 	Int64 Pool[int64]

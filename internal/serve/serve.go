@@ -59,9 +59,13 @@ type Server struct {
 	// slot without blocking or be rejected with 429, so saturation
 	// degrades into fast, retryable refusals instead of an unbounded
 	// queue of slow ones.
-	sem  chan struct{}
-	span *obs.Span
-	hist obs.Histogram
+	sem chan struct{}
+	// windows is the free list of predict requests' decode storage. A
+	// request takes a window after its worker slot and returns it before
+	// giving the slot back, so at most limits.Workers windows exist.
+	windows chan *window
+	span    *obs.Span
+	hist    obs.Histogram
 
 	// jobs, when set (SetJobRunner), serves POST /v1/jobs — the
 	// distributed-sweep execution endpoint internal/dist implements.
@@ -120,11 +124,12 @@ func New(limits Limits, log *obs.Logger) (*Server, error) {
 		log = obs.Discard
 	}
 	return &Server{
-		limits: limits,
-		log:    log,
-		reg:    newRegistry(limits.MaxSessions, limits.IdleTTL),
-		sem:    make(chan struct{}, limits.Workers),
-		span:   obs.StartSpan(),
+		limits:  limits,
+		log:     log,
+		reg:     newRegistry(limits.MaxSessions, limits.IdleTTL),
+		sem:     make(chan struct{}, limits.Workers),
+		windows: make(chan *window, limits.Workers),
+		span:    obs.StartSpan(),
 	}, nil
 }
 
@@ -309,18 +314,37 @@ type PredictResponse struct {
 	TotalMissRate    float64 `json:"total_miss_rate"`
 }
 
-// The ingest hot path recycles its three per-request allocations: gzip
-// readers (each ~44KB of inflate state), the chunk byte buffer
-// io.ReadAll would otherwise regrow per request, and the record window
-// a chunk decodes into (24 bytes a record). Pooled values are
-// request-scoped — taken after the worker-slot gate, returned before
-// the handler exits, after replay and spill, with no reference kept —
-// so the pools hold at most one value per worker.
-var (
-	gzipReaders   sync.Pool // *gzip.Reader, between requests holds a closed reader
-	chunkBufs     = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
-	recordWindows = sync.Pool{New: func() interface{} { return new(trace.Buffer) }}
-)
+// window is a predict request's decode storage: the gzip reader (~44KB
+// of inflate state, nil until a gzipped chunk needs one, closed between
+// requests), the chunk bytes, and the records the chunk decodes into
+// (12 bytes a record). Windows live on the Server's free list, not in a
+// sync.Pool, so they survive garbage collections: a steady stream of
+// chunks allocates none.
+type window struct {
+	zr   *gzip.Reader
+	data bytes.Buffer
+	recs trace.Buffer
+}
+
+// takeWindow returns a free window, or a new one when every window is
+// in use. The caller holds a worker slot.
+func (s *Server) takeWindow() *window {
+	select {
+	case win := <-s.windows:
+		return win
+	default:
+		return new(window)
+	}
+}
+
+// putWindow returns win to the free list, after replay and spill and
+// before the worker slot is released, with no reference kept.
+func (s *Server) putWindow(win *window) {
+	select {
+	case s.windows <- win:
+	default: // unreachable while windows are taken under a slot
+	}
+}
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// Backpressure first: take a worker slot without blocking or turn
@@ -345,40 +369,32 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
+	win := s.takeWindow()
+	defer s.putWindow(win)
 	var body io.Reader = http.MaxBytesReader(w, r.Body, s.limits.MaxBodyBytes)
 	if r.Header.Get("Content-Encoding") == "gzip" {
-		zr, _ := gzipReaders.Get().(*gzip.Reader)
 		var err error
-		if zr == nil {
-			zr, err = gzip.NewReader(body)
+		if win.zr == nil {
+			win.zr, err = gzip.NewReader(body)
 		} else {
-			err = zr.Reset(body)
+			err = win.zr.Reset(body)
 		}
 		if err != nil {
-			if zr != nil {
-				gzipReaders.Put(zr)
-			}
 			s.writeError(w, fmt.Errorf("serve: bad gzip frame: %w", trace.ErrCorrupt))
 			return
 		}
-		defer func() {
-			zr.Close()
-			gzipReaders.Put(zr)
-		}()
-		body = zr
+		defer win.zr.Close()
+		body = win.zr
 	}
-	bb := chunkBufs.Get().(*bytes.Buffer)
-	bb.Reset()
-	defer chunkBufs.Put(bb)
-	if _, err := bb.ReadFrom(body); err != nil {
+	win.data.Reset()
+	if _, err := win.data.ReadFrom(body); err != nil {
 		s.writeError(w, err)
 		return
 	}
-	data := bb.Bytes()
+	data := win.data.Bytes()
 	// The whole chunk decodes before any record reaches the predictor,
 	// so a rejected chunk leaves the session untouched.
-	buf := recordWindows.Get().(*trace.Buffer)
-	defer recordWindows.Put(buf)
+	buf := &win.recs
 	var err error
 	buf.Records, err = trace.DecodeInto(buf.Records, data)
 	if err != nil {

@@ -96,35 +96,45 @@ func tryCreateSession(t testing.TB, baseURL, id, class, spec string) (SessionInf
 
 func postChunk(t testing.TB, baseURL, id string, chunk []byte, gz bool) (PredictResponse, int, Envelope) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, baseURL+"/v1/sessions/"+id+"/chunks", bytes.NewReader(chunk))
+	pr, status, env, err := tryPostChunk(baseURL, id, chunk, gz)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return pr, status, env
+}
+
+// tryPostChunk is postChunk for a goroutine other than the test's own,
+// which must not call t.Fatal: it returns what went wrong instead.
+func tryPostChunk(baseURL, id string, chunk []byte, gz bool) (PredictResponse, int, Envelope, error) {
+	var pr PredictResponse
+	var env Envelope
+	req, err := http.NewRequest(http.MethodPost, baseURL+"/v1/sessions/"+id+"/chunks", bytes.NewReader(chunk))
+	if err != nil {
+		return pr, 0, env, err
 	}
 	if gz {
 		req.Header.Set("Content-Encoding", "gzip")
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return pr, 0, env, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		return pr, 0, env, err
 	}
-	var pr PredictResponse
-	var env Envelope
 	if resp.StatusCode == http.StatusOK {
 		if err := json.Unmarshal(raw, &pr); err != nil {
-			t.Fatalf("bad predict response %q: %v", raw, err)
+			return pr, 0, env, fmt.Errorf("bad predict response %q: %v", raw, err)
 		}
 	} else {
 		ok := false
 		if env, ok = DecodeEnvelope(raw); !ok {
-			t.Fatalf("error response %q is not a v1 envelope", raw)
+			return pr, 0, env, fmt.Errorf("error response %q is not a v1 envelope", raw)
 		}
 	}
-	return pr, resp.StatusCode, env
+	return pr, resp.StatusCode, env, nil
 }
 
 func getSessionInfo(t testing.TB, baseURL, id string) (SessionInfo, int) {
@@ -288,15 +298,7 @@ func TestPredictGzip(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("raw predict: status %d", status)
 	}
-	var zbuf bytes.Buffer
-	zw := gzip.NewWriter(&zbuf)
-	if _, err := zw.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	gz, status, _ := postChunk(t, ts.URL, "gz", zbuf.Bytes(), true)
+	gz, status, _ := postChunk(t, ts.URL, "gz", gzipBytes(t, data), true)
 	if status != http.StatusOK {
 		t.Fatalf("gzip predict: status %d", status)
 	}
@@ -718,6 +720,101 @@ func TestHammerConcurrentClients(t *testing.T) {
 	if info.Branches == 0 {
 		t.Fatal("hammer scored no branches")
 	}
+}
+
+// TestWindowFreeList is the -race test of the predict windows: more
+// clients than workers stream chunks at once, each at its own session,
+// with chunk sizes that differ per client and gzip on every other chunk,
+// so windows and gzip readers pass between requests of different
+// sessions. Every answer must equal a batch replay of the same chunk,
+// and the free list must hold at most Workers windows, none of them
+// twice.
+func TestWindowFreeList(t *testing.T) {
+	limits := testLimits()
+	limits.Workers = 3
+	limits.MaxSessions = 8
+	s, err := New(limits, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold each request in its slot briefly so the workers overlap.
+	s.testHookPredict = func() { time.Sleep(200 * time.Microsecond) }
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const clients, spec = 8, "gshare:budget=4KB"
+	buf := testTrace(t, 12000)
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		id := fmt.Sprintf("w%d", c)
+		createSession(t, ts.URL, id, "cond", spec)
+		sp, err := factory.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := sp.Cond()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var chunks [][]trace.Record
+		for off, size := 0, 900+500*c; off < buf.Len(); off += size {
+			chunks = append(chunks, buf.Records[off:min(off+size, buf.Len())])
+		}
+		encoded := make([][]byte, len(chunks))
+		for i, recs := range chunks {
+			if encoded[i] = encodeRecords(t, recs); i%2 == 1 {
+				encoded[i] = gzipBytes(t, encoded[i])
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, recs := range chunks {
+				want := sim.RunCond(context.Background(), ref, trace.NewBuffer(recs), sim.Options{})
+				chunk, gz := encoded[i], i%2 == 1
+				pr, status, ae, err := tryPostChunk(ts.URL, id, chunk, gz)
+				for err == nil && status == http.StatusTooManyRequests {
+					pr, status, ae, err = tryPostChunk(ts.URL, id, chunk, gz)
+				}
+				if err != nil || status != http.StatusOK {
+					t.Errorf("%s chunk %d: status %d (%+v), %v", id, i, status, ae, err)
+					return
+				}
+				if pr.Records != len(recs) || pr.Branches != want.Branches || pr.Mispredicts != want.Mispredicts {
+					t.Errorf("%s chunk %d: served %d records %d/%d, batch %d records %d/%d", id, i,
+						pr.Records, pr.Mispredicts, pr.Branches, len(recs), want.Mispredicts, want.Branches)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	n := len(s.windows)
+	if n < 1 || n > limits.Workers {
+		t.Fatalf("free list holds %d windows, want 1..%d", n, limits.Workers)
+	}
+	seen := make(map[*window]bool)
+	for range n {
+		win := <-s.windows
+		if seen[win] {
+			t.Fatal("a window is on the free list twice")
+		}
+		seen[win] = true
+	}
+}
+
+// gzipBytes returns data gzip-framed.
+func gzipBytes(t testing.TB, data []byte) []byte {
+	t.Helper()
+	var zbuf bytes.Buffer
+	zw := gzip.NewWriter(&zbuf)
+	if _, err := zw.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return zbuf.Bytes()
 }
 
 // TestParseLimits exercises the limits grammar and its validation.

@@ -31,6 +31,9 @@ import (
 //	                          Next address in instruction units
 //
 // All multi-byte values use the standard library's varint encoding.
+// The varints can spell addresses of any width, but an arch.Addr is 32
+// bits: a record whose PC, Next or implied fall-through PC+4 lies outside
+// [0, 2^32) is corrupt, not truncated.
 
 const (
 	fileMagic   = "VLPT"
@@ -156,19 +159,35 @@ func decodeRecord(p []byte, end error, prevPC arch.Addr, i uint64) (Record, int,
 	if ux&1 != 0 {
 		delta = ^delta
 	}
-	pc := arch.Addr(int64(prevPC) + delta*arch.InstrBytes)
-	next := pc.FallThrough()
-	if hdr&hdrFallThrough == 0 {
+	// The product overflows only for a delta beyond the address space,
+	// which the check rejects before it reads pc.
+	pc := int64(prevPC) + delta*arch.InstrBytes
+	if delta < -maxAddrUnits || delta > maxAddrUnits || pc < 0 || pc > math.MaxUint32 {
+		return Record{}, 0, corruptf("trace: record %d: pc %v%+d instructions is beyond the 32-bit address space", i, prevPC, delta)
+	}
+	var next int64
+	if hdr&hdrFallThrough != 0 {
+		if next = pc + arch.InstrBytes; next > math.MaxUint32 {
+			return Record{}, 0, corruptf("trace: record %d: fall-through of pc %#x is beyond the 32-bit address space", i, pc)
+		}
+	} else {
 		u, m := uint64(0), 1
 		if len(p) > n && p[n] < 0x80 {
 			u = uint64(p[n])
 		} else if u, m = binary.Uvarint(p[n:]); m <= 0 {
 			return Record{}, 0, readErr(fmt.Sprintf("record %d next", i), varintErr(p[n:], m, end))
 		}
-		next, n = arch.Addr(u*arch.InstrBytes), n+m
+		if u > maxAddrUnits {
+			return Record{}, 0, corruptf("trace: record %d: next of %d instructions is beyond the 32-bit address space", i, u)
+		}
+		next, n = int64(u)*arch.InstrBytes, n+m
 	}
-	return Record{PC: pc, Kind: kind, Taken: hdr&hdrTaken != 0, Next: next}, n, nil
+	return Record{PC: arch.Addr(pc), Kind: kind, Taken: hdr&hdrTaken != 0, Next: arch.Addr(next)}, n, nil
 }
+
+// maxAddrUnits is the largest address in instruction units: the file
+// format stores addresses that way, and an arch.Addr is 32 bits.
+const maxAddrUnits = math.MaxUint32 / arch.InstrBytes
 
 // DecodeInto parses one complete VLPT stream held in data into dst's
 // storage, discarding dst's contents, and returns the records. It
@@ -204,7 +223,7 @@ func DecodeInto(dst []Record, data []byte) ([]Record, error) {
 // preallocate before a single record has been decoded. A hostile or
 // scrambled header can declare 2^60 records; the slice still grows to
 // the real decoded size on demand, so the cap costs nothing on honest
-// payloads. 1M records ≈ 24 MB of slice.
+// payloads. 1M records ≈ 12 MB of slice.
 const maxPreallocRecords = 1 << 20
 
 // minRecordBytes is the smallest possible encoded record: one header
@@ -270,7 +289,9 @@ func (w *Writer) Write(r Record) error {
 	if r.Taken {
 		hdr |= hdrTaken
 	}
-	fall := r.Next == r.PC.FallThrough()
+	// Compared in 64 bits: the fall-through of the last address in the
+	// space wraps to 0 in an arch.Addr, which the decoder refuses.
+	fall := uint64(r.Next) == uint64(r.PC)+arch.InstrBytes
 	if fall {
 		hdr |= hdrFallThrough
 	}

@@ -2,12 +2,22 @@ package trace
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/arch"
 )
 
 func rec(pc uint64, kind arch.BranchKind, taken bool, next uint64) Record {
 	return Record{PC: arch.Addr(pc), Kind: kind, Taken: taken, Next: arch.Addr(next)}
+}
+
+// TestRecordLayout pins a record at 12 bytes: 32-bit PC and Next, with
+// Kind and Taken in the padding between them. Every trace, served chunk
+// window and profile input is a slice of records.
+func TestRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 12 {
+		t.Errorf("Sizeof(Record{}) = %d, want 12", got)
+	}
 }
 
 func TestRecordString(t *testing.T) {

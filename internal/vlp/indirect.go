@@ -13,7 +13,8 @@ import (
 // table of target registers indexed by the selected hash function over the
 // THB. Each register "was large enough to hold one target address"; per
 // the paper's footnote, the low 32 bits are stored and the upper bits come
-// from the current fetch region.
+// from the current fetch region. An arch.Addr is 32 bits, so a register
+// holds the whole address.
 type Indirect struct {
 	table []uint32
 	mask  uint64

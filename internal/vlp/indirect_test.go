@@ -85,22 +85,6 @@ func TestIndirectDeepContext(t *testing.T) {
 	}
 }
 
-func TestIndirectStoresLow32Bits(t *testing.T) {
-	p, err := NewIndirectBits(8, Fixed{L: 1}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := arch.Addr(0x1004)
-	p.Update(indRec(pc, 0x1_0000_5004))
-	// The prediction lookup uses the new THB state; re-insert so the
-	// index seen at predict time matches an updated entry.
-	p.Update(indRec(pc, 0x1_0000_5004))
-	got := p.Predict(pc)
-	if uint32(got) != 0x0000_5004 {
-		t.Errorf("predicted %#x, want low-32 truncation", uint64(got))
-	}
-}
-
 func TestIndirectTHBPolicy(t *testing.T) {
 	p, err := NewIndirectBits(10, Fixed{L: 4}, Options{})
 	if err != nil {

@@ -56,7 +56,7 @@ func (m MissBreakdown) String() string {
 // measurement-only.
 type InstrumentedCond struct {
 	*Cond
-	lastWriter []uint64 // each entry's last trainer's PC; 0 = never trained
+	lastWriter []uint32 // each entry's last trainer's PC; 0 = never trained
 	Stats      MissBreakdown
 }
 
@@ -68,14 +68,14 @@ func NewInstrumentedCond(budgetBytes int, sel Selector, opts Options) (*Instrume
 	}
 	return &InstrumentedCond{
 		Cond:       inner,
-		lastWriter: reuse.Uint64.Zeroed(inner.pht.Len()),
+		lastWriter: reuse.Uint32.Zeroed(inner.pht.Len()),
 	}, nil
 }
 
 // Release implements bpred.Releaser. The Stats stay readable.
 func (c *InstrumentedCond) Release() {
 	c.Cond.Release()
-	reuse.Uint64.Put(c.lastWriter)
+	reuse.Uint32.Put(c.lastWriter)
 	c.lastWriter = nil
 }
 
@@ -112,13 +112,13 @@ func (c *InstrumentedCond) classifyAndTrain(r *trace.Record) bool {
 		switch c.lastWriter[idx] {
 		case 0:
 			c.Stats.Cold++
-		case uint64(r.PC):
+		case uint32(r.PC):
 			c.Stats.Intrinsic++
 		default:
 			c.Stats.Interference++
 		}
 	}
 	c.pht.Train(idx, r.Taken)
-	c.lastWriter[idx] = uint64(r.PC)
+	c.lastWriter[idx] = uint32(r.PC)
 	return correct
 }
