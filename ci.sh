@@ -71,7 +71,7 @@ go test -run '^$' -fuzz '^FuzzChaosSpec$' -fuzztime 10s ./internal/chaos
 go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 10s ./internal/snap
 
 echo "== cancellation + fault-tolerance + singleflight under race"
-go test -race -count=1 -run 'Cancel|Canceled|Fault|Resume|Timeout|PanicIsolation|Singleflight' ./internal/sim ./internal/experiments ./cmd/paperrepro
+go test -race -count=1 -run 'Cancel|Canceled|Fault|Resume|Timeout|PanicIsolation|Singleflight|SkippedBenchmarkDroppedFromGrids' ./internal/sim ./internal/experiments ./cmd/paperrepro
 
 echo "== service concurrency (hammer + drain) under race"
 go test -race -count=1 -run 'Hammer|Saturation|GracefulShutdown' ./internal/serve ./internal/loadgen

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/bpred"
-	"repro/internal/engine"
 	"repro/internal/engine/pool"
 	"repro/internal/tablefmt"
 	"repro/internal/vlp"
@@ -36,104 +35,42 @@ func (r *AblationResult) table() string {
 	return tb.String()
 }
 
-// condVariantCells builds the per-benchmark column of a variants grid:
-// one cell per variant, each deferring to the shared constructor.
-func condVariantCells(bench string, n int,
-	mk func(variant int, bench string) (bpred.CondPredictor, error)) []engine.CondCell {
-	cells := make([]engine.CondCell, n)
-	for v := range cells {
-		v := v
-		cells[v] = func() (bpred.CondPredictor, error) { return mk(v, bench) }
-	}
-	return cells
-}
-
-// runCondVariants measures conditional misprediction for one predictor
-// constructor per variant, across the ablation benchmarks, as a
-// declarative plan: one engine cell per benchmark (all variants fused
-// into one trace pass), scheduled by the engine's pool. The id names
-// the variant set for the engine's cell memoization.
-func (s *Suite) runCondVariants(ctx context.Context, id string, benchNames []string, variants []string,
-	mk func(variant int, bench string) (bpred.CondPredictor, error)) (*AblationResult, error) {
-	res := &AblationResult{
-		Benchmarks: benchNames,
-		Variants:   variants,
-		Rates:      newRates(len(variants), len(benchNames)),
-	}
-	plan := engine.NewPlan()
-	for _, bench := range benchNames {
-		plan.Cond(bench, id, condVariantCells(bench, len(variants), mk))
-	}
-	cols, err := s.eng.Execute(ctx, plan)
+// gridReport runs an ablation grid, the experiment's one column, and
+// renders it as a benchmarks-by-variants table.
+func (s *Suite) gridReport(ctx context.Context, id, title string) (*Report, error) {
+	cols, err := s.runColumns(ctx, id)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	for b := range benchNames {
-		for v := range variants {
-			res.Rates[v][b] = cols[b][v]
-		}
-	}
-	return res, nil
+	return &Report{ID: id, Title: title, Text: cols[0].table(), Data: cols[0]}, nil
 }
 
 // AblationRotation measures the §3.3 design choice: rotating each target
 // by its depth before XOR (order-preserving) versus a plain XOR fold.
 func (s *Suite) AblationRotation(ctx context.Context) (*Report, error) {
-	res, err := s.runCondGrid(ctx, "ablation-rotation")
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		ID:    "ablation-rotation",
-		Title: "Ablation: hash rotation (order encoding, paper §3.3), conditional 16KB",
-		Text:  res.table(),
-		Data:  res,
-	}, nil
+	return s.gridReport(ctx, "ablation-rotation",
+		"Ablation: hash rotation (order encoding, paper §3.3), conditional 16KB")
 }
 
 // AblationReturns measures the §3.2 claim that storing return targets in
 // the THB does not strongly matter.
 func (s *Suite) AblationReturns(ctx context.Context) (*Report, error) {
-	res, err := s.runCondGrid(ctx, "ablation-returns")
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		ID:    "ablation-returns",
-		Title: "Ablation: return targets in the THB (paper §3.2), conditional 16KB",
-		Text:  res.table(),
-		Data:  res,
-	}, nil
+	return s.gridReport(ctx, "ablation-returns",
+		"Ablation: return targets in the THB (paper §3.2), conditional 16KB")
 }
 
 // AblationSubset profiles with only the hash functions {1,2,4,8,16,32}
 // implemented (§3.1's reduced-cost implementation) versus all 32.
 func (s *Suite) AblationSubset(ctx context.Context) (*Report, error) {
-	res, err := s.runCondGrid(ctx, "ablation-subset")
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		ID:    "ablation-subset",
-		Title: "Ablation: implemented hash-function subset (paper §3.1), conditional 16KB",
-		Text:  res.table(),
-		Data:  res,
-	}, nil
+	return s.gridReport(ctx, "ablation-subset",
+		"Ablation: implemented hash-function subset (paper §3.1), conditional 16KB")
 }
 
 // AblationHeuristic varies the profiling heuristic's candidate and
 // iteration counts around the paper's 3-candidates/7-iterations setting.
 func (s *Suite) AblationHeuristic(ctx context.Context) (*Report, error) {
-	res, err := s.runCondGrid(ctx, "ablation-heuristic")
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		ID:    "ablation-heuristic",
-		Title: "Ablation: profiling heuristic candidates/iterations (paper §3.5), conditional 16KB",
-		Text:  res.table(),
-		Data:  res,
-	}, nil
+	return s.gridReport(ctx, "ablation-heuristic",
+		"Ablation: profiling heuristic candidates/iterations (paper §3.5), conditional 16KB")
 }
 
 // HFNTResult carries the §4.3 pipelining measurements.
@@ -209,31 +146,15 @@ func (s *Suite) AblationHFNT(ctx context.Context) (*Report, error) {
 // AblationDynSel compares the §3.4 hardware-selection alternative with the
 // profiled predictor and the fixed length baseline.
 func (s *Suite) AblationDynSel(ctx context.Context) (*Report, error) {
-	res, err := s.runCondGrid(ctx, "ablation-dynsel")
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		ID:    "ablation-dynsel",
-		Title: "Ablation: hardware hash-function selection (paper §3.4), conditional 16KB",
-		Text:  res.table(),
-		Data:  res,
-	}, nil
+	return s.gridReport(ctx, "ablation-dynsel",
+		"Ablation: hardware hash-function selection (paper §3.4), conditional 16KB")
 }
 
 // AblationHistStack measures the §6 future-work history stack: saving the
 // path registers across calls and restoring them on returns.
 func (s *Suite) AblationHistStack(ctx context.Context) (*Report, error) {
-	res, err := s.runCondGrid(ctx, "ablation-histstack")
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		ID:    "ablation-histstack",
-		Title: "Ablation: history stack across calls (paper §6), conditional 16KB",
-		Text:  res.table(),
-		Data:  res,
-	}, nil
+	return s.gridReport(ctx, "ablation-histstack",
+		"Ablation: history stack across calls (paper §6), conditional 16KB")
 }
 
 // AblationCompetitors situates the path predictors in the wider
@@ -242,14 +163,6 @@ func (s *Suite) AblationHistStack(ctx context.Context) (*Report, error) {
 // budget. (The hybrid splits its budget across components and chooser, as
 // McFarling's design must.)
 func (s *Suite) AblationCompetitors(ctx context.Context) (*Report, error) {
-	res, err := s.runCondGrid(ctx, "ablation-competitors")
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		ID:    "ablation-competitors",
-		Title: "Extension: wider conditional predictor field near 16KB",
-		Text:  res.table(),
-		Data:  res,
-	}, nil
+	return s.gridReport(ctx, "ablation-competitors",
+		"Extension: wider conditional predictor field near 16KB")
 }

@@ -16,16 +16,8 @@ import (
 // ("the best competing predictor" family the paper references), and the
 // fixed/variable length path predictors.
 func (s *Suite) AblationIndField(ctx context.Context) (*Report, error) {
-	res, err := s.runIndGrid(ctx, "ablation-indfield")
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		ID:    "ablation-indfield",
-		Title: "Extension: full indirect predictor field at 2KB (indirect-heavy benchmarks)",
-		Text:  res.table(),
-		Data:  res,
-	}, nil
+	return s.gridReport(ctx, "ablation-indfield",
+		"Extension: full indirect predictor field at 2KB (indirect-heavy benchmarks)")
 }
 
 // RASResult carries per-benchmark return statistics.

@@ -17,14 +17,6 @@ import (
 // beats pattern at equal adaptivity, and per-branch selection beats fixed
 // at equal history kind.
 func (s *Suite) AblationAdaptivity(ctx context.Context) (*Report, error) {
-	res, err := s.runCondGrid(ctx, "ablation-adaptivity")
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		ID:    "ablation-adaptivity",
-		Title: "Extension: the history-length adaptivity spectrum (paper §2), conditional 16KB",
-		Text:  res.table(),
-		Data:  res,
-	}, nil
+	return s.gridReport(ctx, "ablation-adaptivity",
+		"Extension: the history-length adaptivity spectrum (paper §2), conditional 16KB")
 }

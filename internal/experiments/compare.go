@@ -4,12 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/bpred"
-	"repro/internal/bpred/gshare"
-	"repro/internal/bpred/targetcache"
-	"repro/internal/engine"
 	"repro/internal/textplot"
-	"repro/internal/vlp"
 	"repro/internal/workload"
 )
 
@@ -74,47 +69,6 @@ func (r *BenchSeries) MeanReduction(from, to string) (float64, error) {
 	return 100 * sum / float64(n), nil
 }
 
-// condCompareCells builds the Figures 5-6 comparison column for one
-// benchmark: gshare, fixed length path, variable length path at one
-// hardware budget. The profile fetch lives inside the VLP cell (it is
-// memoized per benchmark) so it runs inside the engine's pooled
-// execution rather than serializing plan construction.
-func (s *Suite) condCompareCells(bench string, budgetBytes, fixedLen int, k uint) []engine.CondCell {
-	return []engine.CondCell{
-		func() (bpred.CondPredictor, error) { return gshare.New(budgetBytes) },
-		func() (bpred.CondPredictor, error) {
-			return vlp.NewCond(budgetBytes, vlp.Fixed{L: fixedLen}, vlp.Options{})
-		},
-		func() (bpred.CondPredictor, error) {
-			prof, err := s.Profile(bench, false, k)
-			if err != nil {
-				return nil, err
-			}
-			return vlp.NewCond(budgetBytes, prof.Selector(), vlp.Options{})
-		},
-	}
-}
-
-// indCompareCells builds the Figures 7-8 comparison column for one
-// benchmark: Chang-Hao-Patt path and pattern target caches plus the
-// fixed and variable length path predictors.
-func (s *Suite) indCompareCells(bench string, budgetBytes, fixedLen int, k uint) []engine.IndirectCell {
-	return []engine.IndirectCell{
-		func() (bpred.IndirectPredictor, error) { return targetcache.NewPathBudget(budgetBytes) },
-		func() (bpred.IndirectPredictor, error) { return targetcache.NewPatternBudget(budgetBytes) },
-		func() (bpred.IndirectPredictor, error) {
-			return vlp.NewIndirect(budgetBytes, vlp.Fixed{L: fixedLen}, vlp.Options{})
-		},
-		func() (bpred.IndirectPredictor, error) {
-			prof, err := s.Profile(bench, true, k)
-			if err != nil {
-				return nil, err
-			}
-			return vlp.NewIndirect(budgetBytes, prof.Selector(), vlp.Options{})
-		},
-	}
-}
-
 // suiteFixedLength resolves the suite-wide tuned fixed length for a
 // class and index width: tuned over the *whole* suite's profile inputs
 // (§5.1), not just one figure's benchmark half.
@@ -126,76 +80,15 @@ func (s *Suite) suiteFixedLength(indirect bool, k uint) (int, error) {
 	return s.SuiteFixedLength(all, indirect, k)
 }
 
-// condComparison produces the gshare / fixed length path / variable length
-// path comparison of Figures 5-6 for the given benchmarks and hardware
-// budget: one engine cell per benchmark, executed as a plan.
-func (s *Suite) condComparison(ctx context.Context, bs []*workload.Benchmark, budgetBytes int) (*BenchSeries, error) {
-	bs, err := s.benches(bs)
+// compare runs a Figures 5-8 / Table 3 comparison, the experiment's one
+// column, as a BenchSeries.
+func (s *Suite) compare(ctx context.Context, expID string) (*BenchSeries, error) {
+	cols, err := s.runColumns(ctx, expID)
 	if err != nil {
 		return nil, err
 	}
-	k := condK(budgetBytes)
-	fixedLen, err := s.suiteFixedLength(false, k)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &BenchSeries{
-		Predictors: []string{"gshare", "fixed length path", "variable length path"},
-		Benchmarks: names(bs),
-		Rates:      newRates(3, len(bs)),
-	}
-	id := fmt.Sprintf("compare-cond-%d", budgetBytes)
-	plan := engine.NewPlan()
-	for _, b := range bs {
-		plan.Cond(b.Name(), id, s.condCompareCells(b.Name(), budgetBytes, fixedLen, k))
-	}
-	cols, err := s.eng.Execute(ctx, plan)
-	if err != nil {
-		return nil, err
-	}
-	for i := range bs {
-		for p := range out.Predictors {
-			out.Rates[p][i] = cols[i][p]
-		}
-	}
-	return out, nil
-}
-
-// indirectComparison produces the Chang-Hao-Patt path & pattern versus
-// fixed/variable length path comparison of Figures 7-8.
-func (s *Suite) indirectComparison(ctx context.Context, bs []*workload.Benchmark, budgetBytes int) (*BenchSeries, error) {
-	bs, err := s.benches(bs)
-	if err != nil {
-		return nil, err
-	}
-	k := indK(budgetBytes)
-	fixedLen, err := s.suiteFixedLength(true, k)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &BenchSeries{
-		Predictors: []string{"path (Chang, Hao, and Patt)", "pattern (Chang, Hao, and Patt)",
-			"fixed length path", "variable length path"},
-		Benchmarks: names(bs),
-		Rates:      newRates(4, len(bs)),
-	}
-	id := fmt.Sprintf("compare-ind-%d", budgetBytes)
-	plan := engine.NewPlan()
-	for _, b := range bs {
-		plan.Indirect(b.Name(), id, s.indCompareCells(b.Name(), budgetBytes, fixedLen, k))
-	}
-	cols, err := s.eng.Execute(ctx, plan)
-	if err != nil {
-		return nil, err
-	}
-	for i := range bs {
-		for p := range out.Predictors {
-			out.Rates[p][i] = cols[i][p]
-		}
-	}
-	return out, nil
+	c := cols[0]
+	return &BenchSeries{Benchmarks: c.Benchmarks, Predictors: c.Variants, Rates: c.Rates}, nil
 }
 
 func names(bs []*workload.Benchmark) []string {

@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-
-	"repro/internal/workload"
 )
 
 // Figure5 reproduces the paper's Figure 5: conditional branch
@@ -12,7 +10,7 @@ import (
 // gshare, the fixed length path predictor, and the variable length path
 // predictor.
 func (s *Suite) Figure5(ctx context.Context) (*Report, error) {
-	series, err := s.condComparison(ctx, workload.SPEC(), 16*1024)
+	series, err := s.compare(ctx, "fig5")
 	if err != nil {
 		return nil, err
 	}
@@ -31,7 +29,7 @@ func (s *Suite) Figure5(ctx context.Context) (*Report, error) {
 
 // Figure6 is Figure 5 for the non-SPEC benchmarks.
 func (s *Suite) Figure6(ctx context.Context) (*Report, error) {
-	series, err := s.condComparison(ctx, workload.NonSPEC(), 16*1024)
+	series, err := s.compare(ctx, "fig6")
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +53,7 @@ func (s *Suite) Figure6(ctx context.Context) (*Report, error) {
 // configured trace length report 0% for every predictor, mirroring the
 // near-empty bars the paper shows for compress.
 func (s *Suite) Figure7(ctx context.Context) (*Report, error) {
-	series, err := s.indirectComparison(ctx, workload.SPEC(), 2048)
+	series, err := s.compare(ctx, "fig7")
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +67,7 @@ func (s *Suite) Figure7(ctx context.Context) (*Report, error) {
 
 // Figure8 is Figure 7 for the non-SPEC benchmarks.
 func (s *Suite) Figure8(ctx context.Context) (*Report, error) {
-	series, err := s.indirectComparison(ctx, workload.NonSPEC(), 2048)
+	series, err := s.compare(ctx, "fig8")
 	if err != nil {
 		return nil, err
 	}

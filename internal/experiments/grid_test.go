@@ -129,10 +129,12 @@ func TestGridKeysShape(t *testing.T) {
 	}
 }
 
-// TestColumnCellResolvesGridKeys checks the grid registry end to end:
-// every key an experiment enumerates resolves through ColumnCell
-// to a buildable cell carrying the same canonical key, and unknown
-// column ids fail with an error naming them.
+// TestColumnCellResolvesGridKeys checks the column table end to end:
+// every key an experiment enumerates resolves through ColumnCell to a
+// buildable cell carrying the same canonical key, with one entry per
+// variant its column declares; every declared column is reached by
+// some registry experiment; and unknown column ids fail with an error
+// naming them.
 func TestColumnCellResolvesGridKeys(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds profiled cells for every enumerable experiment")
@@ -140,8 +142,10 @@ func TestColumnCellResolvesGridKeys(t *testing.T) {
 	s := gridSuite()
 	ctx := context.Background()
 	resolved := 0
+	reached := map[string]bool{}
 	for _, e := range Registry() {
 		for _, k := range GridKeys(e.ID) {
+			reached[k.ColumnID] = true
 			cell, err := s.ColumnCell(ctx, k)
 			if err != nil {
 				t.Fatalf("%s: ColumnCell(%v): %v", e.ID, k, err)
@@ -149,8 +153,8 @@ func TestColumnCellResolvesGridKeys(t *testing.T) {
 			if cell.Key() != k {
 				t.Errorf("%s: resolved cell has key %v, want %v", e.ID, cell.Key(), k)
 			}
-			if len(cell.Cond)+len(cell.Indirect) == 0 {
-				t.Errorf("%s: resolved cell %v is empty", e.ID, k)
+			if n, want := len(cell.Cond)+len(cell.Indirect), len(columns[k.ColumnID].variants); n != want || n == 0 {
+				t.Errorf("%s: resolved cell %v has %d entries, its column declares %d variants", e.ID, k, n, want)
 			}
 			resolved++
 		}
@@ -158,11 +162,50 @@ func TestColumnCellResolvesGridKeys(t *testing.T) {
 	if resolved == 0 {
 		t.Fatal("no experiment enumerated any cells")
 	}
+	for id := range columns {
+		if !reached[id] {
+			t.Errorf("column %q is declared but no registry experiment's GridKeys reaches it", id)
+		}
+	}
+	for id, want := range map[string]int{"fig9": 4 * len(CondSizesKB), "fig10": 5 * len(IndSizesBytes)} {
+		if n := len(columns[id].variants); n != want {
+			t.Errorf("%s declares %d variants, want %d (one per size and predictor)", id, n, want)
+		}
+	}
 
 	if _, err := s.ColumnCell(ctx, engine.Key{Class: engine.ClassCond, Trace: "gcc", ColumnID: "nonesuch"}); err == nil || !strings.Contains(err.Error(), `unknown conditional column "nonesuch"`) {
 		t.Errorf("unknown conditional column error = %v", err)
 	}
 	if _, err := s.ColumnCell(ctx, engine.Key{Class: engine.ClassIndirect, Trace: "gcc", ColumnID: "nonesuch"}); err == nil || !strings.Contains(err.Error(), `unknown indirect column "nonesuch"`) {
 		t.Errorf("unknown indirect column error = %v", err)
+	}
+}
+
+// TestSkippedBenchmarkDroppedFromGrids: a benchmark skipped at
+// ingestion drops out of every grid — the conditional ablations over
+// the ablation benchmarks as much as the indirect field — while
+// ablation-speedup, which reads all four ablation benchmarks' front
+// ends, fails naming it.
+func TestSkippedBenchmarkDroppedFromGrids(t *testing.T) {
+	s := NewSuite(Config{BaseRecords: 4000})
+	s.Skip("perl", "corrupt trace perl.vlpt: test")
+	ctx := context.Background()
+	for _, run := range []func(*Suite, context.Context) (*Report, error){
+		(*Suite).AblationRotation, (*Suite).AblationIndField,
+	} {
+		rep, err := run(s, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := rep.Data.(*AblationResult)
+		if len(res.Benchmarks) == 0 || index(res.Benchmarks, "perl") >= 0 {
+			t.Errorf("%s benchmarks = %v, want every benchmark but perl", rep.ID, res.Benchmarks)
+		}
+		if strings.Contains(rep.Text, "perl") {
+			t.Errorf("%s renders a perl row:\n%s", rep.ID, rep.Text)
+		}
+	}
+	if _, err := s.AblationSpeedup(ctx); err == nil || !strings.Contains(err.Error(), "perl") {
+		t.Errorf("ablation-speedup with perl skipped: err = %v, want one naming perl", err)
 	}
 }

@@ -63,9 +63,7 @@ func (s *Suite) AblationInterference(ctx context.Context) (*Report, error) {
 			return err
 		}
 		// The breakdown lives on the predictors, so run the fused column
-		// directly (non-memoized) and read Stats afterwards. Both
-		// instrumented predictors share one path history inside the
-		// kernel; the classification only reads the predictor table.
+		// directly (non-memoized) and read Stats afterwards.
 		if _, err := s.eng.ReplayCond(ctx, []bpred.CondPredictor{flp, vp}, test); err != nil {
 			return err
 		}

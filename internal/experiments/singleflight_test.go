@@ -146,13 +146,17 @@ func TestSingleflightStep1SharedByProfiles(t *testing.T) {
 	s := NewSuite(Config{BaseRecords: 4000})
 	const name = "gcc"
 	k := condK(abBudget)
-	heuristic := condGrids["ablation-heuristic"]
+	heuristic, err := s.ColumnCell(context.Background(),
+		engine.Key{Class: engine.ClassCond, Trace: name, ColumnID: "ablation-heuristic"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	const hammer = 16
 
 	var wg sync.WaitGroup
-	errs := make(chan error, hammer*(2+len(heuristic.variants)))
+	errs := make(chan error, hammer*(2+len(heuristic.Cond)))
 	for i := 0; i < hammer; i++ {
-		wg.Add(2 + len(heuristic.variants))
+		wg.Add(2 + len(heuristic.Cond))
 		go func() {
 			defer wg.Done()
 			_, err := s.Step1(name, false, k)
@@ -163,10 +167,10 @@ func TestSingleflightStep1SharedByProfiles(t *testing.T) {
 			_, err := s.Profile(name, false, k)
 			errs <- err
 		}()
-		for v := range heuristic.variants {
+		for _, mk := range heuristic.Cond {
 			go func() {
 				defer wg.Done()
-				_, err := heuristic.mk(s, v, name)
+				_, err := mk()
 				errs <- err
 			}()
 		}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/engine/pool"
 	"repro/internal/pipeline"
 	"repro/internal/tablefmt"
-	"repro/internal/workload"
 )
 
 // SpeedupResult carries the front-end timing comparison.
@@ -32,22 +31,18 @@ type SpeedupResult struct {
 // takes one trace-only front-end pass.
 func (s *Suite) AblationSpeedup(ctx context.Context) (*Report, error) {
 	benches := ablationBenches
-	bs := make([]*workload.Benchmark, len(benches))
-	for i, name := range benches {
-		b, err := s.bench(name)
-		if err != nil {
+	// Unlike the grids, this experiment fails on a skipped benchmark
+	// rather than dropping it.
+	for _, name := range benches {
+		if _, err := s.bench(name); err != nil {
 			return nil, err
 		}
-		bs[i] = b
 	}
-	cond, err := s.condComparison(ctx, bs, 16*1024)
+	cols, err := s.runColumns(ctx, "ablation-speedup")
 	if err != nil {
 		return nil, err
 	}
-	ind, err := s.indirectComparison(ctx, bs, 2*1024)
-	if err != nil {
-		return nil, err
-	}
+	cond, ind := cols[0], cols[1]
 	res := &SpeedupResult{
 		Benchmarks: benches,
 		BaseIPC:    make([]float64, len(benches)),
@@ -104,14 +99,6 @@ func missCount(pct float64, n int64) int64 { return int64(math.Round(pct * float
 // fewer hash-number bits: the full profiled number, a coarse bucket hint
 // refined by hardware, and no hint at all (pure hardware selection).
 func (s *Suite) AblationISABits(ctx context.Context) (*Report, error) {
-	res, err := s.runCondGrid(ctx, "ablation-isabits")
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		ID:    "ablation-isabits",
-		Title: "Ablation: ISA bits for the hash number (paper §4.2), conditional 16KB",
-		Text:  res.table(),
-		Data:  res,
-	}, nil
+	return s.gridReport(ctx, "ablation-isabits",
+		"Ablation: ISA bits for the hash number (paper §4.2), conditional 16KB")
 }

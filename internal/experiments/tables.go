@@ -142,7 +142,7 @@ func (s *Suite) Table2(ctx context.Context) (*Report, error) {
 // Hao-Patt path and pattern caches and the fixed/variable length path
 // predictors.
 func (s *Suite) Table3(ctx context.Context) (*Report, error) {
-	series, err := s.indirectComparison(ctx, workload.IndirectHeavy(), 2048)
+	series, err := s.compare(ctx, "table3")
 	if err != nil {
 		return nil, err
 	}
@@ -155,11 +155,11 @@ func (s *Suite) Table3(ctx context.Context) (*Report, error) {
 			fmt.Sprintf("%.2f%%", series.Rates[2][bi]),
 			fmt.Sprintf("%.2f%%", series.Rates[3][bi]))
 	}
-	redPat, err := series.MeanReduction("pattern (Chang, Hao, and Patt)", "variable length path")
+	redPat, err := series.MeanReduction(patternCacheName, "variable length path")
 	if err != nil {
 		return nil, err
 	}
-	redFLP, err := series.MeanReduction("pattern (Chang, Hao, and Patt)", "fixed length path")
+	redFLP, err := series.MeanReduction(patternCacheName, "fixed length path")
 	if err != nil {
 		return nil, err
 	}
